@@ -1,17 +1,11 @@
-"""E6 — repair time vs. relation size, string path vs. dictionary path.
+"""E6 — repair time vs. relation size.
 
 Source shape (Cong et al.): repair time grows superlinearly but stays
 practical at the sizes of the experiments; the number of changed cells
-tracks the number of injected errors.
-
-Since the dictionary-coded repair core, ``BatchRepair`` runs on column
-codes by default (compiled pattern tests, per-code string caches, a
-memoised ``(code, code)`` distance cache) while ``use_columns=False``
-keeps the original row/string implementation.  The speedup series below
-records both, asserts the repairs are byte-identical at every size, and
-requires the dictionary path to be at least :data:`SPEEDUP_TARGET` times
-faster at the largest size — this is an algorithmic (single-process)
-speedup, so no CPU-count gate applies.
+tracks the number of injected errors.  ``BatchRepair`` runs on column
+codes (compiled pattern tests, per-code string caches, a memoised
+``(code, code)`` distance cache); the parity smoke checks the chunked
+engine reproduces the in-process repair exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from conftest import print_series
 
 SIZES = [500, 1000, 2000, 4000]
 NOISE_RATE = 0.05
-SPEEDUP_TARGET = 1.5
 
 
 def _workload(size: int):
@@ -51,16 +44,14 @@ def test_e06_repair_scaling(benchmark, size):
 
 
 def test_e06_parity(benchmark):
-    """Dictionary-path repairs are byte-identical to the string path."""
+    """Chunked-engine repairs are byte-identical to the in-process repair."""
     dirty, cfds, _ = _workload(500)
 
     def compute():
-        strings = BatchRepair(dirty, cfds, use_columns=False).repair()
-        codes = BatchRepair(dirty, cfds, use_columns=True).repair()
-        chunked = BatchRepair(dirty, cfds, use_columns=True, engine="serial").repair()
-        assert _identical(codes, strings)
-        assert _identical(chunked, strings)
-        return codes
+        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
+        chunked = BatchRepair(dirty, cfds, engine="serial").repair()
+        assert _identical(chunked, sequential)
+        return sequential
 
     result = benchmark.pedantic(compute, rounds=1, iterations=1)
     assert result.changes and result.converged
@@ -83,31 +74,3 @@ def test_e06_series(benchmark):
     # shape: time grows with size but stays laptop-feasible
     assert rows[-1][4] < 120
     assert rows[-1][4] >= rows[0][4]
-
-
-def test_e06_dictionary_speedup(benchmark):
-    """String path vs. dictionary path; ≥ 1.5x at the largest size."""
-    def compute():
-        rows = []
-        for size in SIZES:
-            dirty, cfds, _ = _workload(size)
-            started = time.perf_counter()
-            strings = BatchRepair(dirty, cfds, use_columns=False).repair()
-            string_s = time.perf_counter() - started
-            started = time.perf_counter()
-            codes = BatchRepair(dirty, cfds, use_columns=True).repair()
-            dict_s = time.perf_counter() - started
-            assert _identical(codes, strings)
-            rows.append([size, len(codes.changes), string_s, dict_s, string_s / dict_s])
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    print_series("E6: string-path vs. dictionary-path repair (noise 5%)",
-                 ["tuples", "changes", "string_s", "dict_s", "speedup"], rows)
-
-    benchmark.extra_info["speedups"] = {str(r[0]): round(r[4], 2) for r in rows}
-    benchmark.extra_info["speedup_largest"] = round(rows[-1][4], 2)
-
-    assert rows[-1][4] >= SPEEDUP_TARGET, (
-        f"dictionary-path repair reached only {rows[-1][4]:.2f}x over the string "
-        f"path at {SIZES[-1]} tuples (target {SPEEDUP_TARGET}x)")

@@ -3,12 +3,6 @@
 Source shape (CFDMiner / CTANE line of work): runtime grows with the
 relation size; the number of discovered constant CFDs falls as the support
 threshold rises; everything discovered actually holds on the data.
-
-The string-vs-code series compares discovery on the columnar substrate
-(memoized tid sets, stripped array-backed partitions with the per-relation
-cache) against the historical row/string path (``use_columns=False``):
-identical CFD lists, and the measured speedup lands in the benchmark JSON
-``extra_info`` with a >= 1.5x floor asserted at the largest size.
 """
 
 from __future__ import annotations
@@ -76,30 +70,3 @@ def test_e09_series_size_sweep(benchmark):
     print_series("E9: discovery runtime vs. relation size (support 5)",
                  ["tuples", "cfds", "seconds"], rows)
     assert rows[-1][2] >= rows[0][2]
-
-
-def test_e09_string_vs_code_speedup(benchmark):
-    """Columnar discovery vs the historical string path: parity plus speedup."""
-    def compute():
-        rows = []
-        for size in SIZES:
-            relation = _relation(size)
-            started = time.perf_counter()
-            strings = CFDDiscovery(relation, min_support=5, max_lhs_size=2,
-                                   use_columns=False).discover()
-            string_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            code = CFDDiscovery(relation, min_support=5, max_lhs_size=2).discover()
-            code_seconds = time.perf_counter() - started
-            # identical output lists, names and order included
-            assert [repr(c) for c in code] == [repr(c) for c in strings]
-            rows.append([size, len(code), string_seconds, code_seconds,
-                         string_seconds / code_seconds])
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    print_series("E9: discovery on codes vs. the string path (support 5)",
-                 ["tuples", "cfds", "string_s", "code_s", "speedup"], rows)
-    benchmark.extra_info["speedups"] = {str(r[0]): round(r[4], 2) for r in rows}
-    benchmark.extra_info["speedup_largest"] = round(rows[-1][4], 2)
-    assert rows[-1][4] >= 1.5

@@ -1,16 +1,14 @@
 """E14 — chunked/parallel detection vs. the sequential columnar baseline.
 
-Companion to E13: the same noisy-customer workload, detected with the
-sequential columnar path (the PR 1 baseline) and with the chunked engine
-on the multiprocessing backend in steady state (one detector, worker
-pool warm, state broadcast once — the serving configuration the
-ROADMAP's north star describes).
+The E1 noisy-customer workload, detected with the sequential columnar
+path and with the chunked engine on the multiprocessing backend in
+steady state (one detector, worker pool warm, state broadcast once — the
+serving configuration the ROADMAP's north star describes).
 
 Two sequential timings are reported so the comparison is not confounded
-by plan caching: ``cold`` constructs a fresh detector per run (exactly
-how E13 records the PR 1 columnar baseline — index rebuilt every time)
-and ``warm`` reuses one detector (cached indexes).  The acceptance
-assertion compares warm-parallel against the E13-convention cold
+by plan caching: ``cold`` constructs a fresh detector per run (index
+rebuilt every time) and ``warm`` reuses one detector (cached indexes).
+The acceptance assertion compares warm-parallel against the cold
 baseline; both ratios land in the benchmark JSON via
 ``benchmark.extra_info``.
 

@@ -59,10 +59,12 @@ class PatternTuple:
     """One row of a pattern tableau: attribute → constant or ``_``.
 
     Attribute lookups are case-insensitive.  Attributes not mentioned are
-    treated as wildcards.
+    treated as wildcards.  Two pattern tuples are equal when they carry
+    the same cells with constants of the same types: ``1``, ``1.0`` and
+    ``True`` are equal in Python but ``≍`` tells them apart by string form.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_cells", "_key")
 
     def __init__(self, cells: Mapping[str, Pattern]) -> None:
         normalized: dict[str, Pattern] = {}
@@ -71,6 +73,7 @@ class PatternTuple:
                 raise ConstraintError("pattern tuples cannot have empty attribute names")
             normalized[attribute.lower()] = normalize_pattern(pattern)
         self._cells = normalized
+        self._key = frozenset((a, type(p).__name__, p) for a, p in normalized.items())
 
     # -- accessors ---------------------------------------------------------
 
@@ -159,10 +162,10 @@ class PatternTuple:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternTuple):
             return NotImplemented
-        return self._cells == other._cells
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._cells.items()))
+        return hash(self._key)
 
     def __iter__(self) -> Iterator[tuple[str, Pattern]]:
         return iter(self._cells.items())

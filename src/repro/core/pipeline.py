@@ -69,7 +69,7 @@ def repair(relation: Relation, cfds: Sequence[CFD | str],
 
 def discover_cfds(relation: Relation, min_support: int = 3,
                   max_lhs_size: int = 2, constant_only: bool = False,
-                  use_columns: bool = True, engine: str | None = None,
+                  engine: str | None = None,
                   workers: int | None = None) -> list[CFD]:
     """Discover CFDs from (reasonably clean) data.
 
@@ -78,7 +78,7 @@ def discover_cfds(relation: Relation, min_support: int = 3,
     identical, only execution changes.
     """
     discovery = CFDDiscovery(relation, min_support=min_support, max_lhs_size=max_lhs_size,
-                             use_columns=use_columns, engine=engine, workers=workers)
+                             engine=engine, workers=workers)
     return discovery.discover_constant_cfds() if constant_only else discovery.discover()
 
 

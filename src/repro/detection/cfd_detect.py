@@ -9,21 +9,18 @@ violations exist:
 * **group** violations: a set of tuples match a pattern on ``X``, agree on
   ``X`` but do not all agree on ``Y``.
 
-:class:`CFDDetector` finds both by hashing tuples on ``X``.  By default it
-runs *columnar*: patterns are compiled to code-level tests against the
-relation's dictionary-encoded column store
-(:mod:`repro.detection.columnar`) and grouping happens over integer code
-tuples — the hot path never materialises a :class:`Tuple`.
-``use_columns=False`` selects the original row-at-a-time implementation,
-which produces identical reports (the parity tests assert this) and serves
-as the benchmark baseline.
+:class:`CFDDetector` finds both by hashing tuples on ``X``, *columnar*:
+patterns are compiled to code-level tests against the relation's
+dictionary-encoded column store (:mod:`repro.detection.columnar`) and
+grouping happens over integer code tuples — the hot path never
+materialises a :class:`Tuple`.
 
-The columnar path can additionally run on the chunked execution engine
+Detection can additionally run on the chunked execution engine
 (:mod:`repro.engine`): ``engine="serial"`` splits the scan into chunks
 with boundary merging, ``engine="parallel"`` fans the chunks out to a
 process pool (``workers=`` sets the size).  Reports stay byte-identical
-to the sequential columnar path; ``REPRO_ENGINE`` supplies a
-process-wide default so whole test runs can be forced through the engine.
+to the sequential path; ``REPRO_ENGINE`` supplies a process-wide default
+so whole test runs can be forced through the engine.
 
 :class:`SQLCFDDetector` instead *generates SQL* — the approach of Fan et
 al.'s Semandaq system — and executes it on the library's SQL engine.  All
@@ -37,7 +34,7 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.constraints.cfd import CFD
-from repro.constraints.tableau import PatternTuple, is_wildcard
+from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CFDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
 from repro.engine.detect import ChunkedCFDEngine
@@ -46,14 +43,13 @@ from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.sql.engine import SQLEngine
-from repro.relational.types import is_null
 
 
 class CFDDetector:
     """Direct (index-based) CFD violation detection on one relation."""
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD],
-                 enumerate_pairs: bool = False, use_columns: bool = True,
+                 enumerate_pairs: bool = False,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
@@ -62,12 +58,9 @@ class CFDDetector:
         self._relation = relation
         self._cfds = list(cfds)
         self._enumerate_pairs = enumerate_pairs
-        self._use_columns = use_columns
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
-        # the chunked engine only exists for the columnar representation
-        self._pool = (resolve_pool(engine, workers, task_timeout=task_timeout,
-                                   task_retries=task_retries)
-                      if use_columns else None)
+        self._pool = resolve_pool(engine, workers, task_timeout=task_timeout,
+                                  task_retries=task_retries)
         self._chunked: "ChunkedCFDEngine | None" = None
 
     # -- public ----------------------------------------------------------------
@@ -98,14 +91,9 @@ class CFDDetector:
                 self._pool, kind="cfd", enumerate_pairs=self._enumerate_pairs)
             return ephemeral.detect()[0]
         violations: list[CFDViolation] = []
-        if self._use_columns:
-            for compiled in compile_tableau(cfd, self._relation):
-                violations.extend(self._single_tuple_violations_columnar(cfd, compiled))
-                violations.extend(self._group_violations_columnar(cfd, compiled))
-        else:
-            for pattern in cfd.tableau:
-                violations.extend(self._single_tuple_violations(cfd, pattern))
-                violations.extend(self._group_violations(cfd, pattern))
+        for compiled in compile_tableau(cfd, self._relation):
+            violations.extend(self._single_tuple_violations(cfd, compiled))
+            violations.extend(self._group_violations(cfd, compiled))
         return violations
 
     def _engine(self) -> "ChunkedCFDEngine":
@@ -116,10 +104,10 @@ class CFDDetector:
                                              enumerate_pairs=self._enumerate_pairs)
         return self._chunked
 
-    # -- columnar path ------------------------------------------------------------
+    # -- sequential path ----------------------------------------------------------
 
-    def _single_tuple_violations_columnar(self, cfd: CFD,
-                                          compiled: CompiledPattern) -> list[CFDViolation]:
+    def _single_tuple_violations(self, cfd: CFD,
+                                 compiled: CompiledPattern) -> list[CFDViolation]:
         if not compiled.rhs_tests:
             return []
         pattern = compiled.pattern
@@ -129,8 +117,8 @@ class CFDDetector:
                 violations.append(CFDViolation(cfd, pattern, (tid,)))
         return violations
 
-    def _group_violations_columnar(self, cfd: CFD,
-                                   compiled: CompiledPattern) -> list[CFDViolation]:
+    def _group_violations(self, cfd: CFD,
+                          compiled: CompiledPattern) -> list[CFDViolation]:
         if not compiled.variable_rhs:
             return []
         index = self._index_for(cfd.lhs)
@@ -159,57 +147,9 @@ class CFDDetector:
                     CFDViolation(cfd, compiled.pattern, tuple(sorted(matching))))
         return violations
 
-    # -- row path: single-tuple violations ------------------------------------------
-
-    def _single_tuple_violations(self, cfd: CFD, pattern: PatternTuple) -> list[CFDViolation]:
-        constant_rhs = [a for a in cfd.rhs if pattern.is_constant_on(a)]
-        if not constant_rhs:
-            return []
-        violations = []
-        for row in self._relation:
-            if not pattern.matches(row, cfd.lhs):
-                continue
-            if not pattern.matches(row, constant_rhs):
-                violations.append(CFDViolation(cfd, pattern, (row.tid,)))
-        return violations
-
-    # -- row path: group violations --------------------------------------------------
-
-    def _group_violations(self, cfd: CFD, pattern: PatternTuple) -> list[CFDViolation]:
-        variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
-        if not variable_rhs:
-            return []
-        index = self._index_for(cfd.lhs)
-        violations: list[CFDViolation] = []
-        for key, tids in index.bucket_items():
-            if len(tids) < 2:
-                continue
-            if any(is_null(value) for value in key):
-                continue
-            matching = [tid for tid in tids
-                        if pattern.matches(self._relation.tuple(tid), cfd.lhs)]
-            if len(matching) < 2:
-                continue
-            by_rhs: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-            for tid in matching:
-                by_rhs[self._relation.tuple(tid).project(variable_rhs)].append(tid)
-            if len(by_rhs) <= 1:
-                continue
-            if self._enumerate_pairs:
-                buckets = list(by_rhs.values())
-                for i, bucket in enumerate(buckets):
-                    for other in buckets[i + 1:]:
-                        for tid_a in bucket:
-                            for tid_b in other:
-                                violations.append(CFDViolation(cfd, pattern, (tid_a, tid_b)))
-            else:
-                violations.append(CFDViolation(cfd, pattern, tuple(sorted(matching))))
-        return violations
-
     def _index_for(self, attributes: tuple[str, ...]) -> HashIndex:
         if attributes not in self._indexes or self._indexes[attributes].is_stale():
-            self._indexes[attributes] = HashIndex(self._relation, list(attributes),
-                                                  use_columns=self._use_columns)
+            self._indexes[attributes] = HashIndex(self._relation, list(attributes))
         elif obs.enabled:
             obs.inc("cache.index.reuse")
         return self._indexes[attributes]
@@ -217,13 +157,11 @@ class CFDDetector:
 
 def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD],
                           enumerate_pairs: bool = False,
-                          use_columns: bool = True,
                           engine: str | None = None,
                           workers: int | None = None) -> ViolationReport:
     """Convenience wrapper around :class:`CFDDetector`."""
     return CFDDetector(relation, cfds, enumerate_pairs=enumerate_pairs,
-                       use_columns=use_columns, engine=engine,
-                       workers=workers).detect()
+                       engine=engine, workers=workers).detect()
 
 
 class SQLCFDDetector:
@@ -283,9 +221,16 @@ class SQLCFDDetector:
         where = " AND ".join(conditions + null_guards)
         group_cols = ", ".join(f"t.{attribute}" for attribute in cfd.lhs)
         select_cols = ", ".join(f"t.{a} AS {a}" for a in cfd.lhs)
-        having = " OR ".join(
-            f"COUNT(DISTINCT t.{attribute}) > 1" for attribute in variable_rhs
-        )
+        relation = self._database.relation(cfd.relation_name)
+        disagreements = []
+        for attribute in variable_rhs:
+            disagreements.append(f"COUNT(DISTINCT t.{attribute}) > 1")
+            if relation.columns.column(attribute).null_count():
+                # COUNT(DISTINCT) skips NULLs, yet a NULL disagrees with
+                # every value: flag groups mixing NULL and non-NULL cells
+                disagreements.append(f"(COUNT(t.{attribute}) > 0"
+                                     f" AND COUNT(t.{attribute}) < COUNT(*))")
+        having = " OR ".join(disagreements)
         where_clause = f" WHERE {where}" if where else ""
         return (f"SELECT {select_cols}, COUNT(*) AS cnt FROM {cfd.relation_name} t"
                 f"{where_clause} GROUP BY {group_cols} HAVING {having}")

@@ -12,12 +12,10 @@ and the cross-relation correspondence keys are *bridged codes* — string-mode
 :class:`~repro.relational.columns.DictionaryBridge` translations map both
 sides into one canonical code space, so the anti-join compares small
 integer tuples and never materialises a string per tuple.
-``use_columns=False`` restores the row-at-a-time scan; both produce
-identical reports.  ``engine=``/``workers=`` route the columnar anti-join
-through the chunked execution engine (:mod:`repro.engine`): both sides
-are scanned chunk-by-chunk (optionally in a process pool) and the
-qualifying RHS keys are merged before the anti-join — still the same
-report, byte for byte.
+``engine=``/``workers=`` route the anti-join through the chunked
+execution engine (:mod:`repro.engine`): both sides are scanned
+chunk-by-chunk (optionally in a process pool) and the qualifying RHS keys
+are merged before the anti-join — still the same report, byte for byte.
 
 For reference (and for the SQL-generation tests) the detector can also
 emit the SQL the Semandaq system would issue; since the library's SQL
@@ -38,14 +36,12 @@ from repro.engine.detect import ChunkedCINDEngine
 from repro.engine.executor import resolve_pool
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-from repro.relational.types import is_null
 
 
 class CINDDetector:
     """Detects violations of a set of CINDs on a database."""
 
     def __init__(self, database: Database, cinds: Sequence[CIND],
-                 use_columns: bool = True,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
@@ -53,11 +49,8 @@ class CINDDetector:
             cind.validate_against(database)
         self._database = database
         self._cinds = list(cinds)
-        self._use_columns = use_columns
-        # the chunked engine only exists for the columnar representation
-        self._pool = (resolve_pool(engine, workers, task_timeout=task_timeout,
-                                   task_retries=task_retries)
-                      if use_columns else None)
+        self._pool = resolve_pool(engine, workers, task_timeout=task_timeout,
+                                  task_retries=task_retries)
         self._chunked: "ChunkedCINDEngine | None" = None
 
     def detect(self) -> ViolationReport:
@@ -86,9 +79,7 @@ class CINDDetector:
             return ChunkedCINDEngine(self._database, [cind], self._pool).detect()[0]
         left = self._database.relation(cind.lhs_relation)
         right = self._database.relation(cind.rhs_relation)
-        if self._use_columns:
-            return self._detect_one_columnar(cind, left, right)
-        return self._detect_one_rows(cind, left, right)
+        return self._anti_join(cind, left, right)
 
     def _engine(self) -> "ChunkedCINDEngine":
         if self._chunked is None:
@@ -106,8 +97,8 @@ class CINDDetector:
             tests.append((column.codes, constant_code_set(column, constant)))
         return tests
 
-    def _detect_one_columnar(self, cind: CIND, left: Relation,
-                             right: Relation) -> list[CINDViolation]:
+    def _anti_join(self, cind: CIND, left: Relation,
+                   right: Relation) -> list[CINDViolation]:
         """Bridged-code anti-join: no string tuple is ever materialised.
 
         CIND correspondence compares keys by string equality — an
@@ -154,30 +145,6 @@ class CINDDetector:
             key = tuple(bridge[code] for bridge, code in zip(bridges, key_codes))
             if key not in right_keys:  # NO_PARTNER components always miss
                 violations.append(CINDViolation(cind, tid))
-        return violations
-
-    def _detect_one_rows(self, cind: CIND, left: Relation,
-                         right: Relation) -> list[CINDViolation]:
-        """Row-at-a-time anti-join (the pre-columnar baseline)."""
-        right_keys: set[tuple[str, ...]] = set()
-        for row in right:
-            if not cind.rhs_satisfied_by(row):
-                continue
-            key = row.project(list(cind.rhs_attributes))
-            if any(is_null(v) for v in key):
-                continue
-            right_keys.add(tuple(str(v) for v in key))
-
-        violations: list[CINDViolation] = []
-        for row in left:
-            if not cind.applies_to(row):
-                continue
-            key = row.project(list(cind.lhs_attributes))
-            if any(is_null(v) for v in key):
-                violations.append(CINDViolation(cind, row.tid))
-                continue
-            if tuple(str(v) for v in key) not in right_keys:
-                violations.append(CINDViolation(cind, row.tid))
         return violations
 
     # -- SQL text (reference output, matching the Semandaq demo) --------------------

@@ -4,18 +4,18 @@ Pattern matching is the inner loop of detection.  Instead of comparing raw
 values tuple-by-tuple (``pattern.matches(row, ...)``), a pattern is
 *compiled once* against a relation's column store: every constant in the
 pattern is pre-encoded into the set of dictionary codes it matches (via
-:meth:`~repro.relational.columns.Column.matcher`, honouring the same
-int/str-tolerant equality as the row path), and every wildcard RHS
-attribute is bound to its code array.  Per-tuple tests then reduce to
-integer array reads and small-set membership:
+:meth:`~repro.relational.columns.Column.matcher`, honouring the
+int/str-tolerant ``≍`` equality of ``PatternTuple.matches``), and every
+wildcard RHS attribute is bound to its code array.  Per-tuple tests then
+reduce to integer array reads and small-set membership:
 
 * ``t ≍ tp`` on the LHS  →  ``codes[tid] in allowed`` per constant;
 * ``t[Y] = t'[Y]``       →  equality of code tuples.
 
 Code tuples agree with value tuples under Python equality (the dictionary
 maps ``==``-equal values to one code and NULL to code 0), so a compiled
-plan reports exactly the violations of the row-at-a-time path — verified
-by the columnar parity tests.
+plan reports exactly the violations the definitions give — checked
+against the definitional oracle in ``tests/oracle``.
 
 Compiled plans are cheap to build (matcher sets are cached per column and
 constant) and stay valid as the relation evolves: code arrays and matcher

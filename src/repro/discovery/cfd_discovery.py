@@ -18,12 +18,11 @@ the tutorial mentions (§2):
   full CTANE (which explores arbitrary pattern tableaux); DESIGN.md calls
   out the simplification.
 
-Both procedures run on the columnar substrate by default: candidate FDs
-are validated on cached stripped partitions
+Both procedures run on the columnar substrate: candidate FDs are
+validated on cached stripped partitions
 (:class:`~repro.discovery.partitions.PartitionProvider`, optionally
 chunk-parallel via ``engine=``/``workers=``), and itemset mining reads
-dictionary code arrays.  ``use_columns=False`` keeps the value-level
-reference path; the discovered CFD lists are identical either way.
+dictionary code arrays.
 """
 
 from __future__ import annotations
@@ -40,14 +39,13 @@ from repro.errors import DiscoveryError
 from repro.relational.columns import NULL_CODE
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
-from repro.relational.types import is_null
 
 
 class CFDDiscovery:
     """Discovers constant and variable CFDs from a relation."""
 
     def __init__(self, relation: Relation, min_support: int = 3,
-                 max_lhs_size: int = 2, use_columns: bool = True,
+                 max_lhs_size: int = 2,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
@@ -59,14 +57,12 @@ class CFDDiscovery:
         self._min_support = min_support
         self._max_lhs_size = max_lhs_size
         self._attributes = [a.lower() for a in relation.schema.attribute_names]
-        self._use_columns = use_columns
-        self._provider = PartitionProvider(relation, use_columns=use_columns,
-                                           engine=engine, workers=workers,
+        self._provider = PartitionProvider(relation, engine=engine, workers=workers,
                                            task_timeout=task_timeout,
                                            task_retries=task_retries)
-        # columnar path: conditioning groups per attribute, computed once
-        # per relation version (refinement retries every failed FD whose
-        # LHS contains the attribute against the same groups)
+        # conditioning groups per attribute, computed once per relation
+        # version (refinement retries every failed FD whose LHS contains
+        # the attribute against the same groups)
         self._groups_version = -1
         self._groups_by_attribute: dict[str, list[tuple[Any, set[int]]]] = {}
 
@@ -79,8 +75,7 @@ class CFDDiscovery:
 
     def _discover_constant_cfds(self) -> list[CFD]:
         miner = ItemsetMiner(self._relation, min_support=self._min_support,
-                             max_size=self._max_lhs_size,
-                             use_columns=self._use_columns)
+                             max_size=self._max_lhs_size)
         discovered: list[CFD] = []
         seen: set[tuple] = set()
         for itemset in miner.free_itemsets():
@@ -140,43 +135,32 @@ class CFDDiscovery:
         fine = self._provider.partition(lhs | {rhs})
         return coarse.refines_without_splitting(fine)
 
-    def _conditioning_groups(self, attribute: str) -> list[tuple[Any, list[int] | set[int]]]:
+    def _conditioning_groups(self, attribute: str) -> list[tuple[Any, set[int]]]:
         """Non-NULL ``(value, tids)`` groups of one attribute, scan order.
 
-        The columnar path reads a freshly built code-keyed
-        :class:`HashIndex`, decodes each group's representative value
-        once, and memoizes the groups per relation version (every failed
-        FD whose LHS contains the attribute conditions on the same
-        groups); the value path groups raw cell values row by row.  Both
-        yield the same groups in the same first-occurrence order.
+        Reads a freshly built code-keyed :class:`HashIndex`, decodes each
+        group's representative value once, and memoizes the groups per
+        relation version (every failed FD whose LHS contains the
+        attribute conditions on the same groups).
         """
-        if self._use_columns:
-            if self._groups_version != self._relation.version:
-                self._groups_by_attribute.clear()
-                self._groups_version = self._relation.version
-            groups = self._groups_by_attribute.get(attribute)
-            if groups is None:
-                index = HashIndex(self._relation, [attribute])
-                column = self._relation.columns.column(attribute)
-                groups = [(column.values[key[0]], tids)
-                          for key, tids in index.bucket_items()
-                          if key[0] != NULL_CODE]
-                self._groups_by_attribute[attribute] = groups
-            return groups
-        position = self._relation.schema.position(attribute)
-        buckets: dict[Any, list[int]] = {}
-        for tid, values in self._relation.rows_items():
-            value = values[position]
-            if is_null(value):
-                continue
-            buckets.setdefault(value, []).append(tid)
-        return list(buckets.items())
+        if self._groups_version != self._relation.version:
+            self._groups_by_attribute.clear()
+            self._groups_version = self._relation.version
+        groups = self._groups_by_attribute.get(attribute)
+        if groups is None:
+            index = HashIndex(self._relation, [attribute])
+            column = self._relation.columns.column(attribute)
+            groups = [(column.values[key[0]], tids)
+                      for key, tids in index.bucket_items()
+                      if key[0] != NULL_CODE]
+            self._groups_by_attribute[attribute] = groups
+        return groups
 
     def _refine(self, lhs: frozenset[str], rhs: str, offset: int) -> list[CFD]:
         """Condition the failed FD on constants of one LHS attribute.
 
-        On the columnar path with an engine requested, the per-group
-        subset checks fan out across the worker pool
+        With an engine requested, the per-group subset checks fan out
+        across the worker pool
         (:meth:`~repro.engine.discover.ChunkedPartitionEngine.refine_subsets`)
         — one batch of conditioning groups per worker, verdicts stitched
         back in input order, so the emitted CFD list (names included) is
@@ -211,53 +195,40 @@ class CFDDiscovery:
                          tids: set[int] | frozenset[int] | list[int]) -> bool:
         positions = self._relation.schema.positions(lhs)
         rhs_position = self._relation.schema.position(rhs)
-        if self._use_columns:
-            store = self._relation.columns
-            arrays = store.code_arrays(positions)
-            rhs_codes = store.column_at(rhs_position).codes
-            seen: dict[Any, int] = {}
-            if len(arrays) == 1:
-                codes = arrays[0]
-                for tid in tids:
-                    rhs_code = rhs_codes[tid]
-                    previous = seen.setdefault(codes[tid], rhs_code)
-                    if previous != rhs_code:
-                        return False
-                return True
+        store = self._relation.columns
+        arrays = store.code_arrays(positions)
+        rhs_codes = store.column_at(rhs_position).codes
+        seen: dict[Any, int] = {}
+        if len(arrays) == 1:
+            codes = arrays[0]
             for tid in tids:
-                key = tuple(codes[tid] for codes in arrays)
                 rhs_code = rhs_codes[tid]
-                previous = seen.setdefault(key, rhs_code)
+                previous = seen.setdefault(codes[tid], rhs_code)
                 if previous != rhs_code:
                     return False
             return True
-        rows = self._relation
-        seen_values: dict[tuple[Any, ...], Any] = {}
         for tid in tids:
-            row = rows.tuple(tid)
-            key = tuple(row.at(p) for p in positions)
-            rhs_value = row.at(rhs_position)
-            previous = seen_values.setdefault(key, rhs_value)
-            if previous != rhs_value:
+            key = tuple(codes[tid] for codes in arrays)
+            rhs_code = rhs_codes[tid]
+            previous = seen.setdefault(key, rhs_code)
+            if previous != rhs_code:
                 return False
         return True
 
 
 def discover_constant_cfds(relation: Relation, min_support: int = 3,
-                           max_lhs_size: int = 2, use_columns: bool = True,
+                           max_lhs_size: int = 2,
                            engine: str | None = None,
                            workers: int | None = None) -> list[CFD]:
     """Convenience wrapper: constant CFDs only."""
     return CFDDiscovery(relation, min_support, max_lhs_size,
-                        use_columns=use_columns, engine=engine,
-                        workers=workers).discover_constant_cfds()
+                        engine=engine, workers=workers).discover_constant_cfds()
 
 
 def discover_cfds(relation: Relation, min_support: int = 3,
-                  max_lhs_size: int = 2, use_columns: bool = True,
+                  max_lhs_size: int = 2,
                   engine: str | None = None,
                   workers: int | None = None) -> list[CFD]:
     """Convenience wrapper: constant plus variable CFDs."""
     return CFDDiscovery(relation, min_support, max_lhs_size,
-                        use_columns=use_columns, engine=engine,
-                        workers=workers).discover()
+                        engine=engine, workers=workers).discover()

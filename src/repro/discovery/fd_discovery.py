@@ -8,8 +8,8 @@ pruning: once ``Y → A`` is emitted, no superset of ``Y`` is reported for
 the same RHS.
 
 Partitions come from a :class:`~repro.discovery.partitions.PartitionProvider`:
-base partitions are computed from dictionary code arrays (or raw rows
-under ``use_columns=False``), higher lattice levels are composed from
+base partitions are computed from dictionary code arrays, higher lattice
+levels are composed from
 cached lower ones via partition products, and ``engine=``/``workers=``
 route the base scans through the chunked execution engine
 (:mod:`repro.engine`) — the discovered FDs and keys are identical either
@@ -37,7 +37,7 @@ class FDDiscovery:
     """Discovers minimal FDs of a relation."""
 
     def __init__(self, relation: Relation, max_lhs_size: int = 3,
-                 approximate_error: float = 0.0, use_columns: bool = True,
+                 approximate_error: float = 0.0,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
@@ -49,8 +49,7 @@ class FDDiscovery:
         self._attributes = [a.lower() for a in relation.schema.attribute_names]
         self._max_lhs_size = min(max_lhs_size, len(self._attributes) - 1)
         self._approximate_error = approximate_error
-        self._provider = PartitionProvider(relation, use_columns=use_columns,
-                                           engine=engine, workers=workers,
+        self._provider = PartitionProvider(relation, engine=engine, workers=workers,
                                            task_timeout=task_timeout,
                                            task_retries=task_retries)
 
@@ -112,11 +111,10 @@ class FDDiscovery:
 
 
 def discover_fds(relation: Relation, max_lhs_size: int = 3,
-                 approximate_error: float = 0.0, use_columns: bool = True,
+                 approximate_error: float = 0.0,
                  engine: str | None = None,
                  workers: int | None = None) -> list[FunctionalDependency]:
     """Convenience wrapper around :class:`FDDiscovery`."""
     return FDDiscovery(relation, max_lhs_size=max_lhs_size,
                        approximate_error=approximate_error,
-                       use_columns=use_columns, engine=engine,
-                       workers=workers).discover()
+                       engine=engine, workers=workers).discover()

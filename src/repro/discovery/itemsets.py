@@ -7,17 +7,14 @@ here is a straightforward Apriori-style levelwise search — adequate for
 the relation sizes of the experiments — with helpers for closures and
 freeness.
 
-On the columnar path (the default) support is served from **memoized
-per-item tid sets** built in one pass over the dictionary code arrays
-(one ``str`` per distinct value via the per-code string cache):
-``support_of`` intersects tid sets (smallest first) instead of rescanning
-rows, and ``closure_of`` checks value agreement over the matching tids
-only.  ``use_columns=False`` keeps the historical transaction
-representation — every support call rescans the stringified rows — as
-the reference twin the parity tests and benchmark E9 compare against.
-Either way the miner is a snapshot of the relation at construction time:
-mine with a fresh miner after mutating the relation (the columnar path
-enforces this with a version check where it reads the live code arrays).
+Support is served from **memoized per-item tid sets** built in one pass
+over the dictionary code arrays (one ``str`` per distinct value via the
+per-code string cache): ``support_of`` intersects tid sets (smallest
+first) instead of rescanning rows, and ``closure_of`` checks value
+agreement over the matching tids only.  The miner is a snapshot of the
+relation at construction time: mine with a fresh miner after mutating the
+relation (a version check enforces this where it reads the live code
+arrays).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Iterable
 from repro.errors import DiscoveryError
 from repro.relational.columns import NULL_CODE
 from repro.relational.relation import Relation
-from repro.relational.types import is_null
 
 Item = tuple[str, str]
 """An item is an (attribute, value) pair (values compared as strings)."""
@@ -55,8 +51,8 @@ class Itemset:
 class ItemsetMiner:
     """Apriori-style miner over one relation."""
 
-    def __init__(self, relation: Relation, min_support: int = 2, max_size: int = 3,
-                 use_columns: bool = True) -> None:
+    def __init__(self, relation: Relation, min_support: int = 2,
+                 max_size: int = 3) -> None:
         if min_support < 1:
             raise DiscoveryError("min_support must be at least 1")
         if max_size < 1:
@@ -65,34 +61,26 @@ class ItemsetMiner:
         self._min_support = min_support
         self._max_size = max_size
         self._attributes = [a.lower() for a in relation.schema.attribute_names]
-        self._use_columns = use_columns
         self._version = relation.version
-        if use_columns:
-            self._tids = relation.tids()
-            store = relation.columns
-            self._columns = [store.column_at(p) for p in range(relation.schema.arity)]
-            # item -> the set of tids carrying it, keys in first-occurrence
-            # (tid-major, then schema attribute) order — the order level-1
-            # mining, and therefore the whole result list, follows.
-            self._item_tids: dict[Item, set[int]] = {}
-            per_attribute = [(attribute, column.codes, column.strings)
-                             for attribute, column in zip(self._attributes, self._columns)]
-            for tid in self._tids:
-                for attribute, codes, strings in per_attribute:
-                    code = codes[tid]
-                    if code == NULL_CODE:
-                        continue
-                    tids = self._item_tids.get((attribute, strings[code]))
-                    if tids is None:
-                        self._item_tids[(attribute, strings[code])] = {tid}
-                    else:
-                        tids.add(tid)
-        else:
-            # historical transaction representation: tid -> {attribute: value}
-            self._transactions: dict[int, dict[str, str]] = {
-                row.tid: {a: str(row[a]) for a in self._attributes if not is_null(row[a])}
-                for row in relation
-            }
+        self._tids = relation.tids()
+        store = relation.columns
+        self._columns = [store.column_at(p) for p in range(relation.schema.arity)]
+        # item -> the set of tids carrying it, keys in first-occurrence
+        # (tid-major, then schema attribute) order — the order level-1
+        # mining, and therefore the whole result list, follows.
+        self._item_tids: dict[Item, set[int]] = {}
+        per_attribute = [(attribute, column.codes, column.strings)
+                         for attribute, column in zip(self._attributes, self._columns)]
+        for tid in self._tids:
+            for attribute, codes, strings in per_attribute:
+                code = codes[tid]
+                if code == NULL_CODE:
+                    continue
+                tids = self._item_tids.get((attribute, strings[code]))
+                if tids is None:
+                    self._item_tids[(attribute, strings[code])] = {tid}
+                else:
+                    tids.add(tid)
 
     # -- support ----------------------------------------------------------------
 
@@ -116,50 +104,32 @@ class ItemsetMiner:
 
     def support_of(self, items: Iterable[Item]) -> int:
         """Number of tuples containing every item."""
-        if self._use_columns:
-            items = list(items)
-            if len(items) == 1:  # the is_free hot loop: no set copy, just a length
-                tids = self._item_tids.get(items[0])
-                return len(tids) if tids else 0
-            matching = self._matching_tids(items)
-            return len(self._tids) if matching is None else len(matching)
         items = list(items)
-        count = 0
-        for transaction in self._transactions.values():
-            if all(transaction.get(attribute) == value for attribute, value in items):
-                count += 1
-        return count
+        if len(items) == 1:  # the is_free hot loop: no set copy, just a length
+            tids = self._item_tids.get(items[0])
+            return len(tids) if tids else 0
+        matching = self._matching_tids(items)
+        return len(self._tids) if matching is None else len(matching)
 
     def closure_of(self, items: Iterable[Item]) -> frozenset[Item]:
         """All items present in *every* tuple containing *items*."""
         items = list(items)
-        if self._use_columns:
-            if self._relation.version != self._version:
-                # the tid sets are a snapshot but the code arrays are live:
-                # after a mutation the two disagree (deleted tids read the
-                # tombstone), so fail loudly instead of agreeing on garbage
-                raise DiscoveryError(
-                    "the relation changed since this ItemsetMiner was built; "
-                    "mine with a fresh miner")
-            matching = self._matching_tids(items)
-            if matching is None:
-                matching = set(self._tids)
-            if not matching:
-                return frozenset(items)
-            closed: set[Item] = set()
-            for position, attribute in enumerate(self._attributes):
-                value = self._agreed_value(position, matching)
-                if value is not None:
-                    closed.add((attribute, value))
-            return frozenset(closed | set(items))
-        matching_rows = [t for t in self._transactions.values()
-                         if all(t.get(a) == v for a, v in items)]
-        if not matching_rows:
+        if self._relation.version != self._version:
+            # the tid sets are a snapshot but the code arrays are live:
+            # after a mutation the two disagree (deleted tids read the
+            # tombstone), so fail loudly instead of agreeing on garbage
+            raise DiscoveryError(
+                "the relation changed since this ItemsetMiner was built; "
+                "mine with a fresh miner")
+        matching = self._matching_tids(items)
+        if matching is None:
+            matching = set(self._tids)
+        if not matching:
             return frozenset(items)
-        closed = set()
-        first = matching_rows[0]
-        for attribute, value in first.items():
-            if all(t.get(attribute) == value for t in matching_rows):
+        closed: set[Item] = set()
+        for position, attribute in enumerate(self._attributes):
+            value = self._agreed_value(position, matching)
+            if value is not None:
                 closed.add((attribute, value))
         return frozenset(closed | set(items))
 
@@ -192,13 +162,7 @@ class ItemsetMiner:
 
     def _singleton_supports(self) -> dict[Item, int]:
         """Level-1 supports, items in first-occurrence (tid-major) order."""
-        if self._use_columns:
-            return {item: len(tids) for item, tids in self._item_tids.items()}
-        singleton_counts: dict[Item, int] = {}
-        for transaction in self._transactions.values():
-            for item in transaction.items():
-                singleton_counts[item] = singleton_counts.get(item, 0) + 1
-        return singleton_counts
+        return {item: len(tids) for item, tids in self._item_tids.items()}
 
     def frequent_itemsets(self) -> list[Itemset]:
         """All frequent itemsets up to ``max_size`` (levelwise Apriori)."""

@@ -16,12 +16,10 @@ Products compose the group-id map of one operand with the group arrays of
 the other; refinement checks walk the group-id map linearly.  No
 frozensets are built anywhere on the hot path.
 
-:func:`partition_of` computes the base partitions.  On the columnar path
-(the default) it reads dictionary code arrays straight off the relation's
-column store — a single tombstone-aware pass of integer reads, with no
-value hashing or stringification.  ``use_columns=False`` selects the
-value-level twin (grouping raw projected rows), kept as the reference
-the parity tests compare against.
+:func:`partition_of` computes the base partitions: it reads dictionary
+code arrays straight off the relation's column store — a single
+tombstone-aware pass of integer reads, with no value hashing or
+stringification.
 
 :class:`PartitionProvider` is what the discovery algorithms use: it
 caches partitions per relation *version* (one shared
@@ -126,30 +124,16 @@ class Partition:
         return f"Partition({self.group_count} groups, error={self.error})"
 
 
-def partition_of(relation: Relation, attributes: Sequence[str],
-                 use_columns: bool = True) -> Partition:
+def partition_of(relation: Relation, attributes: Sequence[str]) -> Partition:
     """The stripped partition of *relation* by *attributes*.
 
-    The columnar default groups tids by dictionary codes in one
+    Groups tids by dictionary codes (assigned by value equality) in one
     tombstone-aware pass over the code arrays
-    (:meth:`~repro.relational.columns.ColumnStore.partition_groups`);
-    ``use_columns=False`` groups raw projected values row by row.  Both
-    produce identical group structure (codes are assigned by value
-    equality), in identical first-occurrence order.
+    (:meth:`~repro.relational.columns.ColumnStore.partition_groups`), in
+    first-occurrence order.
     """
     positions = relation.schema.positions(attributes)
-    if use_columns:
-        buckets = relation.columns.partition_groups(positions)
-    else:
-        buckets = {}
-        if len(positions) == 1:
-            position = positions[0]
-            for tid, values in relation.rows_items():
-                buckets.setdefault(values[position], []).append(tid)
-        else:
-            for tid, values in relation.rows_items():
-                key = tuple(values[p] for p in positions)
-                buckets.setdefault(key, []).append(tid)
+    buckets = relation.columns.partition_groups(positions)
     return Partition(buckets.values(), len(relation))
 
 
@@ -221,33 +205,23 @@ class PartitionProvider:
     sequentially, or chunk-parallel on :mod:`repro.engine` when
     ``engine=``/``workers=`` (or the ``REPRO_*`` environment defaults)
     ask for it.
-
-    The value-level path (``use_columns=False``) is the historical
-    reference: direct row-grouping scans with a private per-provider memo
-    (the memo the old ``FDDiscovery`` kept), no product composition, and
-    the engine knobs ignored — the chunked workers exchange code arrays,
-    which is exactly what that path exists to avoid.
     """
 
-    def __init__(self, relation: Relation, use_columns: bool = True,
+    def __init__(self, relation: Relation,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
         self._relation = relation
-        self._use_columns = use_columns
         self._chunked: "ChunkedPartitionEngine | None" = None
-        if use_columns:
-            self._cache = partition_cache(relation)
-            from repro.engine.executor import resolve_pool
+        self._cache = partition_cache(relation)
+        from repro.engine.executor import resolve_pool
 
-            pool = resolve_pool(engine, workers, task_timeout=task_timeout,
-                                task_retries=task_retries)
-            if pool is not None:
-                from repro.engine.discover import ChunkedPartitionEngine
+        pool = resolve_pool(engine, workers, task_timeout=task_timeout,
+                            task_retries=task_retries)
+        if pool is not None:
+            from repro.engine.discover import ChunkedPartitionEngine
 
-                self._chunked = ChunkedPartitionEngine(relation, pool)
-        else:
-            self._cache = PartitionCache()
+            self._chunked = ChunkedPartitionEngine(relation, pool)
 
     @property
     def relation(self) -> Relation:
@@ -272,7 +246,7 @@ class PartitionProvider:
             if obs.enabled:
                 obs.inc("discovery.partition.cache_hit")
             return cached
-        partition = self._compose(attributes, version) if self._use_columns else None
+        partition = self._compose(attributes, version)
         if partition is None:
             partition = self._scan(attributes)
             if obs.enabled:
@@ -300,10 +274,9 @@ class PartitionProvider:
         if self._chunked is not None:
             groups = self._chunked.groups_of(ordered)
             return Partition(groups, len(self._relation))
-        return partition_of(self._relation, ordered, use_columns=self._use_columns)
+        return partition_of(self._relation, ordered)
 
     def __repr__(self) -> str:
-        mode = "columns" if self._use_columns else "rows"
         engine = "chunked" if self._chunked is not None else "sequential"
-        return (f"PartitionProvider({self._relation.name}, {mode}, {engine}, "
+        return (f"PartitionProvider({self._relation.name}, {engine}, "
                 f"{len(self._cache)} cached)")

@@ -5,17 +5,14 @@ ids having that key.  They are the workhorse of direct CFD violation
 detection (group tuples by the LHS attributes), of hash joins in the
 algebra/SQL layers, and of incremental detection.
 
-By default an index is *columnar*: buckets are keyed by tuples of integer
-codes from the relation's :class:`~repro.relational.columns.ColumnStore`,
-so a rebuild is a single pass of integer array reads and key comparison
-never touches raw values.  ``use_columns=False`` selects the original
-row-at-a-time build (value-keyed buckets) — kept as the baseline that the
-columnar benchmarks and parity tests compare against.
+Buckets are keyed by tuples of integer codes from the relation's
+:class:`~repro.relational.columns.ColumnStore`, so a rebuild is a single
+pass of integer array reads and key comparison never touches raw values.
 
-The *value*-level API (:meth:`lookup`, :meth:`groups`, :meth:`keys`) is
-unchanged and works against either representation; code-level accessors
-(:meth:`key_of`, :meth:`bucket_view`, :meth:`bucket_items`) expose the
-internal keys for hot paths.  An index is a snapshot: it remembers the
+The *value*-level API (:meth:`lookup`, :meth:`groups`, :meth:`keys`)
+translates keys at the boundary; code-level accessors (:meth:`key_of`,
+:meth:`bucket_view`, :meth:`bucket_items`) expose the internal keys for
+hot paths.  An index is a snapshot: it remembers the
 relation ``version`` it was built against and can report staleness;
 callers decide whether to rebuild or to maintain it incrementally via
 :meth:`HashIndex.add_tuple` / :meth:`HashIndex.remove_tuple`.
@@ -35,12 +32,10 @@ _EMPTY: frozenset[int] = frozenset()
 class HashIndex:
     """Hash index of a relation on a list of attributes."""
 
-    def __init__(self, relation: Relation, attribute_names: Sequence[str],
-                 use_columns: bool = True) -> None:
+    def __init__(self, relation: Relation, attribute_names: Sequence[str]) -> None:
         self._relation = relation
         self._attribute_names = [relation.schema.canonical_name(a) for a in attribute_names]
         self._positions = relation.schema.positions(attribute_names)
-        self._use_columns = use_columns
         self._columns: list[Column] = []
         self._buckets: dict[tuple[Any, ...], set[int]] = {}
         self._built_version = -1
@@ -53,35 +48,26 @@ class HashIndex:
         if obs.enabled:
             obs.inc("cache.index.rebuild")
         buckets: dict[tuple[Any, ...], set[int]] = {}
-        if self._use_columns:
-            store = self._relation.columns
-            self._columns = [store.column_at(p) for p in self._positions]
-            arrays = [column.codes for column in self._columns]
-            if len(arrays) == 1:
-                codes = arrays[0]
-                for tid in self._relation.tids():
-                    key = (codes[tid],)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = {tid}
-                    else:
-                        bucket.add(tid)
-            else:
-                for tid in self._relation.tids():
-                    key = tuple(codes[tid] for codes in arrays)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = {tid}
-                    else:
-                        bucket.add(tid)
-        else:
-            for row in self._relation:
-                key = tuple(row.at(p) for p in self._positions)
+        store = self._relation.columns
+        self._columns = [store.column_at(p) for p in self._positions]
+        arrays = [column.codes for column in self._columns]
+        if len(arrays) == 1:
+            codes = arrays[0]
+            for tid in self._relation.tids():
+                key = (codes[tid],)
                 bucket = buckets.get(key)
                 if bucket is None:
-                    buckets[key] = {row.tid}
+                    buckets[key] = {tid}
                 else:
-                    bucket.add(row.tid)
+                    bucket.add(tid)
+        else:
+            for tid in self._relation.tids():
+                key = tuple(codes[tid] for codes in arrays)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = {tid}
+                else:
+                    bucket.add(tid)
         self._buckets = buckets
         self._built_version = self._relation.version
 
@@ -115,23 +101,14 @@ class HashIndex:
     def attribute_names(self) -> list[str]:
         return list(self._attribute_names)
 
-    @property
-    def is_columnar(self) -> bool:
-        """Whether buckets are keyed by column codes (the default)."""
-        return self._use_columns
-
     def key_of(self, row: Tuple) -> tuple[Any, ...]:
-        """The *internal* bucket key of *row*: codes when columnar, else values."""
-        if self._use_columns:
-            return tuple(column.intern(row.at(p))
-                         for column, p in zip(self._columns, self._positions))
-        return tuple(row.at(p) for p in self._positions)
+        """The *internal* (code) bucket key of *row*."""
+        return tuple(column.intern(row.at(p))
+                     for column, p in zip(self._columns, self._positions))
 
     def encode_key(self, key: Sequence[Any]) -> tuple[Any, ...] | None:
         """Translate a *value* key to the internal key, or ``None`` if unseen."""
         key = tuple(key)
-        if not self._use_columns:
-            return key
         if len(key) != len(self._columns):
             return None
         codes = []
@@ -144,8 +121,6 @@ class HashIndex:
 
     def decode_key(self, key: tuple[Any, ...]) -> tuple[Any, ...]:
         """Translate an internal bucket key back to attribute values."""
-        if not self._use_columns:
-            return key
         return tuple(column.values[code] for column, code in zip(self._columns, key))
 
     # -- lookups -----------------------------------------------------------
@@ -186,10 +161,9 @@ class HashIndex:
     def bucket_items(self) -> Iterator[tuple[tuple[Any, ...], set[int]]]:
         """Non-copying iteration over the raw ``(internal key, tids)`` buckets.
 
-        Keys are code tuples when the index is columnar (NULL is
-        :data:`~repro.relational.columns.NULL_CODE` in every component),
-        attribute-value tuples otherwise.  The tid sets are live storage
-        and must not be mutated.
+        Keys are code tuples (NULL is
+        :data:`~repro.relational.columns.NULL_CODE` in every component).
+        The tid sets are live storage and must not be mutated.
         """
         return iter(self._buckets.items())
 
@@ -214,5 +188,5 @@ class HashIndex:
     def __repr__(self) -> str:
         return (
             f"HashIndex({self._relation.name}[{', '.join(self._attribute_names)}], "
-            f"{len(self._buckets)} keys, {'columnar' if self._use_columns else 'rows'})"
+            f"{len(self._buckets)} keys)"
         )

@@ -4,16 +4,15 @@ Given a dirty relation and a set of CFDs, *repairing* produces another
 relation that satisfies the CFDs and minimally differs from the original
 (§5 of the tutorial, the Semandaq repair engine).  The package provides:
 
-* a cell-level cost model (:mod:`repro.repair.cost`) with a value face
-  and a dictionary-code face (per-column ``(code, code)`` distance memo),
-* equivalence classes of cells (:mod:`repro.repair.eqclass`) — the central
-  data structure of the algorithm: cells in one class must receive the
-  same value in the repair; :class:`~repro.repair.eqclass.
-  CodeEquivalenceClasses` is the ``(tid, column position)`` variant the
-  columnar path pins dictionary codes into,
+* a cell-level cost model (:mod:`repro.repair.cost`) whose target
+  selection runs on dictionary codes (per-column ``(code, code)``
+  distance memo),
+* equivalence classes of ``(tid, column position)`` cells
+  (:mod:`repro.repair.eqclass`) — the central data structure of the
+  algorithm: cells in one class must receive the same value in the
+  repair, and pinned classes carry dictionary codes,
 * :class:`~repro.repair.batch_repair.BatchRepair` — repair a whole dirty
-  relation (on codes by default; ``use_columns=False`` keeps the
-  byte-identical row/string path),
+  relation on dictionary codes,
 * :class:`~repro.repair.inc_repair.IncRepair` — repair only a batch of
   newly inserted tuples against an already-clean base, and
 * repair-quality metrics (precision / recall against a known clean
@@ -21,7 +20,7 @@ relation that satisfies the CFDs and minimally differs from the original
 """
 
 from repro.repair.cost import CostModel
-from repro.repair.eqclass import CodeEquivalenceClasses, EquivalenceClasses
+from repro.repair.eqclass import CodeEquivalenceClasses
 from repro.repair.batch_repair import BatchRepair, Repair, CellChange, RepairPlan
 from repro.repair.inc_repair import IncRepair
 from repro.repair.quality import RepairQuality, evaluate_repair
@@ -29,7 +28,6 @@ from repro.repair.quality import RepairQuality, evaluate_repair
 __all__ = [
     "CostModel",
     "CodeEquivalenceClasses",
-    "EquivalenceClasses",
     "BatchRepair",
     "IncRepair",
     "Repair",

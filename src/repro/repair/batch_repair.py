@@ -20,8 +20,8 @@ The algorithm follows Cong et al. (VLDB 2007):
    oscillation between interacting CFDs is theoretically possible, and the
    result records whether the fixpoint was reached).
 
-By default the whole loop runs on the relation's dictionary-encoded
-columns: pattern scope checks are compiled code tests
+The whole loop runs on the relation's dictionary-encoded columns:
+pattern scope checks are compiled code tests
 (:class:`~repro.detection.columnar.CompiledPattern`), value agreement is
 decided through the per-code string caches, pinned targets live in a
 :class:`~repro.repair.eqclass.CodeEquivalenceClasses` keyed by ``(tid,
@@ -30,9 +30,7 @@ code-level face with its per-column distance memo.  Values are decoded
 only at the write-back and :class:`CellChange` boundaries.  The per-pass
 detection reuses one :class:`~repro.detection.batch.BatchCFDDetector`, so
 ``engine=``/``workers=`` route every inner detection pass through the
-chunked execution engine (:mod:`repro.engine`).  ``use_columns=False``
-restores the original row/string path; both paths produce byte-identical
-:class:`Repair` results (same changes, cost, passes and convergence).
+chunked execution engine (:mod:`repro.engine`).
 
 The repair never touches the input relation: it works on a copy and
 returns a :class:`Repair` carrying the repaired relation, the list of cell
@@ -144,7 +142,6 @@ class BatchRepair:
                  cost_model: CostModel | None = None,
                  ordering: str = "largest_first",
                  max_passes: int = 25,
-                 use_columns: bool = True,
                  engine: str | None = None, workers: int | None = None,
                  task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
@@ -157,7 +154,6 @@ class BatchRepair:
         self._cost_model = cost_model or CostModel()
         self._ordering = ordering
         self._max_passes = max_passes
-        self._use_columns = use_columns
         self._engine_name = engine
         self._workers = workers
         self._task_timeout = task_timeout
@@ -170,7 +166,6 @@ class BatchRepair:
         """Run the repair and return the result (the input relation is untouched)."""
         working = self._original.copy()
         detector = BatchCFDDetector(working, self._cfds,
-                                    use_columns=self._use_columns,
                                     engine=self._engine_name, workers=self._workers,
                                     task_timeout=self._task_timeout,
                                     task_retries=self._task_retries)
@@ -190,22 +185,13 @@ class BatchRepair:
                 violations = self._ordered(list(report.violations))
                 if obs.enabled:
                     obs.inc("repair.violations", len(violations))
-                if self._use_columns:
-                    pinned_codes = CodeEquivalenceClasses()
-                    for violation in violations:
-                        if violation.is_single_tuple:
-                            self._resolve_constant_codes(working, violation, pinned_codes, plans)
-                    for violation in violations:
-                        if not violation.is_single_tuple:
-                            self._resolve_group_codes(working, violation, pinned_codes, plans)
-                else:
-                    pinned: dict[tuple[int, str], Any] = {}
-                    for violation in violations:
-                        if violation.is_single_tuple:
-                            self._resolve_constant(working, violation, pinned)
-                    for violation in violations:
-                        if not violation.is_single_tuple:
-                            self._resolve_group(working, violation, pinned)
+                pinned = CodeEquivalenceClasses()
+                for violation in violations:
+                    if violation.is_single_tuple:
+                        self._resolve_constant(working, violation, pinned, plans)
+                for violation in violations:
+                    if not violation.is_single_tuple:
+                        self._resolve_group(working, violation, pinned, plans)
         else:
             # loop ended without break: check once more
             converged = detector.detect().is_clean()
@@ -220,7 +206,12 @@ class BatchRepair:
         return Repair(relation=working, changes=changes, cost=cost,
                       passes=passes, converged=converged)
 
-    # -- code-level resolution ---------------------------------------------------
+    # -- resolution ----------------------------------------------------------------
+
+    def _ordered(self, violations: list[CFDViolation]) -> list[CFDViolation]:
+        if self._ordering == "largest_first":
+            return sorted(violations, key=lambda v: -len(v.tids))
+        return violations
 
     def _plan_for(self, working: Relation, violation: CFDViolation,
                   plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> RepairPlan:
@@ -231,10 +222,10 @@ class BatchRepair:
             plans[key] = plan
         return plan
 
-    def _resolve_constant_codes(self, working: Relation, violation: CFDViolation,
-                                pinned: CodeEquivalenceClasses,
-                                plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
-        """Code-level twin of :meth:`_resolve_constant`."""
+    def _resolve_constant(self, working: Relation, violation: CFDViolation,
+                          pinned: CodeEquivalenceClasses,
+                          plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
+        """Write the pattern's RHS constants into the offending tuple."""
         tid = violation.tids[0]
         if tid not in working:
             return
@@ -257,10 +248,10 @@ class BatchRepair:
             if existing is None:
                 pinned.pin(cell, target_code)
 
-    def _resolve_group_codes(self, working: Relation, violation: CFDViolation,
-                             pinned: CodeEquivalenceClasses,
-                             plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
-        """Code-level twin of :meth:`_resolve_group`."""
+    def _resolve_group(self, working: Relation, violation: CFDViolation,
+                       pinned: CodeEquivalenceClasses,
+                       plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
+        """Equalize the variable RHS attributes of a violating group."""
         tids = [tid for tid in violation.tids if tid in working]
         if len(tids) < 2:
             return
@@ -289,7 +280,7 @@ class BatchRepair:
                     self._break_lhs(working, violation.cfd, tid)
                 return
             if pins:
-                # the string path writes str(pinned constant); mirror that
+                # write the pinned constant's string form
                 target_str = next(iter(pins))
                 target_value: Any = target_str
             else:
@@ -301,81 +292,6 @@ class BatchRepair:
                 if strings[code] != target_str:
                     working.update(tid, attribute, target_value)
 
-    # -- row/string resolution (the retained legacy path) -------------------------
-
-    def _ordered(self, violations: list[CFDViolation]) -> list[CFDViolation]:
-        if self._ordering == "largest_first":
-            return sorted(violations, key=lambda v: -len(v.tids))
-        return violations
-
-    def _resolve_constant(self, working: Relation, violation: CFDViolation,
-                          pinned: dict[tuple[int, str], Any]) -> None:
-        """Write the pattern's RHS constants into the offending tuple."""
-        cfd, pattern = violation.cfd, violation.pattern
-        tid = violation.tids[0]
-        if tid not in working:
-            return
-        row = working.tuple(tid)
-        if not pattern.matches(row, cfd.lhs):
-            return  # an earlier resolution already moved this tuple out of scope
-        for attribute in cfd.rhs:
-            if not pattern.is_constant_on(attribute):
-                continue
-            target = pattern.constant(attribute)
-            current = row[attribute]
-            if str(current) == str(target):
-                continue
-            existing_pin = pinned.get((tid, attribute))
-            if existing_pin is not None and str(existing_pin) != str(target):
-                # two constant CFDs demand different values for the same cell:
-                # the CFD set is inconsistent on this tuple; move it out of the
-                # second pattern's scope instead of flip-flopping.
-                self._break_lhs(working, cfd, tid)
-                return
-            working.update(tid, attribute, target)
-            pinned[(tid, attribute)] = target
-
-    def _resolve_group(self, working: Relation, violation: CFDViolation,
-                       pinned: dict[tuple[int, str], Any]) -> None:
-        """Equalize the variable RHS attributes of a violating group."""
-        cfd, pattern = violation.cfd, violation.pattern
-        tids = [tid for tid in violation.tids if tid in working]
-        if len(tids) < 2:
-            return
-        rows = {tid: working.tuple(tid) for tid in tids}
-        # the group may have drifted apart due to earlier resolutions
-        live = [tid for tid in tids
-                if pattern.matches(rows[tid], cfd.lhs)]
-        if len(live) < 2:
-            return
-        key_values = {tid: rows[tid].project(list(cfd.lhs)) for tid in live}
-        anchor = key_values[live[0]]
-        live = [tid for tid in live if key_values[tid] == anchor]
-        if len(live) < 2:
-            return
-
-        for attribute in cfd.rhs:
-            if pattern.is_constant_on(attribute):
-                continue
-            cells = [(tid, attribute, working.value(tid, attribute)) for tid in live]
-            current_values = {str(value) for _, _, value in cells}
-            if len(current_values) <= 1:
-                continue
-            pins = {str(pinned[(tid, attribute)])
-                    for tid in live if (tid, attribute) in pinned}
-            if len(pins) > 1:
-                # irreconcilable constants: split the group on the LHS
-                for tid in live[1:]:
-                    self._break_lhs(working, cfd, tid)
-                return
-            if pins:
-                target = next(iter(pins))
-            else:
-                target, _ = self._cost_model.cheapest_target(cells)
-            for tid, _, current in cells:
-                if str(current) != str(target):
-                    working.update(tid, attribute, target)
-
     def _break_lhs(self, working: Relation, cfd: CFD, tid: int) -> None:
         """Move a tuple out of a pattern's scope by refreshing one LHS attribute."""
         attribute = cfd.lhs[-1]
@@ -385,21 +301,6 @@ class BatchRepair:
     # -- bookkeeping -------------------------------------------------------------------
 
     def _collect_changes(self, working: Relation) -> list[CellChange]:
-        if self._use_columns:
-            return self._collect_changes_codes(working)
-        changes: list[CellChange] = []
-        for tid in self._original.tids():
-            if tid not in working:
-                continue
-            original_row = self._original.tuple(tid)
-            repaired_row = working.tuple(tid)
-            for attribute in self._original.schema.attribute_names:
-                old_value, new_value = original_row[attribute], repaired_row[attribute]
-                if str(old_value) != str(new_value):
-                    changes.append(CellChange(tid, attribute.lower(), old_value, new_value))
-        return changes
-
-    def _collect_changes_codes(self, working: Relation) -> list[CellChange]:
         """Change sweep on codes: per-code string compares, decode only changed cells."""
         changes: list[CellChange] = []
         names = [name.lower() for name in self._original.schema.attribute_names]

@@ -7,14 +7,13 @@ equally) and ``dist`` is a normalized distance in ``[0, 1]`` (here:
 normalized edit distance).  The cost of a repair is the sum over all
 changed cells; BatchRepair picks target values that minimize this sum.
 
-The model has two equivalent faces.  The value-level one
-(:meth:`CostModel.change_cost`, :meth:`CostModel.cheapest_target`) takes
-raw values; the code-level one (:meth:`CostModel.code_distance`,
-:meth:`CostModel.cheapest_target_code`) takes dictionary codes of one
-:class:`~repro.relational.columns.Column` and memoises every
-``(code, code)`` distance on the column itself — codes are decoded only
-on a cache miss, so repeated repair passes over the same groups never
-recompute a pair.
+:meth:`CostModel.change_cost` prices one change of raw values (the cost
+of a finished repair).  Target selection works on dictionary codes:
+:meth:`CostModel.code_distance` and :meth:`CostModel.cheapest_target_code`
+take codes of one :class:`~repro.relational.columns.Column` and memoise
+every ``(code, code)`` distance on the column itself — codes are decoded
+only on a cache miss, so repeated repair passes over the same groups
+never recompute a pair.
 """
 
 from __future__ import annotations
@@ -73,35 +72,6 @@ class CostModel:
         """Cost of changing one cell."""
         return self.weight(tid, attribute) * self.distance(old_value, new_value)
 
-    def target_cost(self, cells: Iterable[tuple[int, str, Any]], target: Any) -> float:
-        """Cost of moving every cell ``(tid, attribute, current)`` to *target*."""
-        return sum(self.change_cost(tid, attribute, current, target)
-                   for tid, attribute, current in cells)
-
-    def cheapest_target(self, cells: list[tuple[int, str, Any]],
-                        candidates: Iterable[Any] | None = None) -> tuple[Any, float]:
-        """The value minimizing :meth:`target_cost` over *candidates*.
-
-        When *candidates* is omitted the current values of the cells are
-        used (the optimal target of the weighted-majority resolution).
-        """
-        if not cells:
-            raise ValueError("cheapest_target needs at least one cell")
-        pool = list(candidates) if candidates is not None else []
-        if not pool:
-            seen = set()
-            for _, _, value in cells:
-                key = str(value) if not is_null(value) else None
-                if key not in seen:
-                    seen.add(key)
-                    pool.append(value)
-        best_value, best_cost = None, float("inf")
-        for candidate in pool:
-            cost = self.target_cost(cells, candidate)
-            if cost < best_cost:
-                best_value, best_cost = candidate, cost
-        return best_value, best_cost
-
     # -- code-level costs ----------------------------------------------------
 
     def code_distance(self, column: Column, code: int, target_code: int) -> float:
@@ -129,20 +99,19 @@ class CostModel:
 
     def code_target_cost(self, attribute: str, column: Column,
                          cells: Iterable[tuple[int, int]], target_code: int) -> float:
-        """:meth:`target_cost` on codes: cells are ``(tid, code)`` pairs."""
+        """Cost of moving every ``(tid, code)`` cell of *column* to *target_code*."""
         return sum(self.weight(tid, attribute) * self.code_distance(column, code, target_code)
                    for tid, code in cells)
 
     def cheapest_target_code(self, attribute: str, column: Column,
                              cells: list[tuple[int, int]],
                              candidates: Iterable[int] | None = None) -> tuple[int, float]:
-        """Code-level :meth:`cheapest_target` over one column's cells.
+        """The code minimizing :meth:`code_target_cost` over *candidates*.
 
-        The default candidate pool is the distinct current codes of the
-        cells, deduplicated by their per-code string form in first
-        occurrence order — exactly the pool (and tie-break order) the
-        value-level path builds, so both faces of the model pick the same
-        target at the same cost.
+        When *candidates* is omitted the pool is the distinct current codes
+        of the cells, deduplicated by their per-code string form in first
+        occurrence order (the optimal target of the weighted-majority
+        resolution; ties go to the earliest).
         """
         if not cells:
             raise ValueError("cheapest_target_code needs at least one cell")

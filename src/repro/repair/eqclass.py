@@ -8,65 +8,47 @@ one class; resolving a constant-CFD violation pins the class of the
 offending cell to the pattern's constant.  Only at the end is each class
 assigned its cheapest target value and written back to the relation.
 
-The structure is a union–find with per-class metadata (a pinned target, if
-any).  Two concrete variants share the machinery:
-
-* :class:`EquivalenceClasses` — the historical value-level structure over
-  ``(tid, attribute name)`` cells with constants as pinned targets.
-  Attribute names are normalised (lower-cased) **once at the API
-  boundary**; every cell stored internally is already canonical, so the
-  union–find loops never re-normalise.
-* :class:`CodeEquivalenceClasses` — the dictionary-coded structure the
-  columnar repair path uses: cells are ``(tid, column position)`` pairs
-  and pinned targets are dictionary *codes* of the owning column.  No
-  normalisation is needed at all; comparisons are integer comparisons.
+:class:`CodeEquivalenceClasses` is a union–find with per-class metadata
+(a pinned target, if any) over dictionary-coded cells: cells are
+``(tid, column position)`` pairs and pinned targets are dictionary
+*codes* of the owning column, so every comparison is an integer
+comparison.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any
 
 from repro.errors import RepairError
 
-
-Cell = tuple[int, str]
-
 CodeCell = tuple[int, int]
-"""A cell addressed by ``(tid, column position)`` in the columnar path."""
+"""A cell addressed by ``(tid, column position)``."""
 
 
-class _UnionFind:
-    """Union–find over canonical cells with an optional pinned target per class."""
+class CodeEquivalenceClasses:
+    """Union–find over ``(tid, column position)`` cells pinned to dictionary codes.
+
+    The repair registers cells by schema position and pins classes to
+    *codes* of the owning column's dictionary — candidate targets stay
+    encoded until a repair value is actually written back.  Distinct codes
+    are treated as conflicting targets; callers that consider two codes
+    equivalent (e.g. equal under the column's per-code string cache) must
+    compare through that cache before pinning.
+    """
 
     def __init__(self) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-        self._rank: dict[Hashable, int] = {}
-        self._pinned: dict[Hashable, Any] = {}  # root -> pinned target
-
-    # -- subclass hooks -----------------------------------------------------
-
-    @staticmethod
-    def _canonical(cell: Hashable) -> Hashable:
-        """Normalise a caller-supplied cell (identity by default)."""
-        return cell
-
-    @staticmethod
-    def _targets_conflict(existing: Any, new: Any) -> bool:
-        """Whether two pinned targets demand different repair values."""
-        return existing != new
+        self._parent: dict[CodeCell, CodeCell] = {}
+        self._rank: dict[CodeCell, int] = {}
+        self._pinned: dict[CodeCell, Any] = {}  # root -> pinned target
 
     # -- union-find ---------------------------------------------------------
 
-    def add(self, cell: Hashable) -> Hashable:
+    def add(self, cell: CodeCell) -> CodeCell:
         """Register a cell (idempotent); returns its representative."""
-        return self._find(self._canonical(cell))
+        return self.find(cell)
 
-    def find(self, cell: Hashable) -> Hashable:
+    def find(self, cell: CodeCell) -> CodeCell:
         """Representative of the class containing *cell* (with path compression)."""
-        return self._find(self._canonical(cell))
-
-    def _find(self, cell: Hashable) -> Hashable:
-        """:meth:`find` for cells that are already canonical (internal loops)."""
         parent = self._parent
         if cell not in parent:
             parent[cell] = cell
@@ -79,7 +61,7 @@ class _UnionFind:
             parent[cell], cell = root, parent[cell]
         return root
 
-    def union(self, first: Hashable, second: Hashable) -> Hashable:
+    def union(self, first: CodeCell, second: CodeCell) -> CodeCell:
         """Merge the classes of the two cells; returns the new representative.
 
         Raises :class:`~repro.errors.RepairError` if both classes are pinned
@@ -90,7 +72,7 @@ class _UnionFind:
         if root_a == root_b:
             return root_a
         pin_a, pin_b = self._pinned.get(root_a), self._pinned.get(root_b)
-        if pin_a is not None and pin_b is not None and self._targets_conflict(pin_a, pin_b):
+        if pin_a is not None and pin_b is not None and pin_a != pin_b:
             raise RepairError(
                 f"cannot merge classes pinned to different targets "
                 f"({pin_a!r} vs {pin_b!r})")
@@ -105,53 +87,53 @@ class _UnionFind:
             self._pinned[root_a] = surviving_pin
         return root_a
 
-    def same_class(self, first: Hashable, second: Hashable) -> bool:
+    def same_class(self, first: CodeCell, second: CodeCell) -> bool:
         """Whether the two cells are in the same class."""
         return self.find(first) == self.find(second)
 
     # -- pinning --------------------------------------------------------------
 
-    def pin(self, cell: Hashable, value: Any) -> None:
-        """Pin the class of *cell* to a target value.
+    def pin(self, cell: CodeCell, value: Any) -> None:
+        """Pin the class of *cell* to a target code.
 
         Pinning an already-pinned class to a conflicting target raises
         :class:`~repro.errors.RepairError`.
         """
         root = self.find(cell)
         existing = self._pinned.get(root)
-        if existing is not None and self._targets_conflict(existing, value):
+        if existing is not None and existing != value:
             raise RepairError(
                 f"class of {cell} already pinned to {existing!r}, cannot repin to {value!r}")
         self._pinned[root] = value
 
-    def pinned_value(self, cell: Hashable) -> Any | None:
+    def pinned_value(self, cell: CodeCell) -> Any | None:
         """The target the class of *cell* is pinned to, if any."""
         return self._pinned.get(self.find(cell))
 
-    def is_pinned(self, cell: Hashable) -> bool:
+    def is_pinned(self, cell: CodeCell) -> bool:
         return self.pinned_value(cell) is not None
 
     # -- enumeration -------------------------------------------------------------
 
-    def cells(self) -> list[Hashable]:
-        """All registered cells (canonical form)."""
+    def cells(self) -> list[CodeCell]:
+        """All registered cells."""
         return list(self._parent.keys())
 
-    def members(self, cell: Hashable) -> list[Hashable]:
+    def members(self, cell: CodeCell) -> list[CodeCell]:
         """All cells in the same class as *cell*."""
         root = self.find(cell)
-        return [c for c in self._parent if self._find(c) == root]
+        return [c for c in self._parent if self.find(c) == root]
 
-    def classes(self) -> dict[Hashable, list[Hashable]]:
+    def classes(self) -> dict[CodeCell, list[CodeCell]]:
         """Mapping representative → member cells."""
-        result: dict[Hashable, list[Hashable]] = {}
+        result: dict[CodeCell, list[CodeCell]] = {}
         for cell in self._parent:
-            result.setdefault(self._find(cell), []).append(cell)
+            result.setdefault(self.find(cell), []).append(cell)
         return result
 
     def class_count(self) -> int:
         """Number of distinct classes."""
-        return len({self._find(cell) for cell in self._parent})
+        return len({self.find(cell) for cell in self._parent})
 
     def __len__(self) -> int:
         return len(self._parent)
@@ -159,35 +141,3 @@ class _UnionFind:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({len(self._parent)} cells, "
                 f"{self.class_count()} classes)")
-
-
-class EquivalenceClasses(_UnionFind):
-    """Union–find over ``(tid, attribute)`` cells pinned to constant values.
-
-    Attribute names are case-insensitive: they are lower-cased once when a
-    cell enters through the public API and kept canonical internally.
-    Pinned constants conflict when their string forms differ (the same
-    ``str``-level equality the repair algorithm applies to cell values).
-    """
-
-    @staticmethod
-    def _canonical(cell: Cell) -> Cell:
-        return (cell[0], cell[1].lower())
-
-    @staticmethod
-    def _targets_conflict(existing: Any, new: Any) -> bool:
-        return str(existing) != str(new)
-
-
-class CodeEquivalenceClasses(_UnionFind):
-    """Union–find over ``(tid, column position)`` cells pinned to dictionary codes.
-
-    The columnar repair path registers cells by schema position and pins
-    classes to *codes* of the owning column's dictionary — candidate
-    targets stay encoded until a repair value is actually written back.
-    Cells are canonical by construction (two small ints), so no
-    normalisation happens anywhere.  Distinct codes are treated as
-    conflicting targets; callers that consider two codes equivalent (e.g.
-    equal under the column's per-code string cache) must compare through
-    that cache before pinning.
-    """

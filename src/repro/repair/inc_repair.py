@@ -20,13 +20,11 @@ A small number of passes handles cascades (a repaired RHS attribute can be
 another CFD's LHS attribute).  Experiment E7 compares IncRepair with
 running BatchRepair from scratch as the delta grows.
 
-Like :class:`~repro.repair.batch_repair.BatchRepair`, the default path
-runs on dictionary codes: pattern scope checks are compiled code tests,
-agreement with pattern constants and base-group values is decided through
-the per-code string caches, and delta-group equalization uses the cost
-model's code-level face.  ``use_columns=False`` keeps the original
-row/string path (value-keyed index, per-row ``str`` compares) with
-byte-identical results; ``engine=``/``workers=`` route the final
+Like :class:`~repro.repair.batch_repair.BatchRepair`, the repair runs on
+dictionary codes: pattern scope checks are compiled code tests, agreement
+with pattern constants and base-group values is decided through the
+per-code string caches, and delta-group equalization uses the cost
+model's code-level face.  ``engine=``/``workers=`` route the final
 delta-cleanliness detection through the chunked execution engine.
 """
 
@@ -40,7 +38,6 @@ from repro.detection.batch import BatchCFDDetector
 from repro.relational.columns import NULL_CODE
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
-from repro.relational.types import is_null
 from repro.repair.batch_repair import CellChange, Repair, RepairPlan
 from repro.repair.cost import CostModel
 
@@ -50,7 +47,6 @@ class IncRepair:
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD],
                  cost_model: CostModel | None = None, max_passes: int = 5,
-                 use_columns: bool = True,
                  engine: str | None = None, workers: int | None = None) -> None:
         for cfd in cfds:
             cfd.validate_against(relation)
@@ -58,7 +54,6 @@ class IncRepair:
         self._cfds = merge_cfds(cfds)
         self._cost_model = cost_model or CostModel()
         self._max_passes = max_passes
-        self._use_columns = use_columns
         self._engine_name = engine
         self._workers = workers
 
@@ -75,10 +70,7 @@ class IncRepair:
             passes += 1
             changed = False
             for cfd in self._cfds:
-                if self._use_columns:
-                    changed |= self._repair_cfd_codes(cfd, delta, delta_set, plans)
-                else:
-                    changed |= self._repair_cfd(cfd, delta, delta_set)
+                changed |= self._repair_cfd(cfd, delta, delta_set, plans)
             if not changed:
                 converged = True
                 break
@@ -91,10 +83,10 @@ class IncRepair:
         return Repair(relation=self._relation, changes=changes, cost=cost,
                       passes=passes, converged=converged)
 
-    # -- per-CFD repair on codes ------------------------------------------------
+    # -- per-CFD repair ------------------------------------------------------------
 
-    def _repair_cfd_codes(self, cfd: CFD, delta: list[int], delta_set: set[int],
-                          plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> bool:
+    def _repair_cfd(self, cfd: CFD, delta: list[int], delta_set: set[int],
+                    plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> bool:
         changed = False
         relation = self._relation
         index = HashIndex(relation, list(cfd.lhs))
@@ -134,11 +126,11 @@ class IncRepair:
                             relation.update(tid, attribute, column.value_of(codes[base_tid]))
                             changed = True
                 else:
-                    changed |= self._equalize_delta_group_codes(
+                    changed |= self._equalize_delta_group(
                         plan, sorted(t for t in group if t != tid) + [tid])
         return changed
 
-    def _equalize_delta_group_codes(self, plan: RepairPlan, tids: list[int]) -> bool:
+    def _equalize_delta_group(self, plan: RepairPlan, tids: list[int]) -> bool:
         relation = self._relation
         live = [tid for tid in tids
                 if tid in relation and plan.lhs_matches(tid)]
@@ -159,71 +151,6 @@ class IncRepair:
                     changed = True
         return changed
 
-    # -- per-CFD repair on rows (the retained legacy path) -----------------------
-
-    def _repair_cfd(self, cfd: CFD, delta: list[int], delta_set: set[int]) -> bool:
-        changed = False
-        index = HashIndex(self._relation, list(cfd.lhs), use_columns=False)
-        for pattern in cfd.tableau:
-            constant_rhs = [a for a in cfd.rhs if pattern.is_constant_on(a)]
-            variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
-
-            for tid in delta:
-                row = self._relation.tuple(tid)
-                if not pattern.matches(row, cfd.lhs):
-                    continue
-
-                # constant part: write the pattern's RHS constants
-                for attribute in constant_rhs:
-                    target = pattern.constant(attribute)
-                    if str(row[attribute]) != str(target):
-                        self._relation.update(tid, attribute, target)
-                        changed = True
-                        row = self._relation.tuple(tid)
-
-                if not variable_rhs:
-                    continue
-
-                key = index.key_of(row)
-                if any(is_null(value) for value in key):
-                    continue
-                group = index.bucket_view(key)
-                base_tids = sorted(t for t in group if t not in delta_set)
-                if base_tids:
-                    # the base is clean: adopt its RHS values
-                    base_row = self._relation.tuple(base_tids[0])
-                    if not pattern.matches(base_row, cfd.lhs):
-                        continue
-                    for attribute in variable_rhs:
-                        target = base_row[attribute]
-                        if str(row[attribute]) != str(target):
-                            self._relation.update(tid, attribute, target)
-                            changed = True
-                            row = self._relation.tuple(tid)
-                else:
-                    changed |= self._equalize_delta_group(
-                        cfd, pattern, variable_rhs, sorted(t for t in group if t != tid) + [tid])
-        return changed
-
-    def _equalize_delta_group(self, cfd: CFD, pattern, variable_rhs: list[str],
-                              tids: list[int]) -> bool:
-        live = [tid for tid in tids
-                if tid in self._relation
-                and pattern.matches(self._relation.tuple(tid), cfd.lhs)]
-        if len(live) < 2:
-            return False
-        changed = False
-        for attribute in variable_rhs:
-            cells = [(tid, attribute, self._relation.value(tid, attribute)) for tid in live]
-            if len({str(v) for _, _, v in cells}) <= 1:
-                continue
-            target, _ = self._cost_model.cheapest_target(cells)
-            for tid, _, current in cells:
-                if str(current) != str(target):
-                    self._relation.update(tid, attribute, target)
-                    changed = True
-        return changed
-
     # -- bookkeeping ----------------------------------------------------------------
 
     def _collect_changes(self, originals: dict[int, dict[str, Any]]) -> list[CellChange]:
@@ -240,7 +167,6 @@ class IncRepair:
 
     def _delta_clean(self, delta_set: set[int]) -> bool:
         report = BatchCFDDetector(self._relation, self._cfds,
-                                  use_columns=self._use_columns,
                                   engine=self._engine_name,
                                   workers=self._workers).detect()
         return not (report.violating_tids() & delta_set)

@@ -70,6 +70,8 @@ class TestPatternTuple:
     def test_equality_and_hash(self):
         assert PatternTuple({"cc": "44"}) == PatternTuple({"CC": "44"})
         assert hash(PatternTuple({"cc": "44"})) == hash(PatternTuple({"CC": "44"}))
+        # equal in Python, yet "1.0" matches only the second under ≍
+        assert PatternTuple({"cc": 1}) != PatternTuple({"cc": 1.0})
 
 
 class TestFunctionalDependency:

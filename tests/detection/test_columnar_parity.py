@@ -1,10 +1,11 @@
-"""Parity tests: the columnar detection paths must reproduce the row paths.
+"""Detection on the seed datasets, checked against the definitions.
 
 Two families:
 
-* **byte-identical reports** — on the seed datagen datasets, columnar
-  CFD/CIND/batch detection must return the *same violations in the same
-  order* as the row-at-a-time implementations (``use_columns=False``);
+* **definition** — on the seed datagen datasets, CFD/CIND/batch detection
+  must report exactly the violations :mod:`oracle.definitions` derives
+  from the rows (compared as multisets; the engine parity suites pin the
+  report order);
 * **randomized equivalence** — under a random stream of inserts, deletes
   and cell updates, :class:`IncrementalCFDDetector` must maintain exactly
   the report a full re-detection would produce.
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import definitions as oracle
 from repro.constraints.cfd import CFD
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
@@ -41,31 +43,32 @@ def noisy_customer(size, seed=101, rate=0.08):
     return dirty, generator.canonical_cfds()
 
 
-class TestColumnarCFDParity:
+def matches_definition(report, relation, cfds, enumerate_pairs=False):
+    return Counter(report_fingerprint(report)) == \
+        Counter(oracle.cfd_violations(relation, cfds, enumerate_pairs))
+
+
+class TestCFDDetectionDefinition:
     @pytest.mark.parametrize("size", [120, 500])
-    def test_detector_reports_are_byte_identical(self, size):
+    def test_detector_reports_match_definition(self, size):
         relation, cfds = noisy_customer(size)
-        columnar = CFDDetector(relation, cfds).detect()
-        rows = CFDDetector(relation, cfds, use_columns=False).detect()
-        assert report_fingerprint(columnar) == report_fingerprint(rows)
-        assert columnar.summary() == rows.summary()
-        assert not columnar.is_clean()
+        report = CFDDetector(relation, cfds).detect()
+        assert matches_definition(report, relation, cfds)
+        assert not report.is_clean()
 
-    def test_enumerate_pairs_parity(self):
+    def test_enumerate_pairs_match_definition(self):
         relation, cfds = noisy_customer(150)
-        columnar = CFDDetector(relation, cfds, enumerate_pairs=True).detect()
-        rows = CFDDetector(relation, cfds, enumerate_pairs=True,
-                           use_columns=False).detect()
-        assert report_fingerprint(columnar) == report_fingerprint(rows)
+        report = CFDDetector(relation, cfds, enumerate_pairs=True).detect()
+        assert matches_definition(report, relation, cfds, enumerate_pairs=True)
 
-    def test_batch_detector_parity(self):
+    def test_batch_detector_matches_definition(self):
         relation, cfds = noisy_customer(300)
-        columnar = BatchCFDDetector(relation, cfds).detect()
-        rows = BatchCFDDetector(relation, cfds, use_columns=False).detect()
-        assert report_fingerprint(columnar) == report_fingerprint(rows)
+        report = BatchCFDDetector(relation, cfds).detect()
+        assert {(v.cfd.lhs, v.cfd.rhs, v.pattern, v.tids) for v in report} == \
+            {(c.lhs, c.rhs, p, t) for c, p, t in oracle.cfd_violations(relation, cfds)}
         assert BatchCFDDetector(relation, cfds).violating_tids_agree()
 
-    def test_parity_with_nulls_and_numeric_patterns(self):
+    def test_nulls_and_numeric_patterns_match_definition(self):
         schema = RelationSchema("r", [
             Attribute("x"), Attribute("y"), Attribute("z"),
         ])
@@ -78,31 +81,31 @@ class TestColumnarCFDParity:
             CFD.single("r", ["x"], ["z"], {"x": 1}),          # int constant vs str data
             CFD.single("r", ["x"], ["y"], {"x": "2", "y": "c"}),
         ]
-        columnar = CFDDetector(relation, cfds).detect()
-        rows = CFDDetector(relation, cfds, use_columns=False).detect()
-        assert report_fingerprint(columnar) == report_fingerprint(rows)
+        report = CFDDetector(relation, cfds).detect()
+        assert matches_definition(report, relation, cfds)
+        assert not report.is_clean()
 
-    def test_detection_after_mutations_stays_in_parity(self):
+    def test_detection_after_mutations_matches_definition(self):
         relation, cfds = noisy_customer(100)
         _ = relation.columns  # force the store to exist before the mutations
         tids = relation.tids()
         relation.delete(tids[3])
         relation.update(tids[10], "city", "mos")
         relation.insert_dict({a: "zz" for a in relation.schema.attribute_names})
-        columnar = CFDDetector(relation, cfds).detect()
-        rows = CFDDetector(relation, cfds, use_columns=False).detect()
-        assert report_fingerprint(columnar) == report_fingerprint(rows)
+        report = CFDDetector(relation, cfds).detect()
+        assert matches_definition(report, relation, cfds)
 
 
-class TestColumnarCINDParity:
-    def test_orders_database_parity(self):
+class TestCINDDetectionDefinition:
+    def test_orders_database_matches_definition(self):
         database, expected = OrdersGenerator(seed=7).generate(400, violation_rate=0.1)
         cind = OrdersGenerator.canonical_cind()
-        columnar = CINDDetector(database, [cind]).detect()
-        rows = CINDDetector(database, [cind], use_columns=False).detect()
-        assert [v.tid for v in columnar.cind_violations()] == \
-            [v.tid for v in rows.cind_violations()]
-        assert len(columnar.cind_violations()) == expected
+        violations = CINDDetector(database, [cind]).detect().cind_violations()
+        tids = [v.tid for v in violations]
+        assert tids == sorted(tids)  # LHS scan order
+        assert Counter((v.cind, v.tid) for v in violations) == \
+            Counter(oracle.cind_violations(database, [cind]))
+        assert len(violations) == expected
 
 
 SCHEMA = RelationSchema("r", [Attribute("x"), Attribute("y"), Attribute("z")])

@@ -1,12 +1,12 @@
-"""Randomized parity: columnar discovery is identical to the string path.
+"""Randomized discovery checks: the definitions, then engine parity.
 
-Discovery runs on dictionary codes and stripped array-backed partitions by
-default; ``use_columns=False`` keeps the historical row/string
-implementation.  These tests pin down that both paths — and the chunked
-serial/parallel engines, for every chunk size and worker count tried —
-produce *identical* output lists (FDs, keys, itemsets, constant and
-variable CFDs, names and order included), on randomized relations with
-NULLs and duplicates, and after interleaved insert/delete/update streams.
+Discovery runs on dictionary codes and stripped array-backed partitions.
+On randomized relations with NULLs and duplicates, and after interleaved
+insert/delete/update streams, its FDs, keys, itemsets and constant and
+variable CFDs must equal what :mod:`oracle.definitions` derives by brute
+force; and the chunked serial/parallel engines, for every chunk size and
+worker count tried, must reproduce the in-process output lists exactly
+(names and order included).
 """
 
 import random
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import definitions as oracle
 from repro.datagen.customer import CustomerGenerator
 from repro.discovery.cfd_discovery import CFDDiscovery
 from repro.discovery.fd_discovery import FDDiscovery
@@ -58,62 +59,78 @@ def mutate(relation: Relation, seed: int, steps: int = 25) -> None:
                             NULL if rng.random() < 0.2 else rng.choice("xyz"))
 
 
-def assert_discovery_identical(relation: Relation, **code_kwargs) -> None:
-    """FDs, keys, itemsets and CFDs equal between code and string paths."""
-    reference_fd = FDDiscovery(relation, max_lhs_size=2, use_columns=False)
-    code_fd = FDDiscovery(relation, max_lhs_size=2, **code_kwargs)
-    assert code_fd.discover() == reference_fd.discover()
-    assert code_fd.keys() == reference_fd.keys()
-
-    reference_miner = ItemsetMiner(relation, min_support=2, max_size=2,
-                                   use_columns=False)
-    code_miner = ItemsetMiner(relation, min_support=2, max_size=2)
-    assert code_miner.frequent_itemsets() == reference_miner.frequent_itemsets()
-    assert code_miner.free_itemsets() == reference_miner.free_itemsets()
-
-    reference = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                             use_columns=False)
-    code = CFDDiscovery(relation, min_support=2, max_lhs_size=2, **code_kwargs)
-    assert ([repr(c) for c in code.discover()]
-            == [repr(c) for c in reference.discover()])
+def cfd_keys(cfds) -> list[tuple]:
+    return [oracle.discovered_cfd_key(cfd) for cfd in cfds]
 
 
-class TestPathParity:
+def assert_discovery_matches_definition(relation: Relation, min_support: int = 2,
+                                        max_lhs_size: int = 2) -> None:
+    """FDs, keys, itemsets and CFDs equal the brute-force definitions."""
+    fd = FDDiscovery(relation, max_lhs_size=max_lhs_size)
+    assert {(f.lhs, f.rhs[0]) for f in fd.discover()} == \
+        oracle.minimal_fds(relation, max_lhs_size)
+    assert set(fd.keys()) == oracle.minimal_keys(relation, max_lhs_size)
+
+    miner = ItemsetMiner(relation, min_support=min_support, max_size=max_lhs_size)
+    expected = oracle.frequent_itemsets(relation, min_support, max_lhs_size)
+    assert {i.items: i.support for i in miner.frequent_itemsets()} == expected
+    baskets = oracle.transactions(relation)
+    assert {i.items for i in miner.free_itemsets()} == \
+        {items for items in expected if oracle.is_free(baskets, items)}
+
+    cfds = CFDDiscovery(relation, min_support=min_support, max_lhs_size=max_lhs_size)
+    constant = cfd_keys(cfds.discover_constant_cfds())
+    variable = cfd_keys(cfds.discover_variable_cfds())
+    assert len(set(constant)) == len(constant) and len(set(variable)) == len(variable)
+    assert set(constant) == oracle.constant_cfds(relation, min_support, max_lhs_size)
+    assert set(variable) == oracle.variable_cfds(relation, min_support, max_lhs_size)
+
+
+def assert_engine_identical(relation: Relation, **engine) -> None:
+    """FDs, keys and CFDs on *engine* equal the in-process lists exactly."""
+    sequential_fd = FDDiscovery(relation, max_lhs_size=2, engine="sequential")
+    chunked_fd = FDDiscovery(relation, max_lhs_size=2, **engine)
+    assert chunked_fd.discover() == sequential_fd.discover()
+    assert chunked_fd.keys() == sequential_fd.keys()
+    sequential = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
+                              engine="sequential").discover()
+    chunked = CFDDiscovery(relation, min_support=2, max_lhs_size=2, **engine).discover()
+    assert [repr(c) for c in chunked] == [repr(c) for c in sequential]
+
+
+class TestDefinition:
     @pytest.mark.parametrize("seed", [1, 7, 23, 91])
     def test_randomized_relations(self, seed):
-        assert_discovery_identical(random_relation(seed))
+        assert_discovery_matches_definition(random_relation(seed))
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_after_interleaved_mutations(self, seed):
         relation = random_relation(seed)
         relation.columns  # build the store early so the hooks maintain it
         mutate(relation, seed + 1)
-        assert_discovery_identical(relation)
+        assert_discovery_matches_definition(relation)
 
     def test_customer_workload(self):
         relation = CustomerGenerator(seed=33).generate(150)
-        strings = CFDDiscovery(relation, min_support=5, max_lhs_size=2,
-                               use_columns=False).discover()
-        code = CFDDiscovery(relation, min_support=5, max_lhs_size=2).discover()
-        assert [repr(c) for c in code] == [repr(c) for c in strings]
+        assert_discovery_matches_definition(relation, min_support=5)
 
     @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy"),
                               st.sampled_from("pq"), st.sampled_from("01")),
                     min_size=1, max_size=30))
     @settings(max_examples=20, deadline=None)
-    def test_hypothesis_fd_and_key_parity(self, rows):
+    def test_hypothesis_fds_and_keys(self, rows):
         relation = Relation.from_rows(SCHEMA, rows)
-        reference = FDDiscovery(relation, max_lhs_size=3, use_columns=False)
-        code = FDDiscovery(relation, max_lhs_size=3)
-        assert code.discover() == reference.discover()
-        assert code.keys() == reference.keys()
+        discovery = FDDiscovery(relation, max_lhs_size=3)
+        assert {(f.lhs, f.rhs[0]) for f in discovery.discover()} == \
+            oracle.minimal_fds(relation, 3)
+        assert set(discovery.keys()) == oracle.minimal_keys(relation, 3)
 
 
 class TestEngineParity:
     @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
     def test_chunked_engines(self, engine, workers):
         relation = random_relation(41, size=80)
-        assert_discovery_identical(relation, engine=engine, workers=workers)
+        assert_engine_identical(relation, engine=engine, workers=workers)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 7, 1000])
     def test_chunk_boundaries(self, chunk_size):
@@ -131,7 +148,7 @@ class TestEngineParity:
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         relation = random_relation(59, size=40)
         reference = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                 use_columns=False).discover()
+                                 engine="sequential").discover()
         parallel = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
                                 engine="parallel", workers=2).discover()
         assert [repr(c) for c in parallel] == [repr(c) for c in reference]
@@ -142,12 +159,10 @@ class TestEngineParity:
         discovery = FDDiscovery(relation, max_lhs_size=2,
                                 engine="parallel", workers=2)
         first = discovery.discover()
-        assert first == FDDiscovery(relation, max_lhs_size=2,
-                                    use_columns=False).discover()
+        assert {(f.lhs, f.rhs[0]) for f in first} == oracle.minimal_fds(relation, 2)
         mutate(relation, 68, steps=15)
         second = discovery.discover()
-        assert second == FDDiscovery(relation, max_lhs_size=2,
-                                     use_columns=False).discover()
+        assert {(f.lhs, f.rhs[0]) for f in second} == oracle.minimal_fds(relation, 2)
 
 
 class TestRefineOffload:
@@ -170,7 +185,7 @@ class TestRefineOffload:
         offloaded = discovery.discover_variable_cfds()
         assert calls  # the subset checks actually went through the engine
         reference = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                 use_columns=False).discover_variable_cfds()
+                                 engine="sequential").discover_variable_cfds()
         assert [repr(c) for c in offloaded] == [repr(c) for c in reference]
 
     def test_sequential_discovery_has_no_chunked_engine(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.discovery.partitions import (
     Partition,
     PartitionProvider,
@@ -70,16 +71,14 @@ class TestStrippedRepresentation:
             (NULL, "x", "p"), (NULL, "x", "q"), ("1", "y", "p")])
         partition = partition_of(relation, ["a"])
         assert partition.groups == [[0, 1]]
-        string_path = partition_of(relation, ["a"], use_columns=False)
-        assert string_path.groups == partition.groups
 
-    def test_string_path_matches_code_path(self, relation):
-        relation.delete(2)  # tombstone awareness on the code path
+    def test_partitions_group_on_values_after_delete(self, relation):
+        relation.delete(2)  # tombstone awareness on the code arrays
         for attributes in (["a"], ["a", "b"], ["a", "b", "c"]):
-            code = partition_of(relation, attributes)
-            strings = partition_of(relation, attributes, use_columns=False)
-            assert code.groups == strings.groups
-            assert code.total_tuples == strings.total_tuples
+            partition = partition_of(relation, attributes)
+            assert partition.groups == [list(g) for g in
+                                        oracle.stripped_partition(relation, attributes)]
+            assert partition.total_tuples == len(relation)
 
 
 class TestPartitionCacheAndProvider:
@@ -108,14 +107,6 @@ class TestPartitionCacheAndProvider:
         direct = partition_of(relation, ["a", "b"])
         assert ({frozenset(g) for g in composed.groups}
                 == {frozenset(g) for g in direct.groups})
-
-    def test_string_provider_never_composes_and_keeps_private_cache(self, relation):
-        code = PartitionProvider(relation)
-        strings = PartitionProvider(relation, use_columns=False)
-        code.partition(frozenset(["a"]))
-        assert strings._cache is not code._cache
-        partition = strings.partition(frozenset(["a"]))
-        assert strings.partition(frozenset(["a"])) is partition  # still memoized
 
     def test_fd_discovery_reuses_cfd_discovery_partitions(self, relation):
         from repro.discovery.cfd_discovery import CFDDiscovery

@@ -162,7 +162,7 @@ class TestSeededFaultParity:
         obs.enable()
         relation, cfds = noisy_customer(100)
         expected = report_fingerprint(
-            CFDDetector(relation, cfds, use_columns=False).detect())
+            CFDDetector(relation, cfds, engine="sequential").detect())
         detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
                                task_timeout=30.0, task_retries=1)
         assert report_fingerprint(detector.detect()) == expected

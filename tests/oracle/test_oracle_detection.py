@@ -1,0 +1,145 @@
+"""CFD and CIND detection against the definitions, on every engine.
+
+The reports are compared as multisets of ``(constraint, pattern, tids)``
+fingerprints with what :mod:`oracle.definitions` derives from the rows
+directly; report order is pinned separately by the engine parity suites.
+"""
+
+from collections import Counter
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from oracle import definitions as oracle
+from oracle.strategies import (
+    CELLS,
+    databases_with_cinds,
+    oracle_settings,
+    relations_with_cfds,
+)
+from repro.constraints.cfd import CFD
+from repro.detection.batch import BatchCFDDetector
+from repro.detection.cfd_detect import CFDDetector
+from repro.detection.cind_detect import CINDDetector
+from repro.detection.incremental import IncrementalCFDDetector
+from repro.relational.relation import Relation
+from repro.relational.schema import RelationSchema
+
+#: patterns differing only in a constant's type: "1" matches b=1, not b=1.0
+TYPE_COLLISION = (
+    Relation.from_rows(RelationSchema("r", ["a", "b", "c"]), [("x", "1", "y")]),
+    [CFD.single("r", ["a"], ["b"], {"b": 1}), CFD.single("r", ["a"], ["b"], {"b": 1.0})],
+)
+
+
+def cfd_fingerprint(violations):
+    return Counter((v.cfd, v.pattern, v.tids) for v in violations)
+
+
+def cind_fingerprint(violations):
+    return Counter((v.cind, v.tid) for v in violations)
+
+
+def merged_fingerprint(violations):
+    """Violations keyed by embedded FD, as detectors that merge tableaux report them."""
+    keys = [(v.cfd.lhs, v.cfd.rhs, v.pattern, v.tids) for v in violations]
+    assert len(keys) == len(set(keys))
+    return set(keys)
+
+
+def definition_by_embedded_fd(relation, cfds):
+    return {(cfd.lhs, cfd.rhs, pattern, tids)
+            for cfd, pattern, tids in oracle.cfd_violations(relation, cfds)}
+
+
+def mutate(relation, data, steps: int = 6, incremental=None):
+    """Random inserts, deletes and cell updates (through *incremental* when given)."""
+    insert = incremental.insert_tuple if incremental else relation.insert_dict
+    delete = incremental.delete_tuple if incremental else relation.delete
+    update = incremental.update_cell if incremental else relation.update
+    types = {a.name: a.type for a in relation.schema.attributes}
+    for _ in range(data.draw(st.integers(1, steps))):
+        tids = relation.tids()
+        action = data.draw(st.sampled_from(["insert", "delete", "update"]
+                                           if tids else ["insert"]))
+        if action == "insert":
+            insert({name: data.draw(st.sampled_from(CELLS[kind]))
+                    for name, kind in types.items()})
+        elif action == "delete":
+            delete(data.draw(st.sampled_from(tids)))
+        else:
+            name = data.draw(st.sampled_from(sorted(types)))
+            update(data.draw(st.sampled_from(tids)), name,
+                   data.draw(st.sampled_from(CELLS[types[name]])))
+
+
+class TestCFDDetection:
+    @given(relations_with_cfds(), st.booleans())
+    @oracle_settings(20)
+    def test_detector_matches_definition(self, engine, case, enumerate_pairs):
+        relation, cfds = case
+        report = CFDDetector(relation, cfds, enumerate_pairs=enumerate_pairs,
+                             **engine).detect()
+        assert cfd_fingerprint(report) == \
+            Counter(oracle.cfd_violations(relation, cfds, enumerate_pairs))
+
+    @given(relations_with_cfds())
+    @oracle_settings(12)
+    def test_detect_one_matches_definition(self, engine, case):
+        relation, cfds = case
+        detector = CFDDetector(relation, cfds[:1], **engine)
+        for cfd in cfds:  # the first is registered, the others take the ephemeral path
+            assert cfd_fingerprint(detector.detect_one(cfd)) == \
+                Counter(oracle.cfd_violations(relation, [cfd]))
+
+    @given(relations_with_cfds())
+    @example(case=TYPE_COLLISION)
+    @oracle_settings(12)
+    def test_batch_detector_matches_definition(self, engine, case):
+        relation, cfds = case
+        report = BatchCFDDetector(relation, cfds, **engine).detect()
+        assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
+
+    @given(relations_with_cfds(), st.data())
+    @oracle_settings(10)
+    def test_reused_detector_follows_mutations(self, engine, case, data):
+        relation, cfds = case
+        relation.columns  # the store exists before the mutations, so hooks maintain it
+        detector = CFDDetector(relation, cfds, **engine)
+        detector.detect()
+        mutate(relation, data)
+        assert cfd_fingerprint(detector.detect()) == \
+            Counter(oracle.cfd_violations(relation, cfds))
+
+
+class TestIncrementalDetection:
+    @given(relations_with_cfds(), st.data())
+    @oracle_settings(30)
+    def test_maintained_report_matches_definition(self, case, data):
+        relation, cfds = case
+        incremental = IncrementalCFDDetector(relation, cfds)
+        mutate(relation, data, steps=12, incremental=incremental)
+        assert merged_fingerprint(incremental.current_report()) == \
+            definition_by_embedded_fd(relation, cfds)
+
+
+class TestCINDDetection:
+    @given(databases_with_cinds())
+    @oracle_settings(15)
+    def test_detector_matches_definition(self, engine, case):
+        database, cinds = case
+        report = CINDDetector(database, cinds, **engine).detect()
+        assert cind_fingerprint(report.violations) == \
+            Counter(oracle.cind_violations(database, cinds))
+
+    @given(databases_with_cinds(), st.data())
+    @oracle_settings(8)
+    def test_reused_detector_follows_mutations(self, engine, case, data):
+        database, cinds = case
+        for relation in database:
+            relation.columns
+        detector = CINDDetector(database, cinds, **engine)
+        detector.detect()
+        mutate(database.relation(data.draw(st.sampled_from(["r", "s"]))), data)
+        assert cind_fingerprint(detector.detect().violations) == \
+            Counter(oracle.cind_violations(database, cinds))

@@ -1,0 +1,25 @@
+"""The oracle shares no helper with the code it checks."""
+
+import ast
+from pathlib import Path
+
+import oracle.definitions
+
+#: modules and names whose logic the definitions restate instead of reusing
+FORBIDDEN_MODULES = ("repro.detection", "repro.discovery", "repro.repair",
+                     "repro.relational.index", "repro.relational.predicates")
+FORBIDDEN_NAMES = {"matches", "matches_values", "constants_equal", "is_null",
+                   "is_wildcard", "HashIndex", "partition_of", "PartitionProvider"}
+
+
+def test_definitions_import_no_engine_helpers():
+    tree = ast.parse(Path(oracle.definitions.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith(FORBIDDEN_MODULES), node.module
+            assert not {alias.name for alias in node.names} & FORBIDDEN_NAMES
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith(FORBIDDEN_MODULES)
+                           for alias in node.names)
+        elif isinstance(node, ast.Attribute):  # e.g. pattern.matches(row)
+            assert node.attr not in FORBIDDEN_NAMES, node.attr

@@ -1,0 +1,62 @@
+"""BatchRepair and IncRepair against the repair postconditions, on every engine.
+
+Repairs may oscillate between interacting CFDs (the repair module
+documents this), so convergence is not asserted: a run that stops at
+``max_passes`` must only say so.  Relations use STRING attributes —
+repairs write pattern constants and fresh ``__repair_fresh_*`` markers,
+which typed columns would refuse.
+"""
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from oracle import definitions as oracle
+from oracle.strategies import CELLS, oracle_settings, relations_with_cfds
+from repro.relational.types import AttributeType
+from repro.repair.batch_repair import BatchRepair
+from repro.repair.cost import CostModel
+from repro.repair.inc_repair import IncRepair
+
+MAX_PASSES = 8
+
+
+def cost_model(data, relation):
+    """The default model, or one trusting some random cells more."""
+    model = CostModel()
+    for tid in data.draw(st.lists(st.sampled_from(relation.tids()), unique=True)
+                         if len(relation) else st.just([])):
+        model.set_weight(tid, data.draw(st.sampled_from(relation.schema.attribute_names)),
+                         data.draw(st.sampled_from([0.5, 4.0])))
+    return model
+
+
+class TestBatchRepair:
+    @given(relations_with_cfds(typed=False), st.sampled_from(BatchRepair.ORDERINGS),
+           st.data())
+    @oracle_settings(15)
+    def test_postconditions(self, engine, case, ordering, data):
+        relation, cfds = case
+        model = cost_model(data, relation)
+        before = oracle.rows(relation)
+        result = BatchRepair(relation, cfds, cost_model=model, ordering=ordering,
+                             max_passes=MAX_PASSES, **engine).repair()
+        oracle.assert_repair_postconditions(before, relation, cfds, result, model,
+                                            MAX_PASSES)
+
+
+class TestIncRepair:
+    @given(relations_with_cfds(typed=False), st.data())
+    @oracle_settings(15)
+    def test_postconditions_on_a_clean_base(self, engine, case, data):
+        dirty, cfds = case
+        base = BatchRepair(dirty, cfds, max_passes=MAX_PASSES).repair()
+        assume(base.converged)
+        relation = base.relation
+        cells = st.sampled_from(CELLS[AttributeType.STRING])
+        delta = [relation.insert([data.draw(cells) for _ in relation.schema.attributes])
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        before = oracle.rows(relation)
+        model = CostModel()
+        result = IncRepair(relation, cfds, cost_model=model, **engine).repair_delta(delta)
+        oracle.assert_inc_repair_postconditions(before, relation, cfds, delta, result,
+                                                model)

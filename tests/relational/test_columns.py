@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.discovery.partitions import partition_of
 from repro.errors import SchemaError
 from repro.relational.columns import NULL_CODE, TOMBSTONE
@@ -206,11 +207,13 @@ class TestColumnarIndexViews:
         assert index.decode_key(key) == ("nyc", 85)
         assert index.bucket_view(key) == {2}
 
-    def test_row_mode_matches_columnar(self, relation):
-        columnar = HashIndex(relation, ["city"])
-        rows = HashIndex(relation, ["city"], use_columns=False)
-        assert dict(columnar.groups()) == dict(rows.groups())
-        assert columnar.lookup(("nyc",)) == rows.lookup(("nyc",))
+    def test_groups_match_value_grouping(self, relation):
+        index = HashIndex(relation, ["city"])
+        data = oracle.rows(relation)
+        expected = {(data[group[0]]["city"],): set(group)
+                    for group in oracle.groups(data, data, ["city"])}
+        assert dict(index.groups()) == expected
+        assert index.lookup(("nyc",)) == expected[("nyc",)]
 
 
 class TestColumnOrder:

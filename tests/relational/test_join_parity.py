@@ -9,13 +9,16 @@ both sides, HAVING, ORDER BY, DISTINCT, LIMIT, plus residual predicates
 that force the row fallback — and assert results are *identical* across
 the row path, the in-process code path, the chunked serial pool and real
 process pools, for every chunk size, with interleaved mutations on both
-relations between queries.
+relations between queries.  CIND reports must also equal the violations
+:mod:`oracle.definitions` derives from the rows.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.constraints.cind import CIND
 from repro.constraints.tableau import PatternTuple
 from repro.detection.cind_detect import CINDDetector
@@ -250,16 +253,16 @@ class TestCINDParityAcrossEngines:
         database = random_database(seed, left_size=50, right_size=30)
         cinds = random_cinds(rng)
         detectors = [
-            CINDDetector(database, cinds, use_columns=False),
+            CINDDetector(database, cinds, engine="sequential"),
             CINDDetector(database, cinds),
             CINDDetector(database, cinds, engine="serial"),
             CINDDetector(database, cinds, engine="parallel", workers=2),
         ]
         for _ in range(4):
-            reports = [[(v.cind.lhs_relation, v.tid)
-                        for v in detector.detect().violations]
+            reports = [[(v.cind, v.tid) for v in detector.detect().violations]
                        for detector in detectors]
             assert all(report == reports[0] for report in reports[1:])
+            assert Counter(reports[0]) == Counter(oracle.cind_violations(database, cinds))
             mutate(database, rng)
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 7, 10_000])
@@ -270,11 +273,13 @@ class TestCINDParityAcrossEngines:
         database = random_database(99, left_size=45, right_size=25)
         rng = random.Random(99)
         cinds = random_cinds(rng)
-        baseline = CINDDetector(database, cinds, use_columns=False)
+        baseline = CINDDetector(database, cinds, engine="sequential")
         engine = ChunkedCINDEngine(database, cinds,
                                    SerialPool(chunk_size=chunk_size))
         for _ in range(3):
             expected = [[v.tid for v in baseline.detect_one(cind)] for cind in cinds]
             actual = [[v.tid for v in vs] for vs in engine.detect()]
             assert actual == expected
+            assert [(cind, tid) for cind, tids in zip(cinds, actual) for tid in tids] \
+                == oracle.cind_violations(database, cinds)
             mutate(database, rng)

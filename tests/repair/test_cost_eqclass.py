@@ -10,7 +10,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import NULL
 from repro.repair.cost import CostModel
-from repro.repair.eqclass import CodeEquivalenceClasses, EquivalenceClasses
+from repro.repair.eqclass import CodeEquivalenceClasses
 
 
 class TestCostModel:
@@ -36,38 +36,6 @@ class TestCostModel:
         assert 0.0 <= model.distance("edinburgh", "x") <= 1.0
         assert model.distance(NULL, NULL) == 0.0
         assert model.distance("a", NULL) == 1.0
-
-    def test_cheapest_target_prefers_majority(self):
-        model = CostModel()
-        cells = [(0, "city", "edi"), (1, "city", "edi"), (2, "city", "ldn")]
-        target, cost = model.cheapest_target(cells)
-        assert target == "edi"
-        assert cost == pytest.approx(model.change_cost(2, "city", "ldn", "edi"))
-
-    def test_cheapest_target_respects_weights(self):
-        model = CostModel()
-        model.set_weight(2, "city", 10.0)  # the 'ldn' cell is highly trusted
-        cells = [(0, "city", "edi"), (1, "city", "edi"), (2, "city", "ldn")]
-        target, _ = model.cheapest_target(cells)
-        assert target == "ldn"
-
-    def test_cheapest_target_with_candidates(self):
-        model = CostModel()
-        cells = [(0, "city", "edi")]
-        target, _ = model.cheapest_target(cells, candidates=["mh"])
-        assert target == "mh"
-
-    def test_cheapest_target_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CostModel().cheapest_target([])
-
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=20))
-    def test_cheapest_target_is_optimal(self, values):
-        model = CostModel()
-        cells = [(i, "x", v) for i, v in enumerate(values)]
-        target, cost = model.cheapest_target(cells)
-        for candidate in set(values):
-            assert cost <= model.target_cost(cells, candidate) + 1e-9
 
 
 def _column(values, attribute="x"):
@@ -144,16 +112,14 @@ class TestCodeLevelCost:
         column._reset()
         assert not cache  # cleared in place: held references stay valid
 
-    def test_cheapest_target_code_agrees_with_value_face(self):
+    def test_cheapest_target_code_prefers_majority(self):
         model = CostModel()
-        values = ["edi", "edi", "ldn", "mh", "ldn"]
+        values = ["edi", "edi", "ldn"]
         column = _column(values)
-        cells = [(tid, "x", value) for tid, value in enumerate(values)]
-        code_cells = [(tid, column.code_of(value)) for tid, value in enumerate(values)]
-        target, cost = model.cheapest_target(cells)
-        target_code, code_cost = model.cheapest_target_code("x", column, code_cells)
-        assert column.value_of(target_code) == target
-        assert code_cost == cost
+        cells = [(tid, column.code_of(value)) for tid, value in enumerate(values)]
+        target_code, cost = model.cheapest_target_code("x", column, cells)
+        assert column.value_of(target_code) == "edi"
+        assert cost == pytest.approx(model.change_cost(2, "x", "ldn", "edi"))
 
     def test_cheapest_target_code_respects_weights(self):
         model = CostModel()
@@ -177,15 +143,16 @@ class TestCodeLevelCost:
             CostModel().cheapest_target_code("x", _column(["a"]), [])
 
     @given(st.lists(st.sampled_from(["a", "b", "c", NULL]), min_size=1, max_size=20))
-    def test_code_face_matches_value_face(self, values):
+    def test_cheapest_target_code_is_optimal(self, values):
         model = CostModel()
         column = _column(values)
-        cells = [(tid, "x", value) for tid, value in enumerate(values)]
-        code_cells = [(tid, column.codes[tid]) for tid in range(len(values))]
-        target, cost = model.cheapest_target(cells)
-        target_code, code_cost = model.cheapest_target_code("x", column, code_cells)
-        assert code_cost == cost
-        assert str(column.value_of(target_code)) == str(target)
+        cells = [(tid, column.codes[tid]) for tid in range(len(values))]
+        target_code, cost = model.cheapest_target_code("x", column, cells)
+        assert cost == pytest.approx(sum(
+            model.change_cost(tid, "x", value, column.value_of(target_code))
+            for tid, value in enumerate(values)))
+        for candidate in set(column.codes[:len(values)]):
+            assert cost <= model.code_target_cost("x", column, cells, candidate) + 1e-9
 
 
 class TestCodeEquivalenceClasses:
@@ -221,67 +188,34 @@ class TestCodeEquivalenceClasses:
         classes.pin((0, 1), 7)
         assert classes.pinned_value((0, 1)) == 7
 
-
-class TestEquivalenceClasses:
-    def test_attribute_names_canonical_at_the_boundary(self):
-        classes = EquivalenceClasses()
-        classes.add((0, "CiTy"))
-        assert classes.cells() == [(0, "city")]  # stored canonical
-        classes.union((0, "CITY"), (1, "City"))
-        assert classes.same_class((0, "city"), (1, "CITY"))
-        assert len(classes) == 2  # no duplicate cells for case variants
-
-    def test_add_and_find(self):
-        classes = EquivalenceClasses()
-        root = classes.add((0, "city"))
-        assert classes.find((0, "CITY")) == root
-
     def test_union_merges(self):
-        classes = EquivalenceClasses()
-        classes.union((0, "city"), (1, "city"))
-        assert classes.same_class((0, "city"), (1, "city"))
-        assert not classes.same_class((0, "city"), (2, "city"))
+        classes = CodeEquivalenceClasses()
+        classes.union((0, 1), (1, 1))
+        assert classes.same_class((0, 1), (1, 1))
+        assert not classes.same_class((0, 1), (2, 1))
 
     def test_union_is_transitive(self):
-        classes = EquivalenceClasses()
-        classes.union((0, "city"), (1, "city"))
-        classes.union((1, "city"), (2, "city"))
-        assert classes.same_class((0, "city"), (2, "city"))
+        classes = CodeEquivalenceClasses()
+        classes.union((0, 1), (1, 1))
+        classes.union((1, 1), (2, 1))
+        assert classes.same_class((0, 1), (2, 1))
         assert classes.class_count() == 1
 
-    def test_pin_and_conflict(self):
-        classes = EquivalenceClasses()
-        classes.pin((0, "city"), "mh")
-        assert classes.pinned_value((0, "city")) == "mh"
-        with pytest.raises(RepairError):
-            classes.pin((0, "city"), "nyc")
-
-    def test_pin_survives_union(self):
-        classes = EquivalenceClasses()
-        classes.pin((0, "city"), "mh")
-        classes.union((0, "city"), (1, "city"))
-        assert classes.pinned_value((1, "city")) == "mh"
-
-    def test_union_of_conflicting_pins_rejected(self):
-        classes = EquivalenceClasses()
-        classes.pin((0, "city"), "mh")
-        classes.pin((1, "city"), "nyc")
-        with pytest.raises(RepairError):
-            classes.union((0, "city"), (1, "city"))
-
     def test_members_and_classes(self):
-        classes = EquivalenceClasses()
-        classes.union((0, "city"), (1, "city"))
-        classes.add((2, "street"))
-        assert len(classes.members((0, "city"))) == 2
+        classes = CodeEquivalenceClasses()
+        classes.union((0, 1), (1, 1))
+        classes.add((2, 0))
+        assert sorted(classes.members((0, 1))) == [(0, 1), (1, 1)]
         assert classes.class_count() == 2
         assert len(classes) == 3
+        assert sorted(map(sorted, classes.classes().values())) == \
+            [[(0, 1), (1, 1)], [(2, 0)]]
 
     @given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=40))
     def test_union_find_invariant(self, pairs):
-        classes = EquivalenceClasses()
+        classes = CodeEquivalenceClasses()
         for a, b in pairs:
-            classes.union((a, "x"), (b, "x"))
+            classes.union((a, 0), (b, 0))
         # transitivity: representatives are consistent
         for a, b in pairs:
-            assert classes.same_class((a, "x"), (b, "x"))
+            assert classes.same_class((a, 0), (b, 0))

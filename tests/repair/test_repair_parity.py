@@ -1,33 +1,47 @@
-"""Randomized parity: code-path repairs are byte-identical to the string path.
+"""Repairs checked against the repair postconditions and across engines.
 
-``BatchRepair``/``IncRepair`` run on dictionary codes by default;
-``use_columns=False`` keeps the original row/string implementation.  These
-tests pin down that the two produce *identical* :class:`Repair` results —
-same ``CellChange`` list (values included), same cost, same pass count,
-same convergence flag — across randomized dirty E1-style workloads,
-interacting CFDs, weighted cost models and every execution engine.
+``BatchRepair``/``IncRepair`` results must satisfy the postconditions of
+:mod:`oracle.definitions` — input untouched, ``changes`` equal to an
+independent diff, ``cost`` the sum of the change costs, only RHS (or
+fresh-marker LHS) cells edited, and a converged result free of
+violations — across E1-style dirty workloads, interacting CFDs and
+weighted cost models.  Every chunked engine must reproduce the
+in-process :class:`Repair` exactly: same ``CellChange`` list (values and
+order included), cost, pass count and convergence flag.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import definitions as oracle
 from repro.constraints.cfd import CFD
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
-from repro.detection.cfd_detect import detect_cfd_violations
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.repair.batch_repair import BatchRepair, Repair
 from repro.repair.cost import CostModel
 from repro.repair.inc_repair import IncRepair
 
+MAX_PASSES = 25  # BatchRepair's default
 
-def assert_repairs_identical(code: Repair, strings: Repair) -> None:
-    assert code.changes == strings.changes
-    assert code.cost == strings.cost
-    assert code.passes == strings.passes
-    assert code.converged == strings.converged
+
+def assert_repairs_identical(chunked: Repair, sequential: Repair) -> None:
+    assert chunked.changes == sequential.changes
+    assert chunked.cost == sequential.cost
+    assert chunked.passes == sequential.passes
+    assert chunked.converged == sequential.converged
+
+
+def checked_repair(relation, cfds, cost_model=None, **kwargs) -> Repair:
+    """Run BatchRepair and assert its postconditions."""
+    model = cost_model or CostModel()
+    before = oracle.rows(relation)
+    result = BatchRepair(relation, cfds, cost_model=model, **kwargs).repair()
+    oracle.assert_repair_postconditions(before, relation, cfds, result, model,
+                                        kwargs.get("max_passes", MAX_PASSES))
+    return result
 
 
 def _customer_workload(size: int, rate: float = 0.06, seed: int = 11):
@@ -38,52 +52,40 @@ def _customer_workload(size: int, rate: float = 0.06, seed: int = 11):
     return dirty, generator.canonical_cfds()
 
 
-class TestBatchRepairParity:
+class TestBatchRepair:
     def test_customer_workload(self):
         dirty, cfds = _customer_workload(300)
-        code = BatchRepair(dirty, cfds, use_columns=True).repair()
-        strings = BatchRepair(dirty, cfds, use_columns=False).repair()
-        assert code.changes  # the workload is actually dirty
-        assert_repairs_identical(code, strings)
-        assert detect_cfd_violations(code.relation, cfds).is_clean()
+        result = checked_repair(dirty, cfds)
+        assert result.changes  # the workload is actually dirty
+        assert result.converged
 
     def test_arbitrary_ordering(self):
         dirty, cfds = _customer_workload(200, seed=23)
-        code = BatchRepair(dirty, cfds, use_columns=True, ordering="arbitrary").repair()
-        strings = BatchRepair(dirty, cfds, use_columns=False, ordering="arbitrary").repair()
-        assert_repairs_identical(code, strings)
+        assert checked_repair(dirty, cfds, ordering="arbitrary").converged
 
     def test_weighted_cost_model(self):
         dirty, cfds = _customer_workload(200, seed=5)
-        weights = {(tid, "street"): 8.0 for tid in list(dirty.tids())[::3]}
-        models = []
-        for _ in range(2):
-            model = CostModel()
-            model.set_weights(weights)
-            models.append(model)
-        code = BatchRepair(dirty, cfds, cost_model=models[0], use_columns=True).repair()
-        strings = BatchRepair(dirty, cfds, cost_model=models[1], use_columns=False).repair()
-        assert_repairs_identical(code, strings)
+        model = CostModel()
+        model.set_weights({(tid, "street"): 8.0 for tid in list(dirty.tids())[::3]})
+        assert checked_repair(dirty, cfds, cost_model=model).converged
 
     @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
     def test_chunked_engines(self, engine, workers):
         dirty, cfds = _customer_workload(250, seed=31)
-        baseline = BatchRepair(dirty, cfds, use_columns=False).repair()
-        chunked = BatchRepair(dirty, cfds, use_columns=True,
-                              engine=engine, workers=workers).repair()
-        assert_repairs_identical(chunked, baseline)
+        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
+        chunked = BatchRepair(dirty, cfds, engine=engine, workers=workers).repair()
+        assert_repairs_identical(chunked, sequential)
 
     def test_parallel_engine_across_real_processes(self, monkeypatch):
         # force the multiprocessing backend to actually cross process
         # boundaries on a small workload (every pass re-broadcasts state)
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         dirty, cfds = _customer_workload(120, seed=43)
-        baseline = BatchRepair(dirty, cfds, use_columns=False).repair()
-        chunked = BatchRepair(dirty, cfds, use_columns=True,
-                              engine="parallel", workers=2).repair()
-        assert_repairs_identical(chunked, baseline)
+        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
+        chunked = BatchRepair(dirty, cfds, engine="parallel", workers=2).repair()
+        assert_repairs_identical(chunked, sequential)
 
-    def test_conflicting_constants_break_lhs_identically(self):
+    def test_conflicting_constants_break_lhs(self):
         schema = RelationSchema("r", [Attribute("a"), Attribute("b")])
         relation = Relation.from_dicts(schema, [{"a": "k", "b": "x"},
                                                 {"a": "k", "b": "y"}])
@@ -91,10 +93,10 @@ class TestBatchRepairParity:
             CFD.single("r", ["a"], ["b"], {"a": "k", "b": "v1"}),
             CFD.single("r", ["a"], ["b"], {"a": "k", "b": "v2"}),
         ]
-        code = BatchRepair(relation, conflicting, use_columns=True).repair()
-        strings = BatchRepair(relation, conflicting, use_columns=False).repair()
-        assert_repairs_identical(code, strings)
-        assert detect_cfd_violations(code.relation, conflicting).is_clean()
+        result = checked_repair(relation, conflicting)
+        assert result.converged
+        assert any(c.attribute == "a" and c.new_value.startswith(oracle.FRESH_PREFIX)
+                   for c in result.changes)
 
     values = st.sampled_from(["a", "b", "c"])
     rows = st.lists(st.tuples(values, values, values), min_size=0, max_size=25)
@@ -110,9 +112,7 @@ class TestBatchRepairParity:
         cfds = [CFD.single("r", ["x"], ["y"]),
                 CFD.single("r", ["y"], ["z"]),
                 CFD.single("r", ["x"], ["z"], {"x": "a", "z": "c"})]
-        code = BatchRepair(relation, cfds, use_columns=True).repair()
-        strings = BatchRepair(relation, cfds, use_columns=False).repair()
-        assert_repairs_identical(code, strings)
+        checked_repair(relation, cfds)
 
     @given(rows)
     @settings(max_examples=15, deadline=None)
@@ -121,12 +121,12 @@ class TestBatchRepairParity:
         relation = Relation.from_rows(schema, data)
         cfds = [CFD.single("r", ["x"], ["y"]),
                 CFD.single("r", ["x"], ["z"], {"x": "a", "z": "c"})]
-        chunked = BatchRepair(relation, cfds, use_columns=True, engine="serial").repair()
-        strings = BatchRepair(relation, cfds, use_columns=False).repair()
-        assert_repairs_identical(chunked, strings)
+        chunked = BatchRepair(relation, cfds, engine="serial").repair()
+        sequential = BatchRepair(relation, cfds, engine="sequential").repair()
+        assert_repairs_identical(chunked, sequential)
 
 
-class TestIncRepairParity:
+class TestIncRepair:
     def _delta_workload(self, base_size=150, delta_size=25, seed=9):
         generator = CustomerGenerator(seed=seed)
         clean = generator.generate(base_size + delta_size)
@@ -142,41 +142,42 @@ class TestIncRepairParity:
                       for tid in tids[base_size:]]
         return combined, cfds, delta_tids
 
-    def test_delta_repair_identical(self):
-        combined, cfds, delta_tids = self._delta_workload()
-        code_relation = combined.copy(name=combined.name)
-        string_relation = combined.copy(name=combined.name)
-        code = IncRepair(code_relation, cfds, use_columns=True).repair_delta(delta_tids)
-        strings = IncRepair(string_relation, cfds,
-                            use_columns=False).repair_delta(delta_tids)
-        assert code.changes  # the delta is actually dirty
-        assert_repairs_identical(code, strings)
-        assert code_relation.to_dicts() == string_relation.to_dicts()
+    @staticmethod
+    def checked_delta_repair(relation, cfds, delta_tids, **engine) -> Repair:
+        """Run IncRepair on a clean base and assert its postconditions."""
+        assert oracle.cfd_violations(relation.filter(lambda t: t.tid not in delta_tids,
+                                                     name=relation.name), cfds) == []
+        model = CostModel()
+        before = oracle.rows(relation)
+        result = IncRepair(relation, cfds, cost_model=model, **engine).repair_delta(delta_tids)
+        oracle.assert_inc_repair_postconditions(before, relation, cfds, delta_tids,
+                                                result, model)
+        return result
 
-    def test_delta_group_equalization_identical(self):
+    def test_delta_repair(self):
+        combined, cfds, delta_tids = self._delta_workload()
+        result = self.checked_delta_repair(combined, cfds, delta_tids)
+        assert result.changes  # the delta is actually dirty
+        assert result.converged
+
+    def test_delta_group_equalization(self):
         # several delta tuples share an unseen LHS key and disagree: the
-        # cost-minimal equalization must pick the same target on both paths
+        # cost-minimal equalization moves the minority to the majority
         combined, cfds, _ = self._delta_workload(base_size=60, delta_size=0, seed=17)
         fresh = [{"cc": "44", "ac": "999", "phn": str(7000 + i), "name": f"n{i}",
                   "street": street, "city": "edi", "zip": "ZZ9"}
                  for i, street in enumerate(["high st", "high st", "low st"])]
-        code_relation = combined.copy(name=combined.name)
-        string_relation = combined.copy(name=combined.name)
-        code_tids = [code_relation.insert_dict(row) for row in fresh]
-        string_tids = [string_relation.insert_dict(row) for row in fresh]
-        assert code_tids == string_tids
-        code = IncRepair(code_relation, cfds, use_columns=True).repair_delta(code_tids)
-        strings = IncRepair(string_relation, cfds,
-                            use_columns=False).repair_delta(string_tids)
-        assert_repairs_identical(code, strings)
+        delta_tids = [combined.insert_dict(row) for row in fresh]
+        result = self.checked_delta_repair(combined, cfds, delta_tids)
+        assert [(c.tid, c.attribute, c.new_value) for c in result.changes] == \
+            [(delta_tids[2], "street", "high st")]
 
     @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
     def test_engines_identical(self, engine, workers):
         combined, cfds, delta_tids = self._delta_workload(seed=29)
-        code_relation = combined.copy(name=combined.name)
-        string_relation = combined.copy(name=combined.name)
-        code = IncRepair(code_relation, cfds, use_columns=True,
-                         engine=engine, workers=workers).repair_delta(delta_tids)
-        strings = IncRepair(string_relation, cfds,
-                            use_columns=False).repair_delta(delta_tids)
-        assert_repairs_identical(code, strings)
+        chunked_relation = combined.copy(name=combined.name)
+        sequential = IncRepair(combined, cfds, engine="sequential").repair_delta(delta_tids)
+        chunked = IncRepair(chunked_relation, cfds, engine=engine,
+                            workers=workers).repair_delta(delta_tids)
+        assert_repairs_identical(chunked, sequential)
+        assert chunked_relation.to_dicts() == combined.to_dicts()
