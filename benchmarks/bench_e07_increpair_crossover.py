@@ -82,10 +82,13 @@ def test_e07_series(benchmark):
     rows = benchmark.pedantic(compute, rounds=1, iterations=1)
     print_series("E7: IncRepair vs. BatchRepair as the delta grows (base 2000 tuples)",
                  ["delta", "inserted", "increpair_s", "batch_s", "speedup"], rows)
-    # shape: IncRepair beats BatchRepair at every delta.  Since the columnar
-    # core cut IncRepair's fixed per-pass index costs, its advantage no longer
-    # shrinks sharply with the delta on laptop-sized workloads; only require
-    # that it does not *grow* beyond noise (the crossover proper needs the
-    # repair layer itself to go columnar — see ROADMAP open items).
+    # shape: IncRepair beats BatchRepair at every delta.  A timed IncRepair
+    # runs on a fresh copy, so it pays to encode the copy's column store and
+    # to register its maintained LHS indexes (one scan per distinct LHS),
+    # then work in proportion to the delta; its advantage is therefore
+    # largest at small deltas and narrows as the delta grows (4.7x at 1%
+    # down to 1.4x at 40% on a 2-CPU host).
+    # Millisecond timings are noisy, so only require that the advantage
+    # does not *grow* beyond noise.
     assert all(row[4] > 1.0 for row in rows)
     assert rows[-1][4] <= rows[0][4] * 1.5

@@ -7,14 +7,20 @@ violation can only appear or disappear inside the *group* of tuples that
 agree on the embedded FD's LHS with an inserted or deleted tuple, so only
 those groups need re-checking.
 
-:class:`IncrementalCFDDetector` keeps, per embedded FD, a columnar hash
-index on the LHS and a map ``group key → violations`` where the key is the
-index's *encoded* (dictionary-code) key; pattern tableaux are compiled to
-code-level tests once at construction and stay valid as the column store
-grows.  :meth:`insert_tuple` and :meth:`delete_tuple` update only the
-affected group and return the violation delta.  The global report is
-always available via :meth:`current_report` and is kept equal to what full
-re-detection would produce (verified by tests and by experiment E4).
+:class:`IncrementalCFDDetector` keeps, per embedded FD, a map
+``group key → violations`` where the key is the dictionary-code LHS key;
+the groups themselves are read off the relation's maintained LHS indexes
+(:meth:`~repro.relational.columns.ColumnStore.index`), which the column
+store keeps current under every mutation made through
+:class:`~repro.relational.relation.Relation` — the detector never patches
+an index itself, and :class:`~repro.repair.inc_repair.IncRepair` probes
+the same indexes.  Pattern tableaux are compiled to code-level tests once
+at construction and stay valid as the column store grows.
+:meth:`insert_tuple`, :meth:`delete_tuple` and :meth:`update_cell`
+re-check only the affected groups and return the violation delta.  The
+global report is always available via :meth:`current_report` and is kept
+equal, as a multiset, to what full re-detection would produce (verified by
+tests and by experiment E4).
 """
 
 from __future__ import annotations
@@ -29,14 +35,21 @@ from repro.relational.relation import Relation
 
 
 class IncrementalCFDDetector:
-    """Maintains CFD violations of a relation under inserts and deletes."""
+    """Maintains CFD violations of a relation under inserts, deletes and updates.
+
+    Groups are read from the relation's maintained LHS indexes, so a tuple
+    inserted through :class:`~repro.relational.relation.Relation` is
+    already in its bucket before :meth:`notify_inserted` registers it (and
+    a group re-checked in between sees it).  The order of
+    :meth:`current_report` is not part of the contract: it equals full
+    re-detection as a multiset of violations.
+    """
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD]) -> None:
         for cfd in cfds:
             cfd.validate_against(relation)
         self._relation = relation
         self._merged = merge_cfds(cfds)
-        self._indexes: dict[int, HashIndex] = {}
         self._compiled: dict[int, list[CompiledPattern]] = {}
         # per merged CFD: encoded group key -> list of violations in that group
         self._group_violations: dict[int, dict[tuple[Any, ...], list[CFDViolation]]] = {}
@@ -46,10 +59,13 @@ class IncrementalCFDDetector:
 
     # -- initial build -----------------------------------------------------------
 
+    def _indexes(self) -> list[HashIndex]:
+        """The maintained LHS index of each merged CFD, fresh (fetched per call)."""
+        store = self._relation.columns
+        return [store.index(cfd.lhs) for cfd in self._merged]
+
     def _build(self) -> None:
-        for position, cfd in enumerate(self._merged):
-            index = HashIndex(self._relation, list(cfd.lhs))
-            self._indexes[position] = index
+        for position, (cfd, index) in enumerate(zip(self._merged, self._indexes())):
             self._compiled[position] = compile_tableau(cfd, self._relation)
             group_map: dict[tuple[Any, ...], list[CFDViolation]] = {}
             for key, tids in index.bucket_items():
@@ -101,11 +117,10 @@ class IncrementalCFDDetector:
         return self._after_insert(tid)
 
     def _after_insert(self, tid: int) -> list[CFDViolation]:
-        row = self._relation.tuple(tid)
+        self._relation.tuple(tid)  # an unknown tid raises
         new_violations: list[CFDViolation] = []
-        for position, cfd in enumerate(self._merged):
-            index = self._indexes[position]
-            key = index.add_tuple(row)
+        for position, (cfd, index) in enumerate(zip(self._merged, self._indexes())):
+            key = index.key_at(tid)
             singles = self._check_single(position, cfd, tid)
             if singles:
                 self._single_violations[position][tid] = singles
@@ -121,46 +136,40 @@ class IncrementalCFDDetector:
 
     def delete_tuple(self, tid: int) -> list[CFDViolation]:
         """Delete a tuple and return the violations that *disappeared*."""
-        row = self._relation.tuple(tid)
+        self._relation.tuple(tid)  # an unknown tid raises before anything moves
+        indexes = self._indexes()
+        keys = [index.key_at(tid) for index in indexes]
+        self._relation.delete(tid)
         removed: list[CFDViolation] = []
-        for position, cfd in enumerate(self._merged):
-            index = self._indexes[position]
-            key = index.remove_tuple(row)
+        for position, (cfd, index, key) in enumerate(zip(self._merged, indexes, keys)):
             gone_singles = self._single_violations[position].pop(tid, [])
             removed.extend(gone_singles)
             previous = self._group_violations[position].get(key, [])
-            remaining_tids = index.bucket_view(key)
-            current = self._check_group(position, cfd, key, remaining_tids) \
-                if remaining_tids else []
+            current = self._check_group(position, cfd, key, index.bucket_view(key))
             if current:
                 self._group_violations[position][key] = current
             else:
                 self._group_violations[position].pop(key, None)
             removed.extend(v for v in previous if v not in current)
-        self._relation.delete(tid)
         return removed
 
     def update_cell(self, tid: int, attribute: str, value: Any) -> list[CFDViolation]:
         """Update one cell; re-checks the tuple's old and new groups."""
-        row = self._relation.tuple(tid)
-        old_keys: dict[int, tuple[Any, ...]] = {}
-        for position in range(len(self._merged)):
-            old_keys[position] = self._indexes[position].remove_tuple(row)
+        self._relation.tuple(tid)  # an unknown tid raises before anything moves
+        indexes = self._indexes()
+        old_keys = [index.key_at(tid) for index in indexes]
         self._relation.update(tid, attribute, value)
-        refreshed = self._relation.tuple(tid)
         changed: list[CFDViolation] = []
-        for position, cfd in enumerate(self._merged):
-            index = self._indexes[position]
-            new_key = index.add_tuple(refreshed)
+        for position, (cfd, index, old_key) in enumerate(zip(self._merged, indexes,
+                                                             old_keys)):
             # re-check the old and new groups plus the tuple's single violations
             self._single_violations[position].pop(tid, None)
             singles = self._check_single(position, cfd, tid)
             if singles:
                 self._single_violations[position][tid] = singles
                 changed.extend(singles)
-            for key in {old_keys[position], new_key}:
-                tids = index.bucket_view(key)
-                current = self._check_group(position, cfd, key, tids) if tids else []
+            for key in {old_key, index.key_at(tid)}:
+                current = self._check_group(position, cfd, key, index.bucket_view(key))
                 if current:
                     self._group_violations[position][key] = current
                     changed.extend(current)

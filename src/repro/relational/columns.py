@@ -23,6 +23,11 @@ leaves the store stale and the next access through ``Relation.columns``
 rebuilds it.  Code arrays, dictionaries and matcher sets are mutated *in
 place* on rebuild, so compiled detection plans holding references to them
 survive rebuilds.
+
+The store also owns the relation's *maintained* hash indexes
+(:meth:`ColumnStore.index`): the same hooks move one tid per registered
+index per change, and a store rebuild rebuilds them, so an index stays
+exactly as fresh as the store.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro import obs
 from repro.relational.types import is_null, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.relational.index import HashIndex
     from repro.relational.relation import Relation
 
 NULL_CODE = 0
@@ -564,6 +570,8 @@ class ColumnStore:
         self._relation = relation
         self._columns = [Column(attr.name.lower()) for attr in relation.schema.attributes]
         self._by_name = {column.attribute: column for column in self._columns}
+        #: maintained indexes, by the schema positions they cover
+        self._indexes: dict[tuple[int, ...], HashIndex] = {}
         self._synced_version = -1
         self.rebuild()
 
@@ -594,10 +602,26 @@ class ColumnStore:
         """The code arrays of the given schema positions (shared, read-only)."""
         return [self._columns[p].codes for p in positions]
 
+    def index(self, attribute_names: Sequence[str]) -> "HashIndex":
+        """The relation's shared hash index on *attribute_names*, kept current.
 
-    def key_codes(self, tid: int, positions: Sequence[int]) -> tuple[int, ...]:
-        """The code tuple of one tuple id over the given positions."""
-        return tuple(self._columns[p].codes[tid] for p in positions)
+        Built on the first request and registered for the relation's
+        lifetime; from then on the mutation hooks file each inserted,
+        deleted or updated tid, and a store rebuild rebuilds the index in
+        place.  Fetch it through ``relation.columns.index(...)`` at the
+        start of each unit of work, since that is what rebuilds a stale
+        store.  Bucket order is insertion order, not a fresh scan's
+        first-occurrence order: probe buckets, never iterate them for
+        ordered output.
+        """
+        positions = tuple(self._relation.schema.positions(attribute_names))
+        index = self._indexes.get(positions)
+        if index is None:
+            from repro.relational.index import HashIndex  # index.py imports this module
+
+            index = HashIndex(self._relation, attribute_names)
+            self._indexes[positions] = index
+        return index
 
     def partition_groups(self, positions: Sequence[int]) -> dict[Any, list[int]]:
         """Live tids grouped by their code key over *positions* (one pass).
@@ -655,11 +679,19 @@ class ColumnStore:
                 counts[code] += 1
             column.codes[:] = codes
         self._synced_version = self._relation.version
+        for index in self._indexes.values():
+            index.rebuild()
 
     def _in_sync_before_mutation(self) -> bool:
         # A hook fires right after the relation bumped its version; the
         # store can apply the delta only if it was fresh just before.
         return self._synced_version == self._relation.version - 1
+
+    def _mark_synced(self) -> None:
+        version = self._relation.version
+        self._synced_version = version
+        for index in self._indexes.values():
+            index._built_version = version
 
     def on_insert(self, tid: int, values: Sequence[Any]) -> None:
         """Hook: *values* (already coerced) were inserted as tuple *tid*."""
@@ -672,23 +704,31 @@ class ColumnStore:
             code = column.intern(value)
             codes.append(code)
             column.counts[code] += 1
-        self._synced_version = self._relation.version
+        for index in self._indexes.values():
+            index._file(tid)
+        self._mark_synced()
 
     def on_delete(self, tid: int) -> None:
         """Hook: tuple *tid* was deleted."""
         if not self._in_sync_before_mutation():
             return
+        for index in self._indexes.values():
+            index._unfile(tid)
         for column in self._columns:
             code = column.codes[tid]
             if code != TOMBSTONE:
                 column.counts[code] -= 1
             column.codes[tid] = TOMBSTONE
-        self._synced_version = self._relation.version
+        self._mark_synced()
 
     def on_update(self, tid: int, position: int, value: Any) -> None:
         """Hook: cell ``(tid, position)`` now holds *value* (already coerced)."""
         if not self._in_sync_before_mutation():
             return
+        covering = [index for positions, index in self._indexes.items()
+                    if position in positions]
+        for index in covering:
+            index._unfile(tid)
         column = self._columns[position]
         old = column.codes[tid]
         if old != TOMBSTONE:
@@ -696,7 +736,9 @@ class ColumnStore:
         code = column.intern(value)
         column.codes[tid] = code
         column.counts[code] += 1
-        self._synced_version = self._relation.version
+        for index in covering:
+            index._file(tid)
+        self._mark_synced()
 
     def __repr__(self) -> str:
         return (f"ColumnStore({self._relation.name}, {len(self._columns)} columns, "

@@ -3,19 +3,29 @@
 Indexes map a key (the indexed attributes of a tuple) to the set of tuple
 ids having that key.  They are the workhorse of direct CFD violation
 detection (group tuples by the LHS attributes), of hash joins in the
-algebra/SQL layers, and of incremental detection.
+algebra/SQL layers, and of incremental detection and repair.
 
 Buckets are keyed by tuples of integer codes from the relation's
 :class:`~repro.relational.columns.ColumnStore`, so a rebuild is a single
 pass of integer array reads and key comparison never touches raw values.
 
 The *value*-level API (:meth:`lookup`, :meth:`groups`, :meth:`keys`)
-translates keys at the boundary; code-level accessors (:meth:`key_of`,
+translates keys at the boundary; code-level accessors (:meth:`key_at`,
 :meth:`bucket_view`, :meth:`bucket_items`) expose the internal keys for
-hot paths.  An index is a snapshot: it remembers the
-relation ``version`` it was built against and can report staleness;
-callers decide whether to rebuild or to maintain it incrementally via
-:meth:`HashIndex.add_tuple` / :meth:`HashIndex.remove_tuple`.
+hot paths.
+
+An index comes in two kinds:
+
+* a *fresh* index, ``HashIndex(relation, attributes)``, is a snapshot: it
+  remembers the relation ``version`` it was built against, reports
+  staleness, and its callers rebuild it.  Its buckets appear in
+  first-occurrence order, which consumers that emit ordered output (the
+  detectors' reports, discovery, CQA) rely on;
+* a *maintained* index, ``relation.columns.index(attributes)``, is owned
+  by the column store, whose mutation hooks move one tid per change.
+  After mutations its bucket order is insertion order, not
+  first-occurrence order, so it is for probing buckets, never for
+  iterating them into ordered output.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Any, Iterator, Sequence
 
 from repro import obs
 from repro.relational.columns import Column
-from repro.relational.relation import Relation, Tuple
+from repro.relational.relation import Relation
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -37,7 +47,10 @@ class HashIndex:
         self._attribute_names = [relation.schema.canonical_name(a) for a in attribute_names]
         self._positions = relation.schema.positions(attribute_names)
         self._columns: list[Column] = []
+        self._arrays: list[list[int]] = []
         self._buckets: dict[tuple[Any, ...], set[int]] = {}
+        #: the relation version the buckets reflect; the owning store's
+        #: hooks stamp it on every change they apply to a maintained index
         self._built_version = -1
         self.rebuild()
 
@@ -50,7 +63,7 @@ class HashIndex:
         buckets: dict[tuple[Any, ...], set[int]] = {}
         store = self._relation.columns
         self._columns = [store.column_at(p) for p in self._positions]
-        arrays = [column.codes for column in self._columns]
+        self._arrays = arrays = [column.codes for column in self._columns]
         if len(arrays) == 1:
             codes = arrays[0]
             for tid in self._relation.tids():
@@ -71,29 +84,30 @@ class HashIndex:
         self._buckets = buckets
         self._built_version = self._relation.version
 
-    def add_tuple(self, row: Tuple) -> tuple[Any, ...]:
-        """Register a newly inserted tuple; returns its internal bucket key."""
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {row.tid}
-        else:
-            bucket.add(row.tid)
-        return key
-
-    def remove_tuple(self, row: Tuple) -> tuple[Any, ...]:
-        """Remove a tuple (by its pre-deletion values); returns its bucket key."""
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.discard(row.tid)
-            if not bucket:
-                del self._buckets[key]
-        return key
-
     def is_stale(self) -> bool:
         """Whether the underlying relation changed since the index was built."""
         return self._built_version != self._relation.version
+
+    # Upkeep of a maintained index, called only by the owning ColumnStore's
+    # hooks while the tid's codes are live (after an insert has appended
+    # them, before a delete tombstones them).
+
+    def _file(self, tid: int) -> None:
+        """Put tuple *tid* in the bucket of its current key."""
+        key = self.key_at(tid)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = {tid}
+        else:
+            bucket.add(tid)
+
+    def _unfile(self, tid: int) -> None:
+        """Take tuple *tid* out of the bucket of its current key."""
+        key = self.key_at(tid)
+        bucket = self._buckets[key]
+        bucket.discard(tid)
+        if not bucket:
+            del self._buckets[key]
 
     # -- key encoding ------------------------------------------------------
 
@@ -101,10 +115,9 @@ class HashIndex:
     def attribute_names(self) -> list[str]:
         return list(self._attribute_names)
 
-    def key_of(self, row: Tuple) -> tuple[Any, ...]:
-        """The *internal* (code) bucket key of *row*."""
-        return tuple(column.intern(row.at(p))
-                     for column, p in zip(self._columns, self._positions))
+    def key_at(self, tid: int) -> tuple[int, ...]:
+        """The *internal* (code) bucket key of live tuple *tid*."""
+        return tuple([codes[tid] for codes in self._arrays])
 
     def encode_key(self, key: Sequence[Any]) -> tuple[Any, ...] | None:
         """Translate a *value* key to the internal key, or ``None`` if unseen."""
@@ -145,7 +158,7 @@ class HashIndex:
         return self._buckets.get(encoded, _EMPTY)
 
     def bucket_view(self, key: tuple[Any, ...]) -> set[int] | frozenset[int]:
-        """The bucket of an *internal* key (from :meth:`key_of`), **read-only**."""
+        """The bucket of an *internal* key (from :meth:`key_at`), **read-only**."""
         return self._buckets.get(key, _EMPTY)
 
     def groups(self) -> Iterator[tuple[tuple[Any, ...], set[int]]]:

@@ -26,6 +26,13 @@ with pattern constants and base-group values is decided through the
 per-code string caches, and delta-group equalization uses the cost
 model's code-level face.  ``engine=``/``workers=`` route the final
 delta-cleanliness detection through the chunked execution engine.
+
+A delta tuple finds its base group by probing the relation's maintained
+LHS index (:meth:`~repro.relational.columns.ColumnStore.index`), which the
+column store keeps current under every insert, delete and update, so a
+batch costs work in proportion to the delta rather than a scan of the
+relation per CFD per pass.  The first repair on a relation registers the
+index (one scan); :meth:`Relation.copy` carries none.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.tableau import PatternTuple
 from repro.detection.batch import BatchCFDDetector
 from repro.relational.columns import NULL_CODE
-from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.repair.batch_repair import CellChange, Repair, RepairPlan
 from repro.repair.cost import CostModel
@@ -89,7 +95,9 @@ class IncRepair:
                     plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> bool:
         changed = False
         relation = self._relation
-        index = HashIndex(relation, list(cfd.lhs))
+        # the store's maintained index: this call writes only RHS attributes
+        # of cfd, never its LHS, so the buckets hold still while it runs
+        index = relation.columns.index(cfd.lhs)
         for pattern in cfd.tableau:
             key = (cfd, pattern)
             plan = plans.get(key)

@@ -100,3 +100,21 @@ class TestHashIndexCounter:
         assert index.is_stale()
         index.rebuild()
         assert obs.counter("cache.index.rebuild") == built + 1
+
+    def test_maintained_index_builds_once(self, relation):
+        index = relation.columns.index(["a", "b"])
+        assert obs.counter("cache.index.rebuild") == 1
+        # the store's hooks keep it current: mutations rebuild nothing
+        relation.insert(["a9", "b9", "c9"])
+        relation.update(0, "a", "a5")
+        relation.update(1, "c", "c5")
+        relation.delete(2)
+        assert relation.columns.index(["a", "b"]) is index
+        assert obs.counter("cache.index.rebuild") == 1
+        # a copy carries no index: its first request builds one afresh
+        assert relation.copy().columns.index(["a", "b"]) is not index
+        assert obs.counter("cache.index.rebuild") == 2
+        # a stale store rebuilds its registered indexes with it
+        relation.clear()
+        assert relation.columns.index(["a", "b"]) is index
+        assert obs.counter("cache.index.rebuild") == 3

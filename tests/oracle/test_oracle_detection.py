@@ -7,6 +7,7 @@ directly; report order is pinned separately by the engine parity suites.
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from repro.detection.cind_detect import CINDDetector
 from repro.detection.incremental import IncrementalCFDDetector
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.relational.types import AttributeType
+from repro.repair.inc_repair import IncRepair
 
 #: patterns differing only in a constant's type: "1" matches b=1, not b=1.0
 TYPE_COLLISION = (
@@ -121,6 +124,46 @@ class TestIncrementalDetection:
         mutate(relation, data, steps=12, incremental=incremental)
         assert merged_fingerprint(incremental.current_report()) == \
             definition_by_embedded_fd(relation, cfds)
+
+
+def repair_summary(repair):
+    changes = [(c.tid, c.attribute, c.old_value, c.new_value) for c in repair.changes]
+    return changes, repair.cost, repair.passes, repair.converged
+
+
+class TestSharedIndexes:
+    """IncRepair and the incremental detector probing one relation's maintained
+    LHS indexes, in update-stream's order: insert through ``Relation``,
+    ``repair_delta``, ``notify_inserted``, ``update_cell``, ``delete_tuple``."""
+
+    @pytest.mark.parametrize("engine", ["sequential", "serial-2"], indirect=True)
+    @given(relations_with_cfds(typed=False), st.data())
+    @oracle_settings(15)
+    def test_update_stream_batches(self, engine, case, data):
+        relation, cfds = case
+        detector = IncrementalCFDDetector(relation, cfds)
+        repair = IncRepair(relation, cfds, **engine)
+        names = [a.lower() for a in relation.schema.attribute_names]
+        cells = st.sampled_from(CELLS[AttributeType.STRING])
+        for _ in range(data.draw(st.integers(1, 4))):
+            delta = [relation.insert([data.draw(cells) for _ in names])
+                     for _ in range(data.draw(st.integers(1, 3)))]
+            # a copy has no index: its repair probes one built at first use
+            twin = relation.copy()
+            assert repair_summary(repair.repair_delta(delta)) == \
+                repair_summary(IncRepair(twin, cfds, **engine).repair_delta(delta))
+            assert oracle.rows(relation) == oracle.rows(twin)
+            for tid in delta:
+                detector.notify_inserted(tid)
+            for _ in range(data.draw(st.integers(0, 2))):
+                detector.update_cell(data.draw(st.sampled_from(relation.tids())),
+                                     data.draw(st.sampled_from(names)), data.draw(cells))
+            for tid in data.draw(st.lists(st.sampled_from(relation.tids()),
+                                          max_size=2, unique=True)):
+                detector.delete_tuple(tid)
+            report = detector.current_report()
+            assert cfd_fingerprint(report) == cfd_fingerprint(detector.recompute_full())
+            assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
 
 
 class TestCINDDetection:

@@ -206,12 +206,16 @@ class TestHashIndex:
         assert len(index.lookup(("ann",))) == 3
 
     def test_incremental_maintenance(self, orders):
-        index = HashIndex(orders, ["customer"])
+        index = orders.columns.index(["customer"])
         tid = orders.insert_dict({"id": 6, "customer": "dan", "amount": 2.0})
-        index.add_tuple(orders.tuple(tid))
         assert index.lookup(("dan",)) == {tid}
-        index.remove_tuple(orders.tuple(tid))
+        orders.update(tid, "customer", "ann")
         assert index.lookup(("dan",)) == set()
+        assert tid in index.lookup(("ann",))
+        orders.delete(tid)
+        assert tid not in index.lookup(("ann",))
+        assert not index.is_stale()
+        assert orders.columns.index(["customer"]) is index
 
 
 class TestAlgebraProperties:

@@ -177,10 +177,12 @@ class TestColumnarIndexViews:
         assert index.lookup(("london",)) == {0, 1}
 
     def test_lookup_view_is_live(self, relation):
-        index = HashIndex(relation, ["city"])
+        index = relation.columns.index(["city"])
         view = index.lookup_view(("london",))
-        index.add_tuple(relation.tuple(relation.insert(("new", "london", 7))))
+        assert relation.insert(("new", "london", 7)) == 4
         assert 4 in view
+        relation.delete(0)
+        assert 0 not in view
 
     def test_unknown_key_is_empty(self, relation):
         index = HashIndex(relation, ["city"])
@@ -199,10 +201,9 @@ class TestColumnarIndexViews:
             assert all(isinstance(code, int) for code in key)
             assert index.lookup(index.decode_key(key)) == tids
 
-    def test_key_of_roundtrips_through_encode(self, relation):
+    def test_key_at_roundtrips_through_encode(self, relation):
         index = HashIndex(relation, ["city", "age"])
-        row = relation.tuple(2)
-        key = index.key_of(row)
+        key = index.key_at(2)
         assert index.encode_key(("nyc", 85)) == key
         assert index.decode_key(key) == ("nyc", 85)
         assert index.bucket_view(key) == {2}

@@ -1,0 +1,60 @@
+"""The column store's maintained hash indexes against fresh scans and the oracle.
+
+``relation.columns.index(...)`` is kept current by the store's mutation
+hooks.  After every mutation — inserts, deletes, updates of indexed and
+non-indexed columns, and ``Relation.clear()`` followed by inserts — its
+buckets must equal a freshly built :class:`HashIndex`'s and the oracle's
+grouping on values, and it must not report itself stale.
+"""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracle import definitions as oracle
+from oracle.strategies import CELLS, oracle_settings, relations
+from repro.relational.index import HashIndex
+
+#: one- and two-attribute indexes sharing column b; c (and d) stay unindexed
+INDEXED = (["b"], ["a", "b"])
+
+
+def value_groups(relation, attributes):
+    data = oracle.rows(relation)
+    return {tuple(data[group[0]][a] for a in attributes): set(group)
+            for group in oracle.groups(data, data, attributes)}
+
+
+def insert(relation, data):
+    relation.insert([data.draw(st.sampled_from(CELLS[attribute.type]))
+                     for attribute in relation.schema.attributes])
+
+
+@given(relations(), st.data())
+@oracle_settings(60)
+def test_maintained_index_equals_a_fresh_one(relation, data):
+    held = [relation.columns.index(names) for names in INDEXED]
+    attributes = relation.schema.attributes
+    for _ in range(data.draw(st.integers(1, 15))):
+        tids = relation.tids()
+        action = data.draw(st.sampled_from(["insert", "delete", "update", "clear"]
+                                           if tids else ["insert", "clear"]))
+        if action == "insert":
+            insert(relation, data)
+        elif action == "delete":
+            relation.delete(data.draw(st.sampled_from(tids)))
+        elif action == "update":
+            attribute = data.draw(st.sampled_from(attributes))
+            relation.update(data.draw(st.sampled_from(tids)), attribute.name,
+                            data.draw(st.sampled_from(CELLS[attribute.type])))
+        else:
+            relation.clear()
+            for _ in range(data.draw(st.integers(0, 3))):
+                insert(relation, data)
+        # the hooks stamp the version; only clear() leaves the store stale
+        assert [index.is_stale() for index in held] == [action == "clear"] * len(held)
+        for names, index in zip(INDEXED, held):
+            assert relation.columns.index(names) is index
+            assert not index.is_stale()
+            assert dict(index.bucket_items()) == \
+                dict(HashIndex(relation, names).bucket_items())
+            assert dict(index.groups()) == value_groups(relation, names)
