@@ -23,8 +23,9 @@ to the sequential path; ``REPRO_ENGINE`` supplies a process-wide default
 so whole test runs can be forced through the engine.
 
 :class:`SQLCFDDetector` instead *generates SQL* — the approach of Fan et
-al.'s Semandaq system — and executes it on the library's SQL engine.  All
-paths return the same :class:`~repro.constraints.violations.ViolationReport`.
+al.'s Semandaq system — executes it on the library's SQL engine and
+matches the result rows back to tuple ids on dictionary codes.  All paths
+return the same :class:`~repro.constraints.violations.ViolationReport`.
 """
 
 from __future__ import annotations
@@ -174,9 +175,11 @@ class SQLCFDDetector:
     * ``Q_group`` groups the tuples matching the LHS constants by the LHS
       attributes and keeps groups with more than one distinct RHS value.
 
-    The queries are executed on :class:`~repro.relational.sql.engine.SQLEngine`;
-    the group query's keys are mapped back to tuple ids with a hash index
-    so the report matches the direct detector's exactly.
+    The queries are executed on :class:`~repro.relational.sql.engine.SQLEngine`
+    (on its code-native plan) and their rows are matched back to tuple ids
+    on dictionary codes, through the tableau compiled once per
+    :meth:`detect` and the store's maintained LHS index, so the report
+    matches the direct detector's exactly.
     """
 
     def __init__(self, database: Database, cfds: Sequence[CFD]) -> None:
@@ -256,46 +259,48 @@ class SQLCFDDetector:
 
         for cfd in self._cfds:
             relation = self._database.relation(cfd.relation_name)
-            index = HashIndex(relation, list(cfd.lhs))
-            for pattern in cfd.tableau:
+            for compiled in compile_tableau(cfd, relation):
+                pattern = compiled.pattern
                 single_sql = self.single_tuple_sql(cfd, pattern)
                 if single_sql is not None:
                     result = self._engine.query(single_sql)
-                    matched = self._match_back_single(relation, cfd, pattern, result)
-                    report.extend(matched)
+                    report.extend(self._match_back_single(relation, cfd, compiled, result))
                 group_sql = self.group_sql(cfd, pattern)
                 if group_sql is not None:
                     result = self._engine.query(group_sql)
-                    report.extend(self._match_back_groups(relation, index, cfd, pattern, result))
+                    report.extend(self._match_back_groups(relation, cfd, compiled, result))
         if obs.enabled:
             obs.inc("detect.cfd.violations", len(report.violations))
         return report
 
-    def _match_back_single(self, relation: Relation, cfd: CFD, pattern: PatternTuple,
+    @staticmethod
+    def _match_back_single(relation: Relation, cfd: CFD, compiled: CompiledPattern,
                            result: Relation) -> list[CFDViolation]:
-        """Map single-tuple query rows back to tuple ids by value equality."""
-        violations = []
+        """Map single-tuple query rows back to tuple ids.
+
+        The compiled code-set tests run first; only tids that pass them
+        have their values compared with the result rows.
+        """
         wanted = {tuple(row.values) for row in result}
         if not wanted:
-            return violations
-        for row in relation:
-            if tuple(row.values) in wanted and pattern.matches(row, cfd.lhs) \
-                    and not pattern.matches(row, [a for a in cfd.rhs if pattern.is_constant_on(a)]):
-                violations.append(CFDViolation(cfd, pattern, (row.tid,)))
-        return violations
+            return []
+        return [CFDViolation(cfd, compiled.pattern, (tid,)) for tid in relation.tids()
+                if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid)
+                and relation.tuple(tid).values in wanted]
 
-    def _match_back_groups(self, relation: Relation, index: HashIndex, cfd: CFD,
-                           pattern: PatternTuple, result: Relation) -> list[CFDViolation]:
-        variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
+    @staticmethod
+    def _match_back_groups(relation: Relation, cfd: CFD, compiled: CompiledPattern,
+                           result: Relation) -> list[CFDViolation]:
+        """Map group query rows back to tuple ids through the LHS index.
+
+        The store's maintained index is probed, never iterated, and each
+        bucket is sorted, so its insertion order cannot reach the report.
+        """
+        index = relation.columns.index(cfd.lhs)
         violations = []
         for row in result:
-            key = tuple(row[a] for a in cfd.lhs)
-            tids = sorted(index.lookup(key))
-            matching = [tid for tid in tids
-                        if pattern.matches(relation.tuple(tid), cfd.lhs)]
-            if len(matching) < 2:
-                continue
-            distinct_rhs = {relation.tuple(tid).project(variable_rhs) for tid in matching}
-            if len(distinct_rhs) > 1:
-                violations.append(CFDViolation(cfd, pattern, tuple(matching)))
+            tids = sorted(index.lookup_view([row[a] for a in cfd.lhs]))
+            matching = compiled.group_matching(tids)
+            if matching is not None and len(matching) > 1 and compiled.rhs_disagrees(matching):
+                violations.append(CFDViolation(cfd, compiled.pattern, tuple(matching)))
         return violations

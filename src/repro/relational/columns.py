@@ -28,14 +28,22 @@ The store also owns the relation's *maintained* hash indexes
 (:meth:`ColumnStore.index`): the same hooks move one tid per registered
 index per change, and a store rebuild rebuilds them, so an index stays
 exactly as fresh as the store.
+
+The relation owns its store, and the store and its indexes refer back to
+the relation only weakly, so a relation nothing else holds is freed at
+once by reference counting instead of waiting for the cycle collector.
+A store (or index) that outlives its relation raises
+:class:`~repro.errors.RelationError` when it needs it.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro import obs
+from repro.errors import RelationError
 from repro.relational.types import is_null, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -567,7 +575,9 @@ class ColumnStore:
     """Dictionary-encoded columns of one relation, versioned like an index."""
 
     def __init__(self, relation: "Relation") -> None:
-        self._relation = relation
+        # weak, so a dropped relation is freed at once rather than waiting
+        # for the cycle collector (relation -> store -> index -> relation)
+        self._relation = weakref.ref(relation)
         self._columns = [Column(attr.name.lower()) for attr in relation.schema.attributes]
         self._by_name = {column.attribute: column for column in self._columns}
         #: maintained indexes, by the schema positions they cover
@@ -579,14 +589,18 @@ class ColumnStore:
 
     @property
     def relation(self) -> "Relation":
-        return self._relation
+        """The relation this store encodes; raises once it was freed."""
+        relation = self._relation()
+        if relation is None:
+            raise RelationError("the relation of this column store no longer exists")
+        return relation
 
     def column(self, attribute_name: str) -> Column:
         """The column of *attribute_name* (case-insensitive)."""
         column = self._by_name.get(attribute_name.lower())
         if column is None:
             # raises the canonical SchemaError for unknown attributes
-            self._relation.schema.position(attribute_name)
+            self.relation.schema.position(attribute_name)
             raise AssertionError("unreachable")  # pragma: no cover
         return column
 
@@ -614,12 +628,13 @@ class ColumnStore:
         first-occurrence order: probe buckets, never iterate them for
         ordered output.
         """
-        positions = tuple(self._relation.schema.positions(attribute_names))
+        relation = self.relation
+        positions = tuple(relation.schema.positions(attribute_names))
         index = self._indexes.get(positions)
         if index is None:
             from repro.relational.index import HashIndex  # index.py imports this module
 
-            index = HashIndex(self._relation, attribute_names)
+            index = HashIndex(relation, attribute_names)
             self._indexes[positions] = index
         return index
 
@@ -662,12 +677,13 @@ class ColumnStore:
 
     def is_stale(self) -> bool:
         """Whether the relation changed in a way the hooks did not track."""
-        return self._synced_version != self._relation.version
+        return self._synced_version != self.relation.version
 
     def rebuild(self) -> None:
         """Re-encode the whole relation (in place: array identities survive)."""
-        rows = self._relation.rows_items()
-        bound = self._relation.tid_bound
+        relation = self.relation
+        rows = relation.rows_items()
+        bound = relation.tid_bound
         for position, column in enumerate(self._columns):
             column._reset()
             codes = [TOMBSTONE] * bound
@@ -678,17 +694,17 @@ class ColumnStore:
                 codes[tid] = code
                 counts[code] += 1
             column.codes[:] = codes
-        self._synced_version = self._relation.version
+        self._synced_version = relation.version
         for index in self._indexes.values():
             index.rebuild()
 
     def _in_sync_before_mutation(self) -> bool:
         # A hook fires right after the relation bumped its version; the
         # store can apply the delta only if it was fresh just before.
-        return self._synced_version == self._relation.version - 1
+        return self._synced_version == self.relation.version - 1
 
     def _mark_synced(self) -> None:
-        version = self._relation.version
+        version = self.relation.version
         self._synced_version = version
         for index in self._indexes.values():
             index._built_version = version
@@ -741,5 +757,5 @@ class ColumnStore:
         self._mark_synced()
 
     def __repr__(self) -> str:
-        return (f"ColumnStore({self._relation.name}, {len(self._columns)} columns, "
+        return (f"ColumnStore({self.relation.name}, {len(self._columns)} columns, "
                 f"{'stale' if self.is_stale() else 'fresh'})")

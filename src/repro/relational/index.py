@@ -26,13 +26,20 @@ An index comes in two kinds:
   After mutations its bucket order is insertion order, not
   first-occurrence order, so it is for probing buckets, never for
   iterating them into ordered output.
+
+Either kind refers to its relation weakly (the relation owns the store
+that owns a maintained index), so dropping a relation frees it at once;
+an index that outlives its relation raises
+:class:`~repro.errors.RelationError` when it needs it.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterator, Sequence
 
 from repro import obs
+from repro.errors import RelationError
 from repro.relational.columns import Column
 from repro.relational.relation import Relation
 
@@ -43,7 +50,9 @@ class HashIndex:
     """Hash index of a relation on a list of attributes."""
 
     def __init__(self, relation: Relation, attribute_names: Sequence[str]) -> None:
-        self._relation = relation
+        # weak, like the column store's: a maintained index must not keep
+        # its relation alive through the store that owns the index
+        self._relation = weakref.ref(relation)
         self._attribute_names = [relation.schema.canonical_name(a) for a in attribute_names]
         self._positions = relation.schema.positions(attribute_names)
         self._columns: list[Column] = []
@@ -54,6 +63,14 @@ class HashIndex:
         self._built_version = -1
         self.rebuild()
 
+    @property
+    def relation(self) -> Relation:
+        """The indexed relation; raises once it was freed."""
+        relation = self._relation()
+        if relation is None:
+            raise RelationError("the relation of this hash index no longer exists")
+        return relation
+
     # -- construction / maintenance ---------------------------------------
 
     def rebuild(self) -> None:
@@ -61,12 +78,13 @@ class HashIndex:
         if obs.enabled:
             obs.inc("cache.index.rebuild")
         buckets: dict[tuple[Any, ...], set[int]] = {}
-        store = self._relation.columns
+        relation = self.relation
+        store = relation.columns
         self._columns = [store.column_at(p) for p in self._positions]
         self._arrays = arrays = [column.codes for column in self._columns]
         if len(arrays) == 1:
             codes = arrays[0]
-            for tid in self._relation.tids():
+            for tid in relation.tids():
                 key = (codes[tid],)
                 bucket = buckets.get(key)
                 if bucket is None:
@@ -74,7 +92,7 @@ class HashIndex:
                 else:
                     bucket.add(tid)
         else:
-            for tid in self._relation.tids():
+            for tid in relation.tids():
                 key = tuple(codes[tid] for codes in arrays)
                 bucket = buckets.get(key)
                 if bucket is None:
@@ -82,11 +100,11 @@ class HashIndex:
                 else:
                     bucket.add(tid)
         self._buckets = buckets
-        self._built_version = self._relation.version
+        self._built_version = relation.version
 
     def is_stale(self) -> bool:
         """Whether the underlying relation changed since the index was built."""
-        return self._built_version != self._relation.version
+        return self._built_version != self.relation.version
 
     # Upkeep of a maintained index, called only by the owning ColumnStore's
     # hooks while the tid's codes are live (after an insert has appended
@@ -200,6 +218,6 @@ class HashIndex:
 
     def __repr__(self) -> str:
         return (
-            f"HashIndex({self._relation.name}[{', '.join(self._attribute_names)}], "
+            f"HashIndex({self.relation.name}[{', '.join(self._attribute_names)}], "
             f"{len(self._buckets)} keys)"
         )

@@ -9,9 +9,12 @@ relation's dictionary code arrays end to end.
 * **Filter** — every WHERE conjunct must compile to a ``(position,
   allowed code set)`` pair (:func:`compile_filter`): string equality /
   ``IN`` / their negations via :func:`~repro.relational.predicates.equality_code_set`,
-  and ``<`` ``<=`` ``>`` ``>=`` (and the parser's desugared ``BETWEEN``)
+  ``<`` ``<=`` ``>`` ``>=`` (and the parser's desugared ``BETWEEN``)
   via :func:`~repro.relational.predicates.range_code_set` on the column's
-  dictionary-order view.  Surviving tuples are selected by integer set
+  dictionary-order view, ``IS [NOT] NULL`` on any column type (NULL's
+  code, or every other code), and an ``OR`` whose operands all compile
+  on one column (the union of their code sets; an ``OR`` across columns
+  stays residual).  Surviving tuples are selected by integer set
   membership — no row objects, no binding dicts.
 * **Group** — GROUP BY columns become schema positions; groups are keyed
   by code tuples straight off the code arrays (codes are assigned by
@@ -55,7 +58,9 @@ from repro.relational.expressions import (
     Comparison,
     Expression,
     InList,
+    IsNull,
     Literal,
+    Or,
 )
 from repro.relational.predicates import (
     RANGE_OPERATORS,
@@ -306,6 +311,25 @@ def compile_filter(relation: "Relation", table: TableRef, conjunct: Expression,
     if comparison is not None:
         position, operator, bound = comparison
         return position, range_code_set(store.column_at(position), operator, bound)
+    if isinstance(conjunct, IsNull) and isinstance(conjunct.operand, ColumnRef):
+        position = _resolved_position(conjunct.operand, table, single_table, relation)
+        if position is None:
+            return None
+        if conjunct.negated:
+            return position, set(range(NULL_CODE + 1, len(store.column_at(position).values)))
+        return position, {NULL_CODE}
+    if isinstance(conjunct, Or):
+        # WHERE keeps only TRUE rows and an operand that is UNKNOWN on a
+        # value adds nothing, so on one column the OR is the union of its
+        # operands' code sets; across columns it stays residual.
+        position, union = None, set()
+        for operand in conjunct.operands:
+            compiled = compile_filter(relation, table, operand, single_table)
+            if compiled is None or position not in (None, compiled[0]):
+                return None
+            position = compiled[0]
+            union |= compiled[1]
+        return position, union
     return None
 
 

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.constraints.cfd import CFD
 from repro.constraints.parse import parse_cfd
+from repro.datagen.customer import CustomerGenerator
+from repro.datagen.noise import inject_noise
 from repro.detection.cfd_detect import CFDDetector, SQLCFDDetector, detect_cfd_violations
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import NULL
+from repro.semandaq.session import SemandaqSession
 
 
 CUSTOMER_SCHEMA = RelationSchema("customer", [
@@ -136,16 +140,43 @@ class TestSQLDetection:
         cfd = parse_cfd("customer([cc='86', zip] -> [street])")
         assert SQLCFDDetector(database, [cfd]).detect().is_clean()
 
+    def test_session_detect_runs_every_statement_on_the_code_plan(self):
+        generator = CustomerGenerator(seed=5)
+        dirty = inject_noise(generator.generate(200), rate=0.05,
+                             attributes=["street", "city"], seed=5).dirty
+        session = SemandaqSession(dirty)
+        session.register_cfds(generator.canonical_cfds())
+        statements = SQLCFDDetector(session.database,
+                                    generator.canonical_cfds()).generated_queries()
+        saved = obs.enabled, obs.trace_enabled
+        obs.enable()
+        obs.reset()
+        try:
+            assert not session.detect().is_clean()
+            assert obs.counter("sql.plan.row") == 0
+            assert obs.counter("sql.plan.code") == len(statements)
+        finally:
+            obs.enabled, obs.trace_enabled = saved
+            obs.reset()
+
 
 class TestDetectionProperties:
     """Randomized equivalence between the direct and SQL detection paths."""
 
     values = st.sampled_from(["a", "b", "c"])
     rows = st.lists(st.tuples(values, values, values), min_size=0, max_size=40)
+    nullable = st.sampled_from(["a", "b", "c", NULL])
+    nullable_row = st.tuples(nullable, nullable, nullable)
+    mutations = st.lists(st.one_of(
+        st.tuples(st.just("insert"), nullable_row),
+        st.tuples(st.just("delete"), st.integers(0, 63)),
+        st.tuples(st.just("update"), st.integers(0, 63),
+                  st.sampled_from(["x", "y", "z"]), nullable),
+    ), max_size=12)
 
-    @given(rows)
-    @settings(max_examples=30, deadline=None)
-    def test_direct_and_sql_agree(self, data):
+    @given(st.lists(nullable_row, max_size=40), mutations)
+    @settings(max_examples=40, deadline=None)
+    def test_direct_and_sql_agree(self, data, steps):
         schema = RelationSchema("r", [Attribute("x"), Attribute("y"), Attribute("z")])
         relation = Relation.from_rows(schema, data)
         db = Database()
@@ -153,10 +184,27 @@ class TestDetectionProperties:
         cfds = [
             CFD.single("r", ["x"], ["y"]),
             CFD.single("r", ["x"], ["z"], {"x": "a", "z": "c"}),
+            CFD.single("r", ["x", "y"], ["z"], {"y": "b"}),
+            CFD.single("r", ["x"], ["y", "z"], {"z": "a"}),
         ]
-        direct = CFDDetector(relation, cfds).detect()
-        via_sql = SQLCFDDetector(db, cfds).detect()
-        assert direct.violating_tids() == via_sql.violating_tids()
+        direct = CFDDetector(relation, cfds)
+        via_sql = SQLCFDDetector(db, cfds)
+
+        def violations(report):
+            return [(v.cfd, v.pattern, v.tids) for v in report.violations]
+
+        # detect, mutate, detect again: the second detect's match-back probes
+        # the LHS indexes the store kept current through the mutations
+        assert violations(via_sql.detect()) == violations(direct.detect())
+        for step in steps:
+            tids = relation.tids()
+            if step[0] == "insert":
+                relation.insert(list(step[1]))
+            elif tids and step[0] == "delete":
+                relation.delete(tids[step[1] % len(tids)])
+            elif tids:
+                relation.update(tids[step[1] % len(tids)], step[2], step[3])
+        assert violations(via_sql.detect()) == violations(direct.detect())
 
     @given(rows)
     @settings(max_examples=30, deadline=None)

@@ -112,7 +112,9 @@ class TestHashIndexCounter:
         assert relation.columns.index(["a", "b"]) is index
         assert obs.counter("cache.index.rebuild") == 1
         # a copy carries no index: its first request builds one afresh
-        assert relation.copy().columns.index(["a", "b"]) is not index
+        # (the store refers to its relation weakly, so keep the copy alive)
+        clone = relation.copy()
+        assert clone.columns.index(["a", "b"]) is not index
         assert obs.counter("cache.index.rebuild") == 2
         # a stale store rebuilds its registered indexes with it
         relation.clear()

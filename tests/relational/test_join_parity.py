@@ -189,6 +189,20 @@ class TestRandomizedJoinParity:
         assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
         assert code.last_plan == "row"
 
+    def test_null_test_and_one_column_or_push_down_on_the_join_path(self):
+        database = random_database(8)
+        row = SQLEngine(database, use_columns=False)
+        code = SQLEngine(database)
+        rng = random.Random(8)
+        sql = ("SELECT o.city, o.amount, z.region FROM orders o JOIN zips z "
+               "ON o.zip = z.zip WHERE z.region IS NOT NULL "
+               "AND (o.amount < 20 OR o.amount > 70 OR o.amount IS NULL) "
+               "ORDER BY city, amount, region")
+        for _ in range(4):
+            assert_engines_agree(row, [code], sql)
+            assert code.last_plan == "join"
+            mutate(database, rng)
+
     def test_zero_exec_rows_on_the_join_path(self):
         from repro.relational.sql import executor as executor_module
 

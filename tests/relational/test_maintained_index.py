@@ -4,15 +4,24 @@
 hooks.  After every mutation — inserts, deletes, updates of indexed and
 non-indexed columns, and ``Relation.clear()`` followed by inserts — its
 buckets must equal a freshly built :class:`HashIndex`'s and the oracle's
-grouping on values, and it must not report itself stale.
+grouping on values, and it must not report itself stale.  The store and
+its indexes refer to the relation weakly, so registering an index never
+keeps a dropped relation alive.
 """
 
+import gc
+import weakref
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import definitions as oracle
 from oracle.strategies import CELLS, oracle_settings, relations
+from repro.errors import RelationError
 from repro.relational.index import HashIndex
+from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, RelationSchema
 
 #: one- and two-attribute indexes sharing column b; c (and d) stay unindexed
 INDEXED = (["b"], ["a", "b"])
@@ -58,3 +67,35 @@ def test_maintained_index_equals_a_fresh_one(relation, data):
             assert dict(index.bucket_items()) == \
                 dict(HashIndex(relation, names).bucket_items())
             assert dict(index.groups()) == value_groups(relation, names)
+
+
+def small_relation():
+    schema = RelationSchema("r", [Attribute("a"), Attribute("b")])
+    return Relation.from_rows(schema, [("x", "1"), ("y", "2"), ("x", "3")])
+
+
+def test_dropped_relation_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        original = small_relation()
+        original.columns.index(["a"])
+        clone = original.copy()
+        clone.columns.index(["a", "b"])
+        refs = [weakref.ref(original), weakref.ref(clone)]
+        del original, clone
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_store_and_index_outliving_their_relation_raise():
+    relation = small_relation()
+    store = relation.columns
+    index = store.index(["a"])
+    del relation
+    with pytest.raises(RelationError, match="column store no longer exists"):
+        store.is_stale()
+    with pytest.raises(RelationError, match="hash index no longer exists"):
+        index.is_stale()

@@ -485,6 +485,33 @@ class TestCodeNativePlans:
         assert count == 0 and engine.last_plan == "code"
         assert [r["phn"] for r in result] == ["1111", "2222", "3333"]
 
+    @pytest.mark.parametrize("where, phns", [
+        ("street IS NULL", ["5555"]),
+        ("street IS NOT NULL", ["1111", "2222", "3333", "4444", "4444"]),
+        ("city <> 'edi' OR city IS NULL", ["3333", "4444", "4444", "5555"]),
+    ])
+    def test_null_tests_and_one_column_or_build_no_exec_rows(self, engine, where, phns):
+        result, count = self._count_exec_rows(
+            engine, f"SELECT phn FROM customer WHERE {where}")
+        assert count == 0 and engine.last_plan == "code"
+        assert [r["phn"] for r in result] == phns
+
+    def test_or_across_columns_falls_back(self, engine):
+        sql = "SELECT phn FROM customer WHERE city = 'edi' OR zip = 'EH8'"
+        result, count = self._count_exec_rows(engine, sql)
+        assert count > 0 and engine.last_plan == "row"
+        assert [r["phn"] for r in result] == ["1111", "2222", "3333"]
+        assert ("WHERE conjunct ((city = 'edi') OR (zip = 'EH8')) "
+                "is not a code-set test") in engine.explain(sql)
+
+    def test_explain_shows_one_column_or_as_one_filter(self, engine):
+        text = engine.explain(
+            "SELECT phn FROM customer WHERE city <> 'edi' OR city IS NULL")
+        # NULL plus the three cities other than 'edi'
+        assert [(f["attribute"], f["code_set_size"])
+                for f in engine.last_explain["filters"]] == [("city", 4)]
+        assert "customer.city: code set of 4, 6 rows in, 2 pruned, 4 out" in text
+
     def test_range_group_aggregate_builds_no_exec_rows(self, engine):
         result, count = self._count_exec_rows(
             engine,

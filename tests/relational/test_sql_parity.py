@@ -4,8 +4,9 @@ Single-table scan/filter/group/aggregate statements run on dictionary
 codes by default (``repro.relational.sql.columnar``); ``use_columns=False``
 keeps the historical row-at-a-time execution.  These tests generate random
 relations and random queries over the features the code path covers —
-ranges, BETWEEN, IN / NOT IN, GROUP BY with every aggregate, HAVING,
-ORDER BY, DISTINCT, LIMIT, plus residual predicates that force the
+ranges, BETWEEN, IN / NOT IN, IS [NOT] NULL, ORs on one column, GROUP BY
+with every aggregate, HAVING, ORDER BY, DISTINCT, LIMIT, plus residual
+predicates (an OR across columns, a function call) that force the
 fallback — and assert the result relations are *identical* (rows, order,
 names, inferred types) across the row path, the in-process code path, the
 chunked serial pool and real process pools, with interleaved
@@ -70,7 +71,7 @@ def mutate(relation: Relation, rng: random.Random, steps: int = 10) -> None:
 def random_where(rng: random.Random) -> str:
     predicates = []
     for _ in range(rng.randrange(1, 3)):
-        kind = rng.randrange(7)
+        kind = rng.randrange(12)
         if kind == 0:
             predicates.append(f"amount {rng.choice(['<', '<=', '>', '>='])} "
                               f"{rng.randrange(100)}")
@@ -87,6 +88,20 @@ def random_where(rng: random.Random) -> str:
             predicates.append(f"city {rng.choice(['IN', 'NOT IN'])} ({members})")
         elif kind == 5:
             predicates.append(f"zip != '{rng.choice(ZIPS)}'")
+        elif kind == 6:
+            column = rng.choice(["city", "zip", "amount", "score"])
+            predicates.append(f"{column} IS {rng.choice(['', 'NOT '])}NULL")
+        elif kind == 7:
+            predicates.append(f"(city <> '{rng.choice(CITIES)}' OR city IS NULL)")
+        elif kind == 8:
+            low = rng.randrange(60)
+            predicates.append(f"(amount < {low} OR amount > {low + rng.randrange(40)})")
+        elif kind == 9:
+            members = ", ".join(f"'{z}'" for z in rng.sample(ZIPS, 2))
+            predicates.append(f"(zip IN ({members}) OR zip IS NULL)")
+        elif kind == 10:
+            # an OR across two columns stays residual
+            predicates.append(f"(city = '{rng.choice(CITIES)}' OR zip = '{rng.choice(ZIPS)}')")
         else:
             # residual conjunct: exercises the row-path fallback parity
             predicates.append(f"LENGTH(city) >= {rng.randrange(2, 4)}")
