@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import ConstraintError
-from repro.relational.index import HashIndex
+from repro.relational.columns import NULL_CODE
 from repro.relational.relation import Relation
-from repro.relational.types import is_null
 
 
 class FunctionalDependency:
@@ -61,32 +60,22 @@ class FunctionalDependency:
         LHS are skipped (they can never witness a violation).
         """
         self.validate_against(relation)
-        index = HashIndex(relation, list(self.lhs))
-        rhs = list(self.rhs)
-        for key, tids in index.groups():
-            if not treat_null_as_value and any(is_null(v) for v in key):
-                continue
-            seen = None
-            for tid in tids:
-                values = relation.tuple(tid).project(rhs)
-                if seen is None:
-                    seen = values
-                elif values != seen:
-                    return False
-        return True
+        split = self._split_classes(relation)
+        if treat_null_as_value:
+            return not split
+        lhs_arrays = relation.columns.code_arrays(relation.schema.positions(self.lhs))
+        return all(any(codes[group[0]] == NULL_CODE for codes in lhs_arrays)
+                   for group in split)
 
     def violating_pairs(self, relation: Relation) -> list[tuple[int, int]]:
         """All (tid, tid) pairs violating the FD (each unordered pair once)."""
         self.validate_against(relation)
-        index = HashIndex(relation, list(self.lhs))
-        rhs = list(self.rhs)
+        rhs_arrays = relation.columns.code_arrays(relation.schema.positions(self.rhs))
         pairs: list[tuple[int, int]] = []
-        for _, tids in index.groups():
-            by_rhs: dict[tuple, list[int]] = {}
-            for tid in sorted(tids):
-                by_rhs.setdefault(relation.tuple(tid).project(rhs), []).append(tid)
-            if len(by_rhs) <= 1:
-                continue
+        for tids in self._split_classes(relation):
+            by_rhs: dict[tuple[int, ...], list[int]] = {}
+            for tid in tids:
+                by_rhs.setdefault(tuple(codes[tid] for codes in rhs_arrays), []).append(tid)
             groups = list(by_rhs.values())
             for i, group in enumerate(groups):
                 for other in groups[i + 1:]:
@@ -94,6 +83,22 @@ class FunctionalDependency:
                         for tid_b in other:
                             pairs.append((min(tid_a, tid_b), max(tid_a, tid_b)))
         return pairs
+
+    def _split_classes(self, relation: Relation) -> list[list[int]]:
+        """The classes of the LHS partition that carry two codes of an RHS attribute.
+
+        A violating pair agrees on the LHS, so it lies inside one class of
+        the stripped partition by the LHS; the classes come back in
+        partition order (first occurrence, ascending tids).
+        """
+        # a module-level import would cycle through repro.discovery
+        from repro.discovery.partitions import partition_of
+
+        partition = partition_of(relation, self.lhs)
+        store = relation.columns
+        split = {group[0] for attribute in self.rhs
+                 for group in partition.split_groups(store.column(attribute).codes)}
+        return [group for group in partition.groups if group[0] in split]
 
     # -- dunder ------------------------------------------------------------------
 

@@ -16,19 +16,24 @@ the tutorial mentions (§2):
   matching ``B = b`` with enough support, the CFD
   ``(X → A, (B=b, _ ... ‖ _))`` is emitted.  This is a pragmatic subset of
   full CTANE (which explores arbitrary pattern tableaux); DESIGN.md calls
-  out the simplification.
+  out the simplification.  The global verdict and every conditioned one
+  are read off the same *split groups* of ``X``'s stripped partition
+  (:meth:`~repro.discovery.partitions.Partition.split_groups`, the groups
+  carrying two ``A`` codes): ``X → A`` holds iff there are none, and —
+  every group being constant on each ``B ∈ X`` — it holds on ``B = b``
+  iff no split group carries ``b``'s code on ``B``.
 
-Both procedures run on the columnar substrate: candidate FDs are
-validated on cached stripped partitions
-(:class:`~repro.discovery.partitions.PartitionProvider`, optionally
-chunk-parallel via ``engine=``/``workers=``), and itemset mining reads
-dictionary code arrays.
+Both procedures run on the columnar substrate: stripped partitions come
+from the cached
+:class:`~repro.discovery.partitions.PartitionProvider` (base scans
+optionally chunk-parallel via ``engine=``/``workers=``), and itemset
+mining reads dictionary code arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Sequence
+from typing import Any
 
 from repro import obs
 from repro.constraints.cfd import CFD
@@ -37,7 +42,6 @@ from repro.discovery.itemsets import ItemsetMiner
 from repro.discovery.partitions import PartitionProvider
 from repro.errors import DiscoveryError
 from repro.relational.columns import NULL_CODE
-from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 
 
@@ -60,11 +64,11 @@ class CFDDiscovery:
         self._provider = PartitionProvider(relation, engine=engine, workers=workers,
                                            task_timeout=task_timeout,
                                            task_retries=task_retries)
-        # conditioning groups per attribute, computed once per relation
-        # version (refinement retries every failed FD whose LHS contains
-        # the attribute against the same groups)
+        # conditioning values per attribute, computed once per relation
+        # version (refinement conditions every failed FD whose LHS
+        # contains the attribute on the same values)
         self._groups_version = -1
-        self._groups_by_attribute: dict[str, list[tuple[Any, set[int]]]] = {}
+        self._groups_by_attribute: dict[str, list[tuple[Any, int, int]]] = {}
 
     # -- constant CFDs (CFDMiner) --------------------------------------------------
 
@@ -106,13 +110,16 @@ class CFDDiscovery:
             candidates = self._candidate_fds()
             if obs.enabled:
                 obs.gauge("discovery.candidate_fds", len(candidates))
+            store = self._relation.columns
             for lhs, rhs in candidates:
-                if self._fd_holds(lhs, rhs):
+                split = self._provider.partition(lhs).split_groups(
+                    store.column(rhs).codes)
+                if not split:
                     # a plain FD: emit it as an all-wildcard CFD
                     discovered.append(CFD(self._relation.name, sorted(lhs), [rhs],
                                           name=f"fd_{len(discovered)}"))
                     continue
-                discovered.extend(self._refine(lhs, rhs, len(discovered)))
+                discovered.extend(self._refine(lhs, rhs, split, len(discovered)))
             return discovered
 
     def discover(self) -> list[CFD]:
@@ -130,90 +137,54 @@ class CFDDiscovery:
                         candidates.append((frozenset(lhs), rhs))
         return candidates
 
-    def _fd_holds(self, lhs: frozenset[str], rhs: str) -> bool:
-        coarse = self._provider.partition(lhs)
-        fine = self._provider.partition(lhs | {rhs})
-        return coarse.refines_without_splitting(fine)
+    def _conditioning_groups(self, attribute: str) -> list[tuple[Any, int, int]]:
+        """Non-NULL ``(value, code, support)`` of one attribute, first-occurrence order.
 
-    def _conditioning_groups(self, attribute: str) -> list[tuple[Any, set[int]]]:
-        """Non-NULL ``(value, tids)`` groups of one attribute, scan order.
-
-        Reads a freshly built code-keyed :class:`HashIndex`, decodes each
-        group's representative value once, and memoizes the groups per
-        relation version (every failed FD whose LHS contains the
-        attribute conditions on the same groups).
+        Read off one
+        :meth:`~repro.relational.columns.ColumnStore.partition_groups`
+        scan of the attribute's code array, decoding each value once, and
+        memoized per relation version (every failed FD whose LHS contains
+        the attribute conditions on the same values).
         """
         if self._groups_version != self._relation.version:
             self._groups_by_attribute.clear()
             self._groups_version = self._relation.version
         groups = self._groups_by_attribute.get(attribute)
         if groups is None:
-            index = HashIndex(self._relation, [attribute])
-            column = self._relation.columns.column(attribute)
-            groups = [(column.values[key[0]], tids)
-                      for key, tids in index.bucket_items()
-                      if key[0] != NULL_CODE]
+            store = self._relation.columns
+            position = self._relation.schema.position(attribute)
+            values = store.column_at(position).values
+            groups = [(values[code], code, len(tids))
+                      for code, tids in store.partition_groups([position]).items()
+                      if code != NULL_CODE]
             self._groups_by_attribute[attribute] = groups
         return groups
 
-    def _refine(self, lhs: frozenset[str], rhs: str, offset: int) -> list[CFD]:
+    def _refine(self, lhs: frozenset[str], rhs: str, split: list[list[int]],
+                offset: int) -> list[CFD]:
         """Condition the failed FD on constants of one LHS attribute.
 
-        With an engine requested, the per-group subset checks fan out
-        across the worker pool
-        (:meth:`~repro.engine.discover.ChunkedPartitionEngine.refine_subsets`)
-        — one batch of conditioning groups per worker, verdicts stitched
-        back in input order, so the emitted CFD list (names included) is
-        identical to the sequential walk.  Wide relations generate one
-        candidate FD per attribute pair and retry each failure against
-        every conditioning group, which is exactly the workload the
-        fan-out amortises.
+        *split* holds the groups of the partition by ``X`` that carry two
+        ``A`` codes.  Each group is constant on every ``B ∈ X``, so the
+        groups of the subset ``B = b`` are exactly the groups with ``b``'s
+        code on ``B``, and ``X → A`` holds there iff none of them is
+        split: one pass over *split* per ``B`` collects the failing codes,
+        and a value with enough support is accepted iff its code is not
+        among them.
         """
         lhs_list = sorted(lhs)
-        candidates: list[tuple[str, Any, Any]] = []
-        for conditioning in lhs_list:
-            for value, tids in self._conditioning_groups(conditioning):
-                if len(tids) >= self._min_support:
-                    candidates.append((conditioning, value, tids))
-        chunked = self._provider.chunked
-        if chunked is not None:
-            verdicts = chunked.refine_subsets(
-                lhs_list, rhs, [list(tids) for _, _, tids in candidates])
-        else:
-            verdicts = [self._holds_on_subset(lhs_list, rhs, tids)
-                        for _, _, tids in candidates]
-        refined: list[CFD] = []
-        for (conditioning, value, _), holds in zip(candidates, verdicts):
-            if holds:
-                refined.append(CFD(
-                    self._relation.name, lhs_list, [rhs],
-                    [PatternTuple({conditioning: value})],
-                    name=f"cond_{offset + len(refined)}"))
-        return refined
-
-    def _holds_on_subset(self, lhs: Sequence[str], rhs: str,
-                         tids: set[int] | frozenset[int] | list[int]) -> bool:
-        positions = self._relation.schema.positions(lhs)
-        rhs_position = self._relation.schema.position(rhs)
         store = self._relation.columns
-        arrays = store.code_arrays(positions)
-        rhs_codes = store.column_at(rhs_position).codes
-        seen: dict[Any, int] = {}
-        if len(arrays) == 1:
-            codes = arrays[0]
-            for tid in tids:
-                rhs_code = rhs_codes[tid]
-                previous = seen.setdefault(codes[tid], rhs_code)
-                if previous != rhs_code:
-                    return False
-            return True
-        for tid in tids:
-            key = tuple(codes[tid] for codes in arrays)
-            rhs_code = rhs_codes[tid]
-            previous = seen.setdefault(key, rhs_code)
-            if previous != rhs_code:
-                return False
-        return True
+        refined: list[CFD] = []
+        for conditioning in lhs_list:
+            codes = store.column(conditioning).codes
+            failing = {codes[group[0]] for group in split}
+            for value, code, support in self._conditioning_groups(conditioning):
+                if support >= self._min_support and code not in failing:
+                    refined.append(CFD(
+                        self._relation.name, lhs_list, [rhs],
+                        [PatternTuple({conditioning: value})],
+                        name=f"cond_{offset + len(refined)}"))
+        return refined
 
 
 def discover_constant_cfds(relation: Relation, min_support: int = 3,

@@ -1,11 +1,13 @@
 """Levelwise (TANE-style) discovery of minimal functional dependencies.
 
 The search walks the lattice of attribute sets level by level.  At level
-``k`` every candidate set ``X`` of size ``k`` is tested: for each ``A ∈ X``
-the FD ``X \\ {A} → A`` holds iff the stripped partition of ``X \\ {A}``
-maps into the partition of ``X`` without splitting a group.  Minimality
-pruning: once ``Y → A`` is emitted, no superset of ``Y`` is reported for
-the same RHS.
+``k`` every left-hand side ``X`` of size ``k`` is tested against each
+``A ∉ X``: the FD ``X → A`` holds iff no group of ``X``'s stripped
+partition carries two codes of ``A``
+(:meth:`~repro.discovery.partitions.Partition.split_groups`), so only
+the partitions of left-hand sides are ever built.  Minimality pruning:
+once ``Y → A`` is emitted, no superset of ``Y`` is reported for the same
+RHS.
 
 Partitions come from a :class:`~repro.discovery.partitions.PartitionProvider`:
 base partitions are computed from dictionary code arrays, higher lattice
@@ -18,7 +20,11 @@ way.
 An optional ``max_lhs_size`` bounds the level (the experiments only need
 small left-hand sides), and ``approximate_error`` allows *approximate* FDs
 — dependencies violated by at most a fraction of tuples — which is what
-discovery on dirty data requires.
+discovery on dirty data requires.  The approximate test reads the same
+split groups: a group ``c`` of ``X``'s partition adds ``|c| − 1`` to the
+partition error ``e(X)`` and ``|c| − k_c`` to ``e(X ∪ {A})``, where
+``k_c`` is the number of distinct ``A`` codes in ``c``, so
+``e(X) − e(X ∪ {A})`` is the sum of ``k_c − 1`` over the split groups.
 """
 
 from __future__ import annotations
@@ -59,12 +65,13 @@ class FDDiscovery:
         return self._provider.partition(attributes)
 
     def _holds(self, lhs: frozenset[str], rhs: str) -> bool:
-        coarse = self._partition(lhs)
-        fine = self._partition(lhs | {rhs})
+        codes = self._relation.columns.column(rhs).codes
+        split = self._partition(lhs).split_groups(codes)
         if self._approximate_error == 0.0:
-            return coarse.refines_without_splitting(fine)
-        total = max(len(self._relation), 1)
-        return (coarse.error - fine.error) / total <= self._approximate_error
+            return not split
+        # e(X) − e(X ∪ {A}): each split group loses (distinct A codes − 1)
+        lost = sum(len(set(map(codes.__getitem__, group))) - 1 for group in split)
+        return lost / max(len(self._relation), 1) <= self._approximate_error
 
     # -- discovery -----------------------------------------------------------------
 

@@ -4,8 +4,10 @@ The *partition* of a relation by an attribute set ``X`` groups tuple ids
 by their ``X`` values; the *stripped* partition drops singleton groups
 (they can never witness an FD violation).  Two facts drive discovery:
 
-* the FD ``X → A`` holds iff the partition by ``X`` refines the partition
-  by ``X ∪ {A}`` without splitting any group;
+* the FD ``X → A`` holds iff no group of the partition by ``X`` carries
+  two codes of ``A``'s code array (a violating pair agrees on ``X``, so
+  both tuples sit in one non-singleton group) — see
+  :meth:`Partition.split_groups`;
 * the partition of ``X ∪ Y`` is the product of the partitions of ``X`` and
   ``Y``, so partitions for larger attribute sets are computed
   incrementally level by level.
@@ -13,8 +15,7 @@ by their ``X`` values; the *stripped* partition drops singleton groups
 The representation is array-backed: a partition is a list of tid lists
 (singletons already stripped) plus a lazily built tid → group-id map.
 Products compose the group-id map of one operand with the group arrays of
-the other; refinement checks walk the group-id map linearly.  No
-frozensets are built anywhere on the hot path.
+the other.  No frozensets are built anywhere on the hot path.
 
 :func:`partition_of` computes the base partitions: it reads dictionary
 code arrays straight off the relation's column store — a single
@@ -33,7 +34,7 @@ cached lower ones via :meth:`Partition.product`, and — when an
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import obs
 from repro.relational.relation import Relation
@@ -77,24 +78,25 @@ class Partition:
             self._group_ids = ids
         return ids
 
-    def refines_without_splitting(self, finer: "Partition") -> bool:
-        """Whether adding the extra attribute did not split any group.
+    def split_groups(self, codes: Sequence[int]) -> list[list[int]]:
+        """The groups whose tids carry more than one code of *codes*.
 
-        ``self`` is the partition by ``X``; *finer* the partition by
-        ``X ∪ {A}``.  The FD ``X → A`` holds iff every group of ``self``
-        maps into a single group of *finer* — checked linearly against
-        the finer group-id map (a tid missing from the map is a finer
-        singleton, i.e. a split).
+        *codes* is one column's code array (indexed by tid).  The FD
+        ``X → A`` holds iff the partition by ``X`` has no group split by
+        ``A``'s codes; each group is constant on ``X``, so the split
+        groups also decide ``X → A`` on every ``B = b`` subset for
+        ``B ∈ X``.  Each group is scanned only up to its first tid whose
+        code differs from the group's first, which on failing candidates
+        is usually the second tid.
         """
-        finer_ids = finer.group_ids()
+        split: list[list[int]] = []
         for group in self.groups:
-            target = finer_ids.get(group[0])
-            if target is None:
-                return False
+            first = codes[group[0]]
             for tid in group:
-                if finer_ids.get(tid) != target:
-                    return False
-        return True
+                if codes[tid] != first:
+                    split.append(group)
+                    break
+        return split
 
     def product(self, other: "Partition") -> "Partition":
         """The partition of the union of the two attribute sets.
@@ -229,12 +231,7 @@ class PartitionProvider:
 
     @property
     def chunked(self) -> "ChunkedPartitionEngine | None":
-        """The chunked engine serving this provider's scans, if any.
-
-        Discovery also rides it for the conditioning-subset checks of
-        variable-CFD refinement (same broadcast state as the partition
-        scans).
-        """
+        """The chunked engine serving this provider's base scans, if any."""
         return self._chunked
 
     def partition(self, attributes: frozenset[str] | Iterable[str]) -> Partition:

@@ -16,7 +16,10 @@ The broadcast state is one spec holding *every* code array of the
 relation, shipped once per relation version: a levelwise lattice walk
 requests partitions for many attribute sets, and each request is just a
 tuple of schema positions riding in the task payload — no per-attribute-
-set re-broadcast, no re-fork.
+set re-broadcast, no re-fork.  Only these base scans fan out: deciding
+``X → A`` and its conditioned refinements reads the split groups of the
+merged partition in-process
+(:meth:`~repro.discovery.partitions.Partition.split_groups`).
 
 On the parallel backend every fan-out here runs supervised (see
 :mod:`repro.engine.executor`): per-task timeouts, retries and the
@@ -31,7 +34,7 @@ from typing import Any, Sequence
 from repro import obs
 from repro.engine.broadcast import RelationBroadcastEngine
 from repro.engine.chunker import Chunker
-from repro.engine.merge import GroupMerger, split_batches
+from repro.engine.merge import GroupMerger
 
 #: the single spec id of the broadcast state (one relation per engine).
 _SPEC = "partition"
@@ -71,33 +74,3 @@ class ChunkedPartitionEngine(RelationBroadcastEngine):
         for partial in self._pool.run_stream(handle, tasks, rows):
             merger.add_chunk(partial)
         return list(merger.groups.values())
-
-    def refine_subsets(self, lhs_attributes: Sequence[str], rhs_attribute: str,
-                       groups: list[list[int]]) -> list[bool]:
-        """Whether ``LHS → RHS`` holds on each conditioning subset of tids.
-
-        The subset checks of ``CFDDiscovery._refine`` fanned across the
-        worker pool: conditioning groups are split into contiguous
-        balanced batches (one ``subset_check`` task per batch, verdicts
-        concatenated back in input order) against the same
-        whole-relation broadcast state the partition scans use — no
-        extra broadcast, no re-fork.  For small relations the pool's own
-        threshold keeps the batches in-process; the verdicts are
-        identical either way.
-        """
-        if not groups:
-            return []
-        positions = tuple(self._relation.schema.positions(list(lhs_attributes)))
-        rhs_position = self._relation.schema.position(rhs_attribute)
-        rows = len(self._relation)
-        if obs.enabled:
-            obs.inc("engine.subset.runs")
-        handle = self._ensure_handle()
-        batches = split_batches(groups, self._pool.default_chunks(rows))
-        tasks: list[tuple[str, Any]] = [
-            ("subset_check", (_SPEC, positions, rhs_position, batch))
-            for batch in batches]
-        verdicts: list[bool] = []
-        for partial in self._pool.run(handle, tasks, rows):
-            verdicts.extend(partial)
-        return verdicts

@@ -1285,43 +1285,6 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
     return groups, partials, tuples, counts
 
 
-# -- discovery subset-refinement phase ---------------------------------------
-
-
-def _subset_check(state: dict[str, Any],
-                  payload: tuple[str, tuple[int, ...], int, list[list[int]]]) -> list[bool]:
-    """Whether ``LHS → RHS`` holds on each conditioning subset of tids.
-
-    Replicates ``CFDDiscovery._holds_on_subset`` operation by operation:
-    within one subset, every LHS code key must map to a single RHS code.
-    """
-    spec_id, lhs_positions, rhs_position, groups = payload
-    arrays = state[spec_id]["arrays"]
-    lhs_arrays = [arrays[position] for position in lhs_positions]
-    rhs_codes = arrays[rhs_position]
-    single = len(lhs_arrays) == 1
-    results: list[bool] = []
-    for tids in groups:
-        seen: dict[Any, int] = {}
-        holds = True
-        if single:
-            codes = lhs_arrays[0]
-            for tid in tids:
-                rhs_code = rhs_codes[tid]
-                if seen.setdefault(codes[tid], rhs_code) != rhs_code:
-                    holds = False
-                    break
-        else:
-            for tid in tids:
-                key = tuple(codes[tid] for codes in lhs_arrays)
-                rhs_code = rhs_codes[tid]
-                if seen.setdefault(key, rhs_code) != rhs_code:
-                    holds = False
-                    break
-        results.append(holds)
-    return results
-
-
 # -- CIND phases ------------------------------------------------------------
 
 
@@ -1386,5 +1349,4 @@ _HANDLERS = {
     "multiway_probe": _multiway_probe,
     "partition_scan": _partition_scan,
     "sql_scan": _sql_scan,
-    "subset_check": _subset_check,
 }

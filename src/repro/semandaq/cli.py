@@ -46,6 +46,17 @@ from repro.relational.csvio import read_csv, relation_to_csv
 from repro.semandaq.session import SemandaqSession
 
 
+def _at_least_one(text: str) -> int:
+    """An integer option that must be at least 1 (an ``argparse`` type)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semandaq",
@@ -61,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--discover", action="store_true",
                         help="discover CFDs from the data (profiling), print them, "
                              "and register them for detection/repair")
-    parser.add_argument("--min-support", type=int, default=3, metavar="N",
+    parser.add_argument("--min-support", type=_at_least_one, default=3, metavar="N",
                         help="minimum support for discovered CFDs (default: 3)")
-    parser.add_argument("--max-lhs-size", type=int, default=2, metavar="N",
+    parser.add_argument("--max-lhs-size", type=_at_least_one, default=2, metavar="N",
                         help="maximum LHS size for discovered CFDs (default: 2)")
     parser.add_argument("--sql", metavar="QUERY", default=None,
                         help="run a SQL query against the loaded relation and "

@@ -85,6 +85,24 @@ class TestFunctionalDependency:
         pairs = fd.violating_pairs(customer)
         assert len(pairs) == 2  # tuple 3 conflicts with tuples 1 and 2
 
+    def test_violating_pairs_order(self):
+        relation = Relation.from_rows(RelationSchema("r", ["a", "b"]), [
+            ("1", "x"), ("2", "p"), ("1", "y"), ("2", "q"), ("1", "x"), ("2", "p"),
+            ("1", "z")])
+        fd = FunctionalDependency("r", ["a"], ["b"])
+        # LHS classes by first occurrence; inside one, RHS groups pairwise
+        assert fd.violating_pairs(relation) == [
+            (0, 2), (2, 4), (0, 6), (4, 6), (2, 6), (1, 3), (3, 5)]
+        relation.delete(0)  # a='2' now occurs first
+        assert fd.violating_pairs(relation) == [(1, 3), (3, 5), (2, 4), (2, 6), (4, 6)]
+
+    def test_violation_on_any_rhs_attribute(self):
+        relation = Relation.from_rows(RelationSchema("r", ["a", "b", "c"]), [
+            ("1", "x", "p"), ("1", "x", "q"), ("2", "y", "p"), ("2", "z", "p")])
+        fd = FunctionalDependency("r", ["a"], ["b", "c"])
+        assert not fd.holds_on(relation)
+        assert fd.violating_pairs(relation) == [(0, 1), (2, 3)]  # a='1' splits on c only
+
     def test_unknown_attribute_raises(self, customer):
         fd = FunctionalDependency("customer", ["country"], ["city"])
         with pytest.raises(ConstraintError):

@@ -166,27 +166,7 @@ class TestEngineParity:
 
 
 class TestRefineOffload:
-    """Variable-CFD refinement rides the worker pool when an engine is set."""
-
-    def test_refine_subset_checks_go_through_the_pool(self, monkeypatch):
-        relation = random_relation(23, size=60)
-        discovery = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                 engine="serial")
-        chunked = discovery._provider.chunked
-        assert chunked is not None
-        calls = []
-        original = ChunkedPartitionEngine.refine_subsets
-
-        def spy(self, lhs_attributes, rhs_attribute, groups):
-            calls.append(len(groups))
-            return original(self, lhs_attributes, rhs_attribute, groups)
-
-        monkeypatch.setattr(ChunkedPartitionEngine, "refine_subsets", spy)
-        offloaded = discovery.discover_variable_cfds()
-        assert calls  # the subset checks actually went through the engine
-        reference = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                 engine="sequential").discover_variable_cfds()
-        assert [repr(c) for c in offloaded] == [repr(c) for c in reference]
+    """Only an engine setting puts discovery's base scans on a chunked engine."""
 
     def test_sequential_discovery_has_no_chunked_engine(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

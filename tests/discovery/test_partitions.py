@@ -1,8 +1,13 @@
 """Unit tests for stripped partitions, the partition cache and the provider."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle import definitions as oracle
+from oracle.strategies import mutate, oracle_settings, relations
 from repro.discovery.partitions import (
     Partition,
     PartitionProvider,
@@ -40,22 +45,17 @@ class TestStrippedRepresentation:
         assert ids == {0: 0, 1: 0, 2: 1, 3: 1}  # b='x' and b='y'; 'z' is a singleton
         assert partition.group_ids() is ids  # built once, cached
 
-    def test_refinement_via_group_id_map(self, relation):
-        coarse = partition_of(relation, ["a"])
-        fine = partition_of(relation, ["a", "b"])
-        assert not coarse.refines_without_splitting(fine)  # a='1' splits on b
-        coarse_b = partition_of(relation, ["b"])
-        fine_bc = partition_of(relation, ["b", "c"])
-        assert not coarse_b.refines_without_splitting(fine_bc)
-        coarse_c = partition_of(relation, ["c"])
-        assert not coarse_c.refines_without_splitting(partition_of(relation, ["c", "a"]))
+    def test_refinement_via_split_groups(self, relation):
+        b, c, a = (relation.columns.column(name).codes for name in "bca")
+        assert partition_of(relation, ["a"]).split_groups(b) == [[0, 1, 4]]  # a='1' splits on b
+        assert partition_of(relation, ["b"]).split_groups(c) == [[2, 3]]
+        assert partition_of(relation, ["c"]).split_groups(a) == [[0, 1, 2], [3, 4]]
 
     def test_refinement_detects_holding_fd(self):
         rows = [("1", "x", "p"), ("1", "x", "q"), ("2", "y", "p"), ("2", "y", "q")]
         relation = Relation.from_rows(SCHEMA, rows)
-        coarse = partition_of(relation, ["a"])
-        fine = partition_of(relation, ["a", "b"])
-        assert coarse.refines_without_splitting(fine)  # a -> b holds
+        b = relation.columns.column("b").codes
+        assert partition_of(relation, ["a"]).split_groups(b) == []  # a -> b holds
 
     def test_product_matches_direct_partition(self, relation):
         for left_attrs, right_attrs in ((["a"], ["b"]), (["b"], ["c"]), (["a"], ["c"])):
@@ -79,6 +79,45 @@ class TestStrippedRepresentation:
             assert partition.groups == [list(g) for g in
                                         oracle.stripped_partition(relation, attributes)]
             assert partition.total_tuples == len(relation)
+
+
+def assert_split_groups_decide_fds(relation):
+    """For |X| <= 2 and A not in X, X's split groups by A decide X -> A,
+    its B = b refinements and the drop in partition error."""
+    data = oracle.rows(relation)
+    names = oracle.attributes_of(relation)
+    store = relation.columns
+    for lhs in (x for size in (1, 2) for x in combinations(names, size)):
+        partition = partition_of(relation, lhs)
+        for rhs in names:
+            if rhs in lhs:
+                continue
+            codes = store.column(rhs).codes
+            split = partition.split_groups(codes)
+            assert (not split) == oracle.fd_holds(data, lhs, rhs)
+            lost = sum(len({codes[tid] for tid in group}) - 1 for group in split)
+            product = partition.product(partition_of(relation, [rhs]))
+            assert lost == partition.error - product.error
+            for conditioning in lhs:
+                column = store.column(conditioning)
+                failing = {column.codes[group[0]] for group in split}
+                for group in oracle.groups(data, data, [conditioning]):
+                    value = data[group[0]][conditioning]
+                    if value is NULL:
+                        continue
+                    subset = {tid: data[tid] for tid in group}
+                    assert ((column.code_of(value) not in failing)
+                            == oracle.fd_holds(subset, lhs, rhs))
+
+
+class TestSplitGroups:
+    @given(relations(), st.data())
+    @oracle_settings(60)
+    def test_split_groups_match_definitions_before_and_after_mutation(
+            self, relation, data):
+        assert_split_groups_decide_fds(relation)
+        mutate(relation, data)  # deletes leave tombstones in the code arrays
+        assert_split_groups_decide_fds(relation)
 
 
 class TestPartitionCacheAndProvider:

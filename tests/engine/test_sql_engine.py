@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.discover import ChunkedPartitionEngine
 from repro.engine.executor import MultiprocessingPool, SerialPool
 from repro.engine.sql import AggregateMerger, ChunkedSQLEngine
 from repro.engine.worker import run_local
@@ -149,21 +148,3 @@ class TestChunkedSQLEngine:
         pool = MultiprocessingPool(workers=2, min_rows=0)
         engine = ChunkedSQLEngine(relation, pool)
         assert engine.scan_grouped(query) == self._reference(relation, query)
-
-
-class TestSubsetCheckWorker:
-    def test_verdicts_match_sequential_walk(self, relation):
-        arrays = relation.columns.code_arrays(range(relation.schema.arity))
-        state = {"partition": {"arrays": arrays}}
-        groups = [[0, 2, 4], [1, 3, 7], [5]]
-        [verdicts] = run_local(
-            state, [("subset_check", ("partition", (0,), 1, groups))])
-        # group a: v codes {3, NULL, 3} -> first-seen NULL differs from 3
-        assert verdicts == [False, False, True]
-
-    def test_refine_subsets_batches_preserve_order(self, relation):
-        engine = ChunkedPartitionEngine(relation, SerialPool(chunk_size=1))
-        groups = [[0, 4], [1, 7], [1, 3], [5]]
-        verdicts = engine.refine_subsets(["k"], "v", groups)
-        assert verdicts == [True, True, False, True]
-        assert engine.refine_subsets(["k"], "v", []) == []

@@ -155,26 +155,51 @@ def fd_holds(data: Mapping[int, Row], lhs: Sequence[str], rhs: str) -> bool:
                for group in groups(data, data, lhs))
 
 
+def fd_violating_pairs(data: Mapping[int, Row], lhs: Sequence[str], rhs: Sequence[str],
+                       skip_null_lhs: bool = False) -> set[tuple[int, int]]:
+    """Every pair ``(t1, t2)``, ``t1 < t2``, equal on *lhs* and unequal on some
+    *rhs* attribute (NULL equals NULL); *skip_null_lhs* leaves out pairs
+    whose *lhs* values hold a NULL."""
+    tids = sorted(data)
+    return {(t1, t2) for i, t1 in enumerate(tids) for t2 in tids[i + 1:]
+            if all(data[t1][a] == data[t2][a] for a in lhs)
+            and not (skip_null_lhs and any(data[t1][a] is NULL for a in lhs))
+            and any(data[t1][a] != data[t2][a] for a in rhs)}
+
+
 def _proper_subsets(attributes: Sequence[str]) -> Iterable[tuple[str, ...]]:
     for size in range(1, len(attributes)):
         yield from combinations(attributes, size)
 
 
-def minimal_fds(relation, max_lhs_size: int) -> set[tuple[tuple[str, ...], str]]:
+def minimal_fds(relation, max_lhs_size: int,
+                approximate_error: float = 0.0) -> set[tuple[tuple[str, ...], str]]:
     """``(sorted X, A)`` for every FD ``X → A`` with ``1 ≤ |X| ≤ max_lhs_size``
     (and ``|X|`` below the arity) that holds while no proper non-empty
-    subset of ``X`` determines ``A``.  An empty relation reports none."""
+    subset of ``X`` determines ``A``.  An empty relation reports none.
+
+    With *approximate_error* above 0, ``X → A`` "holds" when adding ``A``
+    to ``X`` raises the number of distinct value combinations by at most
+    that fraction of the tuples (``e(X) − e(X ∪ {A})`` over ``|r|``, with
+    ``e(Y)`` the tuple count minus the distinct ``Y`` combinations)."""
     data = rows(relation)
     if not data:
         return set()
+
+    def holds(lhs, rhs):
+        if approximate_error == 0.0:
+            return fd_holds(data, lhs, rhs)
+        lost = len(groups(data, data, [*lhs, rhs])) - len(groups(data, data, lhs))
+        return lost / len(data) <= approximate_error
+
     names = attributes_of(relation)
     found = set()
     for size in range(1, min(max_lhs_size, len(names) - 1) + 1):
         for lhs in combinations(sorted(names), size):
             for rhs in names:
-                if rhs in lhs or not fd_holds(data, lhs, rhs):
+                if rhs in lhs or not holds(lhs, rhs):
                     continue
-                if not any(fd_holds(data, sub, rhs) for sub in _proper_subsets(lhs)):
+                if not any(holds(sub, rhs) for sub in _proper_subsets(lhs)):
                     found.add((lhs, rhs))
     return found
 

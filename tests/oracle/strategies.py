@@ -104,3 +104,24 @@ def databases_with_cinds(draw) -> tuple[Database, list[CIND]]:
                            [n for n in right_names if n not in y]), max_size=1))}
         cinds.append(CIND("r", x, "s", y, condition, consequence))
     return database, cinds
+
+
+def mutate(relation, data, steps: int = 6, incremental=None):
+    """Random inserts, deletes and cell updates (through *incremental* when given)."""
+    insert = incremental.insert_tuple if incremental else relation.insert_dict
+    delete = incremental.delete_tuple if incremental else relation.delete
+    update = incremental.update_cell if incremental else relation.update
+    types = {a.name: a.type for a in relation.schema.attributes}
+    for _ in range(data.draw(st.integers(1, steps))):
+        tids = relation.tids()
+        action = data.draw(st.sampled_from(["insert", "delete", "update"]
+                                           if tids else ["insert"]))
+        if action == "insert":
+            insert({name: data.draw(st.sampled_from(CELLS[kind]))
+                    for name, kind in types.items()})
+        elif action == "delete":
+            delete(data.draw(st.sampled_from(tids)))
+        else:
+            name = data.draw(st.sampled_from(sorted(types)))
+            update(data.draw(st.sampled_from(tids)), name,
+                   data.draw(st.sampled_from(CELLS[types[name]])))

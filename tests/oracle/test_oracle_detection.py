@@ -15,10 +15,13 @@ from oracle import definitions as oracle
 from oracle.strategies import (
     CELLS,
     databases_with_cinds,
+    mutate,
     oracle_settings,
+    relations,
     relations_with_cfds,
 )
 from repro.constraints.cfd import CFD
+from repro.constraints.fd import FunctionalDependency
 from repro.detection.batch import BatchCFDDetector
 from repro.detection.cfd_detect import CFDDetector
 from repro.detection.cind_detect import CINDDetector
@@ -53,27 +56,6 @@ def merged_fingerprint(violations):
 def definition_by_embedded_fd(relation, cfds):
     return {(cfd.lhs, cfd.rhs, pattern, tids)
             for cfd, pattern, tids in oracle.cfd_violations(relation, cfds)}
-
-
-def mutate(relation, data, steps: int = 6, incremental=None):
-    """Random inserts, deletes and cell updates (through *incremental* when given)."""
-    insert = incremental.insert_tuple if incremental else relation.insert_dict
-    delete = incremental.delete_tuple if incremental else relation.delete
-    update = incremental.update_cell if incremental else relation.update
-    types = {a.name: a.type for a in relation.schema.attributes}
-    for _ in range(data.draw(st.integers(1, steps))):
-        tids = relation.tids()
-        action = data.draw(st.sampled_from(["insert", "delete", "update"]
-                                           if tids else ["insert"]))
-        if action == "insert":
-            insert({name: data.draw(st.sampled_from(CELLS[kind]))
-                    for name, kind in types.items()})
-        elif action == "delete":
-            delete(data.draw(st.sampled_from(tids)))
-        else:
-            name = data.draw(st.sampled_from(sorted(types)))
-            update(data.draw(st.sampled_from(tids)), name,
-                   data.draw(st.sampled_from(CELLS[types[name]])))
 
 
 class TestCFDDetection:
@@ -186,3 +168,31 @@ class TestCINDDetection:
         mutate(database.relation(data.draw(st.sampled_from(["r", "s"]))), data)
         assert cind_fingerprint(detector.detect().violations) == \
             Counter(oracle.cind_violations(database, cinds))
+
+
+class TestFunctionalDependency:
+    """``holds_on`` in both NULL modes and ``violating_pairs``, before and
+    after inserts, deletes and updates."""
+
+    @given(relations(), st.data())
+    @oracle_settings(40)
+    def test_holds_on_and_violating_pairs_match_definition(self, relation, data):
+        names = oracle.attributes_of(relation)
+        lhs = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
+                                 unique=True))
+        rhs = data.draw(st.lists(st.sampled_from([n for n in names if n not in lhs]),
+                                 min_size=1, max_size=2, unique=True))
+        fd = FunctionalDependency(relation.name, lhs, rhs)
+
+        def check():
+            rows = oracle.rows(relation)
+            pairs = fd.violating_pairs(relation)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == oracle.fd_violating_pairs(rows, lhs, rhs)
+            assert fd.holds_on(relation) == (not pairs)
+            assert fd.holds_on(relation, treat_null_as_value=False) == (
+                not oracle.fd_violating_pairs(rows, lhs, rhs, skip_null_lhs=True))
+
+        check()
+        mutate(relation, data)
+        check()

@@ -39,6 +39,14 @@ class TestFDDiscovery:
         assert len(keys) == len(set(keys))
         assert set(keys) == oracle.minimal_keys(relation, max_lhs_size)
 
+    @given(nonempty_relations, st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.34]))
+    @oracle_settings(15)
+    def test_minimal_approximate_fds(self, engine, relation, max_lhs_size, error):
+        fds = FDDiscovery(relation, max_lhs_size=max_lhs_size,
+                          approximate_error=error, **engine).discover()
+        assert {(fd.lhs, fd.rhs[0]) for fd in fds} == \
+            oracle.minimal_fds(relation, max_lhs_size, approximate_error=error)
+
 
 class TestPartitions:
     @given(relations())

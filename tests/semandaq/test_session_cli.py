@@ -204,6 +204,16 @@ class TestSemandaqCLI:
         with pytest.raises(SystemExit):
             semandaq_main([str(data_path)])
 
+    @pytest.mark.parametrize("flag", ["--min-support", "--max-lhs-size"])
+    def test_discovery_bound_below_one_is_a_usage_error(self, tmp_path, capsys, flag):
+        data_path, _ = self._write_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            semandaq_main([str(data_path), "--discover", flag, "0"])
+        assert exit_info.value.code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors[-1] == f"semandaq: error: argument {flag}: must be at least 1, got 0"
+        assert not any("Traceback" in line for line in errors)
+
 
 class TestSessionSQL:
     def test_sql_runs_through_the_session(self, session):
