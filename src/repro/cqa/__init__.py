@@ -11,7 +11,9 @@ over a single relation whose inconsistencies are key (FD) violations:
   and as the oracle in tests;
 * :mod:`repro.cqa.rewriting` computes the same certain answers without
   enumerating repairs, by requiring every tuple of a key group to agree on
-  the projected attributes and satisfy the selection;
+  the projected attributes and satisfy the selection — on dictionary
+  codes, probing the maintained key index only for the key groups that
+  hold a selected tuple;
 * :class:`repro.cqa.answer.CQAEngine` ties the two together and also
   returns *possible* answers (true in at least one repair).
 """

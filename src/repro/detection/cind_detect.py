@@ -34,6 +34,7 @@ from repro.constraints.violations import CINDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, constant_code_set
 from repro.engine.detect import ChunkedCINDEngine
 from repro.engine.executor import resolve_pool
+from repro.relational.columns import passing
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
@@ -110,7 +111,8 @@ class CINDDetector:
         when the RHS dictionary lacks the string — which already proves
         the violation).  An LHS key matches some RHS key iff the
         canonical code tuples are equal, so the code-level anti-join is
-        exact.
+        exact.  Each side's pattern constants select its tids first, one
+        comprehension per constant (:func:`~repro.relational.columns.passing`).
         """
         rhs_tests = self._compile_pattern(right, cind.rhs_pattern)
         rhs_columns = [right.columns.column(a) for a in cind.rhs_attributes]
@@ -119,9 +121,7 @@ class CINDDetector:
                       for column in rhs_columns]
 
         right_keys: set[tuple[int, ...]] = set()
-        for tid in right.tids():
-            if any(codes[tid] not in allowed for codes, allowed in rhs_tests):
-                continue
+        for tid in passing(right.tids(), rhs_tests):
             key_codes = [codes[tid] for codes in rhs_arrays]
             if NULL_CODE in key_codes:
                 continue
@@ -135,9 +135,7 @@ class CINDDetector:
                    for lhs_column, rhs_column in zip(lhs_columns, rhs_columns)]
 
         violations: list[CINDViolation] = []
-        for tid in left.tids():
-            if any(codes[tid] not in allowed for codes, allowed in lhs_tests):
-                continue
+        for tid in passing(left.tids(), lhs_tests):
             key_codes = [codes[tid] for codes in lhs_arrays]
             if NULL_CODE in key_codes:
                 violations.append(CINDViolation(cind, tid))

@@ -38,7 +38,7 @@ from itertools import product
 from time import perf_counter
 from typing import Any
 
-from repro.relational.columns import NULL_CODE, take
+from repro.relational.columns import NULL_CODE, passing, take
 
 #: broadcast state of the current pool generation (set by the initializer).
 _STATE: dict[str, Any] | None = None
@@ -357,13 +357,7 @@ def _cfd_groups(state: dict[str, Any],
             pattern = patterns[pidx]
             lhs_tests = pattern["lhs_tests"]
             if lhs_tests:
-                matching = []
-                for tid in members:
-                    for codes, allowed in lhs_tests:
-                        if codes[tid] not in allowed:
-                            break
-                    else:
-                        matching.append(tid)
+                matching = passing(members, lhs_tests)
                 if len(matching) < 2:
                     continue
             else:
@@ -475,17 +469,8 @@ def _sql_scan(state: dict[str, Any],
     """
     spec_id, query, tids = payload
     arrays = state[spec_id]["arrays"]
-    filters = [(arrays[position], allowed) for position, allowed in query["filters"]]
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = list(tids)
+    survivors = passing(tids, [(arrays[position], allowed)
+                               for position, allowed in query["filters"]])
     group = query["group"]
     if group is None:
         return survivors
@@ -571,23 +556,12 @@ def _join_probe(state: dict[str, Any],
     sides = state[spec_id]["sides"]
     probe_side = query["probe_side"]
     arrays = sides[probe_side]
-    filters = [(arrays[position], allowed)
-               for position, allowed in query["filters"]]
     keys = [(arrays[position], translation)
             for position, translation in query["keys"]]
     buckets = query["buckets"]
     single = len(keys) == 1
-
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = tids
+    survivors = passing(tids, [(arrays[position], allowed)
+                               for position, allowed in query["filters"]])
 
     def bucket_of(tid: int) -> list[int] | None:
         if single:
@@ -946,23 +920,12 @@ def _factorised_join_fold(sides: tuple, query: dict[str, Any],
     first-pair representative match the enumerated probe exactly.
     """
     arrays = sides[0]  # factorised probes always walk the left side
-    filters = [(arrays[position], allowed)
-               for position, allowed in query["filters"]]
     keys = [(arrays[position], translation)
             for position, translation in query["keys"]]
     buckets = query["buckets"]
     single = len(keys) == 1
-
-    if filters:
-        survivors = []
-        for tid in tids:
-            for codes, allowed in filters:
-                if codes[tid] not in allowed:
-                    break
-            else:
-                survivors.append(tid)
-    else:
-        survivors = tids
+    survivors = passing(tids, [(arrays[position], allowed)
+                               for position, allowed in query["filters"]])
 
     def bucket_of(tid: int) -> list | None:
         if single:
@@ -1296,15 +1259,11 @@ def _cind_rhs(state: dict[str, Any], payload: tuple[str, list[int]]) -> set[tupl
     key_arrays = spec["key_arrays"]
     key_bridges = spec["key_bridges"]
     keys: set[tuple[int, ...]] = set()
-    for tid in tids:
-        for codes, allowed in tests:
-            if codes[tid] not in allowed:
-                break
-        else:
-            key_codes = [codes[tid] for codes in key_arrays]
-            if NULL_CODE not in key_codes:
-                keys.add(tuple(bridge[code]
-                               for bridge, code in zip(key_bridges, key_codes)))
+    for tid in passing(tids, tests):
+        key_codes = [codes[tid] for codes in key_arrays]
+        if NULL_CODE not in key_codes:
+            keys.add(tuple(bridge[code]
+                           for bridge, code in zip(key_bridges, key_codes)))
     return keys
 
 
@@ -1322,19 +1281,15 @@ def _cind_lhs(state: dict[str, Any],
     key_arrays = spec["key_arrays"]
     key_bridges = spec["key_bridges"]
     violating: list[int] = []
-    for tid in tids:
-        for codes, allowed in tests:
-            if codes[tid] not in allowed:
-                break
-        else:
-            key_codes = [codes[tid] for codes in key_arrays]
-            if NULL_CODE in key_codes:
-                violating.append(tid)
-                continue
-            key = tuple(bridge[code]
-                        for bridge, code in zip(key_bridges, key_codes))
-            if key not in right_keys:
-                violating.append(tid)
+    for tid in passing(tids, tests):
+        key_codes = [codes[tid] for codes in key_arrays]
+        if NULL_CODE in key_codes:
+            violating.append(tid)
+            continue
+        key = tuple(bridge[code]
+                    for bridge, code in zip(key_bridges, key_codes))
+        if key not in right_keys:
+            violating.append(tid)
     return violating
 
 

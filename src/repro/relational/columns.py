@@ -70,6 +70,19 @@ def take(codes: Sequence[int], tids: Sequence[int]) -> list[int]:
     return [codes[tid] for tid in tids]
 
 
+def passing(tids: list[int], tests: Sequence[tuple[Sequence[int], Any]]) -> list[int]:
+    """The *tids* whose code passes every ``(code array, allowed set)`` test.
+
+    Order is kept, one list comprehension per test, and with no tests
+    *tids* comes back uncopied.  Every code-set selection shares this
+    loop: SQL push-down filters, CFD and CIND pattern constants, CQA
+    equalities, in the parent and in the chunk workers alike.
+    """
+    for codes, allowed in tests:
+        tids = [tid for tid in tids if codes[tid] in allowed]
+    return tids
+
+
 class ConstantMatcher:
     """The live set of codes of one column matching one pattern constant.
 

@@ -15,7 +15,8 @@ relation's dictionary code arrays end to end.
   code, or every other code), and an ``OR`` whose operands all compile
   on one column (the union of their code sets; an ``OR`` across columns
   stays residual).  Surviving tuples are selected by integer set
-  membership — no row objects, no binding dicts.
+  membership (:func:`~repro.relational.columns.passing`) — no row
+  objects, no binding dicts.
 * **Group** — GROUP BY columns become schema positions; groups are keyed
   by code tuples straight off the code arrays (codes are assigned by
   value equality, so code keys and value keys partition identically, in
@@ -50,7 +51,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, SchemaError, SQLExecutionError
-from repro.relational.columns import NULL_CODE
+from repro.relational.columns import NULL_CODE, passing
 from repro.relational.expressions import (
     And,
     Arithmetic,
@@ -864,6 +865,14 @@ def finalize_aggregate(spec: tuple, state: Any, relation: "Relation") -> Any:
     return column.values[state[1]]
 
 
+def side_filters(plan: "JoinPlan | MultiJoinPlan",
+                 side: int) -> list[tuple[list[int], set[int]]]:
+    """One side's push-down filters as ``(code array, allowed codes)`` tests."""
+    store = plan.relations[side].columns
+    return [(store.column_at(position).codes, allowed)
+            for position, allowed in plan.filters[side]]
+
+
 def build_join_buckets(plan: JoinPlan, build_side: int) -> dict[Any, list[int]]:
     """The build side's code-keyed hash buckets, in scan order.
 
@@ -877,13 +886,9 @@ def build_join_buckets(plan: JoinPlan, build_side: int) -> dict[Any, list[int]]:
     relation = plan.relations[build_side]
     store = relation.columns
     key_arrays = [store.column_at(pair[build_side]).codes for pair in plan.key_pairs]
-    filters = [(store.column_at(position).codes, allowed)
-               for position, allowed in plan.filters[build_side]]
     single = len(key_arrays) == 1
     buckets: dict[Any, list[int]] = {}
-    for tid in relation.tids():
-        if any(codes[tid] not in allowed for codes, allowed in filters):
-            continue
+    for tid in passing(relation.tids(), side_filters(plan, build_side)):
         if single:
             key: Any = key_arrays[0][tid]
             if key == NULL_CODE:
@@ -1236,18 +1241,8 @@ def _register_multi_aggregate(plan: MultiJoinPlan,
 
 def multiway_base_tids(plan: MultiJoinPlan) -> list[list[int]]:
     """Per-table live tids surviving that table's push-down filters."""
-    base: list[list[int]] = []
-    for side, relation in enumerate(plan.relations):
-        store = relation.columns
-        filters = [(store.column_at(position).codes, allowed)
-                   for position, allowed in plan.filters[side]]
-        if filters:
-            base.append([tid for tid in relation.tids()
-                         if all(codes[tid] in allowed
-                                for codes, allowed in filters)])
-        else:
-            base.append(list(relation.tids()))
-    return base
+    return [passing(relation.tids(), side_filters(plan, side))
+            for side, relation in enumerate(plan.relations)]
 
 
 def multiway_query_payload(plan: MultiJoinPlan
@@ -1267,7 +1262,10 @@ def multiway_query_payload(plan: MultiJoinPlan
 
     The first variable's groups are built here (parent side) so their
     sorted-code intersection — the candidate list the engine chunks — is
-    computed once, not per worker.
+    computed once, not per worker.  The participant with the fewest base
+    tids seeds it: every later one first drops the tids whose code is not
+    present yet, which leaves the candidates and their tid groups as
+    they were.
     """
     from repro.engine.worker import gallop_intersect, multiway_group
 
@@ -1296,9 +1294,17 @@ def multiway_query_payload(plan: MultiJoinPlan
     base = multiway_base_tids(plan)
     level_one: dict[int, dict[int, list[int]]] = {}
     code_lists: list[list[int]] = []
-    for side, member_list in levels[0]:
-        groups = multiway_group(arrays[side], base[side], member_list)
+    present: Any = None  # the codes every participant grouped so far holds
+    for side, member_list in sorted(levels[0], key=lambda item: len(base[item[0]])):
+        tids = base[side]
+        if present is not None:
+            position, translation = member_list[0]
+            codes = arrays[side][position]
+            tids = [tid for tid in tids if (codes[tid] if translation is None
+                                            else translation[codes[tid]]) in present]
+        groups = multiway_group(arrays[side], tids, member_list)
         level_one[side] = groups
+        present = groups.keys()
         code_lists.append(sorted(groups))
     candidates = gallop_intersect(code_lists)
     query = {
@@ -1438,8 +1444,6 @@ def build_factorised_buckets(plan: "JoinPlan",
     relation = plan.relations[1]
     store = relation.columns
     key_arrays = [store.column_at(pair[1]).codes for pair in plan.key_pairs]
-    filters = [(store.column_at(position).codes, allowed)
-               for position, allowed in plan.filters[1]]
     part_arrays = [store.column_at(position).codes
                    for side, position in plan.group_keys if side == 1]
     # build-side fold steps: (spec slot, op, codes, ranks-or-values)
@@ -1459,9 +1463,7 @@ def build_factorised_buckets(plan: "JoinPlan",
             steps.append((index, 3 if kind == "min" else 4, codes, spec[3]))
     single = len(key_arrays) == 1
     buckets: dict[Any, dict[Any, list]] = {}
-    for tid in relation.tids():
-        if any(codes[tid] not in allowed for codes, allowed in filters):
-            continue
+    for tid in passing(relation.tids(), side_filters(plan, 1)):
         if single:
             key: Any = key_arrays[0][tid]
             if key == NULL_CODE:

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.errors import SQLExecutionError
+from repro.relational.columns import passing
 from repro.relational.database import Database
 from repro.relational.expressions import (
     ColumnRef,
@@ -126,8 +127,8 @@ def _rows_for_table(database: Database, table: TableRef,
     if code_filters:
         # columnar fast path: select tids by integer code membership first,
         # materialise bindings only for the survivors (same scan order).
-        source = (relation.tuple(tid) for tid in relation.tids()
-                  if all(codes[tid] in allowed for codes, allowed in code_filters))
+        source = (relation.tuple(tid)
+                  for tid in passing(relation.tids(), code_filters))
     else:
         source = iter(relation)
     for row in source:
@@ -213,10 +214,9 @@ class _FromPlanner:
             filters.append((relation.columns.column_at(position).codes, codes))
             pushed.append((conjunct, position, codes))
         if self._record is not None and pushed:
-            tids = list(relation.tids())
-            for conjunct, position, allowed in pushed:
-                codes = relation.columns.column_at(position).codes
-                survivors = [tid for tid in tids if codes[tid] in allowed]
+            tids = relation.tids()
+            for test, (conjunct, position, allowed) in zip(filters, pushed):
+                survivors = passing(tids, [test])
                 self._record.append({
                     "table": table.binding_name,
                     "attribute": relation.schema.attribute_names[position],
@@ -500,11 +500,10 @@ class SQLExecutor:
         ``rows_in`` of filter *k* is the survivor count of filter *k - 1*.
         """
         entries: list[dict[str, Any]] = []
-        tids = list(relation.tids())
+        tids = relation.tids()
         store = relation.columns
         for position, allowed in filters:
-            codes = store.column_at(position).codes
-            survivors = [tid for tid in tids if codes[tid] in allowed]
+            survivors = passing(tids, [(store.column_at(position).codes, allowed)])
             entries.append({
                 "table": table_name,
                 "attribute": relation.schema.attribute_names[position],

@@ -40,6 +40,11 @@ from repro.relational.types import NULL
 
 AGGREGATE_KEYWORDS = ("count", "sum", "avg", "min", "max")
 
+#: how deep parentheses, ``NOT`` and unary minus may nest in one statement;
+#: deeper input raises :class:`SQLSyntaxError` instead of exhausting the
+#: interpreter's recursion limit (a parenthesis costs about eight frames).
+MAX_NESTING = 64
+
 
 class AggregateExpr(Expression):
     """An aggregate call used where a scalar expression is expected (HAVING).
@@ -78,6 +83,7 @@ class _Parser:
         self._tokens = tokens
         self._text = text
         self._index = 0
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -119,6 +125,19 @@ class _Parser:
             self._advance()
             return True
         return False
+
+    def _nest(self, token: Token) -> None:
+        """Enter the nesting level *token* opens: a parenthesis, ``NOT`` or
+        unary minus.  :meth:`_unnest` leaves it once its operand is parsed."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise SQLSyntaxError(
+                f"expression nests deeper than {MAX_NESTING} levels at "
+                f"{token.value!r} (position {token.position})", token.position)
+
+    def _unnest(self, expression: Expression) -> Expression:
+        self._depth -= 1
+        return expression
 
     def _context(self) -> str:
         token = self._peek()
@@ -287,8 +306,10 @@ class _Parser:
         return And(tuple(operands))
 
     def _parse_not(self) -> Expression:
-        if self._match_keyword("not"):
-            return Not(self._parse_not())
+        token = self._peek()
+        if token is not None and token.is_keyword("not"):
+            self._nest(self._advance())
+            return self._unnest(Not(self._parse_not()))
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expression:
@@ -371,15 +392,14 @@ class _Parser:
             raise SQLSyntaxError("unexpected end of expression")
 
         if token.is_operator("("):
-            self._advance()
+            self._nest(self._advance())
             expression = self._parse_expression()
             self._expect_operator(")")
-            return expression
+            return self._unnest(expression)
 
         if token.is_operator("-"):
-            self._advance()
-            operand = self._parse_primary()
-            return Arithmetic("-", Literal(0), operand)
+            self._nest(self._advance())
+            return self._unnest(Arithmetic("-", Literal(0), self._parse_primary()))
 
         if token.kind == "number":
             self._advance()
@@ -405,7 +425,7 @@ class _Parser:
     def _parse_aggregate(self) -> Expression:
         function_token = self._advance()
         function = function_token.value
-        self._expect_operator("(")
+        self._nest(self._expect_operator("("))
         distinct = self._match_keyword("distinct")
         token = self._peek()
         argument: Expression | None
@@ -415,7 +435,8 @@ class _Parser:
         else:
             argument = self._parse_expression()
         self._expect_operator(")")
-        return AggregateExpr(AggregateCall(function=function, argument=argument, distinct=distinct))
+        return self._unnest(AggregateExpr(
+            AggregateCall(function=function, argument=argument, distinct=distinct)))
 
     def _parse_name_or_function(self) -> Expression:
         token = self._advance()
@@ -423,14 +444,14 @@ class _Parser:
         next_token = self._peek()
 
         if next_token is not None and next_token.is_operator("("):
-            self._advance()
+            self._nest(self._advance())
             arguments: list[Expression] = []
             if not self._match_operator(")"):
                 arguments.append(self._parse_expression())
                 while self._match_operator(","):
                     arguments.append(self._parse_expression())
                 self._expect_operator(")")
-            return FunctionCall(name, tuple(arguments))
+            return self._unnest(FunctionCall(name, tuple(arguments)))
 
         if next_token is not None and next_token.is_operator("."):
             self._advance()

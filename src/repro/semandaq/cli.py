@@ -31,6 +31,13 @@ supervision: how long one dispatched task may run before the worker is
 declared hung and the pool rebuilt, and how often a failed task is
 retried before degrading to in-process execution (environment defaults:
 ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``).
+
+Errors print one line on stderr instead of a traceback: a data,
+constraint or query error (any :class:`~repro.errors.ReproError`) prints
+``semandaq: error: <message>`` and exits with 65 (sysexits'
+``EX_DATAERR``); an input file that cannot be read prints ``semandaq:
+error: cannot read <path>: <reason>`` and exits with 66 (``EX_NOINPUT``).
+Usage errors keep argparse's exit status 2.
 """
 
 from __future__ import annotations
@@ -42,8 +49,14 @@ from pathlib import Path
 
 from repro import obs
 from repro.engine.executor import ENGINES
+from repro.errors import ReproError
 from repro.relational.csvio import read_csv, relation_to_csv
 from repro.semandaq.session import SemandaqSession
+
+#: exit status of a data, constraint or query error (sysexits' EX_DATAERR).
+EX_DATAERR = 65
+#: exit status of an input file that cannot be read (sysexits' EX_NOINPUT).
+EX_NOINPUT = 66
 
 
 def _at_least_one(text: str) -> int:
@@ -124,9 +137,26 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--explain requires --sql")
     if arguments.stats is not None:
         obs.enable()
+    try:
+        return _run(arguments)
+    except ReproError as error:
+        print(f"semandaq: error: {error}", file=sys.stderr)
+        return EX_DATAERR
+
+
+def _run(arguments: argparse.Namespace) -> int:
+    """Load the inputs, then query, discover, detect and repair as asked."""
     data_path = Path(arguments.data)
     relation_name = arguments.relation_name or data_path.stem
-    relation = read_csv(data_path, relation_name)
+    try:
+        relation = read_csv(data_path, relation_name)
+        constraints_text = None
+        if arguments.constraints is not None:
+            constraints_text = Path(arguments.constraints).read_text(encoding="utf-8")
+    except OSError as error:
+        print(f"semandaq: error: cannot read {error.filename}: {error.strerror}",
+              file=sys.stderr)
+        return EX_NOINPUT
 
     session = SemandaqSession(relation, engine=arguments.engine,
                               workers=arguments.workers,
@@ -148,8 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0  # pure query invocation: no detection/repair to run
 
     cfds = []
-    if arguments.constraints is not None:
-        constraints_text = Path(arguments.constraints).read_text(encoding="utf-8")
+    if constraints_text is not None:
         cfds = session.register_cfds(constraints_text)
     if arguments.discover:
         discovered = session.discover_cfds(relation_name,

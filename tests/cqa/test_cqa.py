@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cqa.answer import CQAEngine, SelectionQuery
 from repro.cqa.repairs import count_key_repairs, enumerate_key_repairs, key_conflict_groups
 from repro.cqa.rewriting import certain_answers_rewriting
-from repro.errors import CQAError
+from repro.errors import CQAError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import NULL
@@ -100,6 +100,17 @@ class TestCertainAnswers:
     def test_empty_projection_rejected(self):
         with pytest.raises(CQAError):
             SelectionQuery(project=())
+
+    @pytest.mark.parametrize("query", [
+        SelectionQuery(project=("nope",)),
+        SelectionQuery(project=("owner",), equalities={"nope": "edi"}),
+    ], ids=["projected", "selected"])
+    @pytest.mark.parametrize("empty", [True, False], ids=["empty", "filled"])
+    def test_unknown_attribute_raises_schema_error(self, accounts, query, empty):
+        if empty:
+            accounts = Relation(accounts.schema)
+        with pytest.raises(SchemaError):
+            CQAEngine(accounts, ["acct"]).certain_answers_rewritten(query)
 
     owners = st.sampled_from(["ann", "bob", "cid"])
     cities = st.sampled_from(["edi", "ldn", "nyc"])

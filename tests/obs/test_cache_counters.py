@@ -8,6 +8,7 @@ with the cache's behaviour.
 import pytest
 
 from repro import obs
+from repro.cqa.answer import CQAEngine, SelectionQuery
 from repro.discovery.partitions import PartitionProvider
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
@@ -120,3 +121,19 @@ class TestHashIndexCounter:
         relation.clear()
         assert relation.columns.index(["a", "b"]) is index
         assert obs.counter("cache.index.rebuild") == 3
+
+
+class TestCQAKeyIndex:
+    def test_rewriting_probes_the_maintained_key_index(self, relation):
+        engine = CQAEngine(relation, ["a"])
+        query = SelectionQuery(project=("a",))
+        engine.certain_answers_rewritten(query)
+        assert obs.counter("cache.index.rebuild") == 1  # the key index, once
+        engine.certain_answers_rewritten(query)
+        assert obs.counter("cache.index.rebuild") == 1
+        # a key cell moves one tid in the maintained index: no rebuild
+        relation.update(4, "a", "a2")
+        answers = engine.certain_answers_rewritten(query)
+        assert obs.counter("cache.index.rebuild") == 1
+        assert answers == {("a0",), ("a1",), ("a2",)}
+        assert engine.certain_answers(query) == answers

@@ -21,7 +21,7 @@ patterns keep their multiplicity.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.constraints.tableau import UNDERSCORE
@@ -70,6 +70,43 @@ def groups(data: Mapping[int, Row], tids: Iterable[int],
     for tid in tids:
         found.setdefault(tuple(data[tid][a] for a in attributes), []).append(tid)
     return list(found.values())
+
+
+# -- consistent query answering ------------------------------------------------
+
+
+def certain_answers(relation, key: Sequence[str], project: Sequence[str],
+                    equalities: Mapping[str, Any]) -> set[tuple]:
+    """The certain answers of ``π_project(σ_equalities(R))`` under the key *key*.
+
+    A repair keeps every row whose key holds NULL, and from each group of
+    rows with equal key values one of the group's distinct rows.  A row
+    is selected when, for every equality ``a = c``, its value is non-NULL
+    and ``str(v) == str(c)``.  The certain answers are the intersection,
+    over every repair, of the projections of its selected rows.
+    """
+    data = rows(relation)
+    key = [a.lower() for a in key]
+    project = [a.lower() for a in project]
+    equalities = {a.lower(): c for a, c in equalities.items()}
+
+    def answers(kept: Iterable[Row]) -> set[tuple]:
+        return {tuple(row[a] for a in project) for row in kept
+                if all(row[a] is not NULL and str(row[a]) == str(c)
+                       for a, c in equalities.items())}
+
+    always = [row for row in data.values() if any(row[a] is NULL for a in key)]
+    keyed = [tid for tid, row in data.items() if all(row[a] is not NULL for a in key)]
+    choices = []
+    for group in groups(data, keyed, key):
+        distinct: list[Row] = []
+        for tid in group:
+            if data[tid] not in distinct:
+                distinct.append(data[tid])
+        choices.append(distinct)
+    # product() of no choices is one empty pick: there is always a repair
+    return set.intersection(*(answers(always + list(picked))
+                              for picked in product(*choices)))
 
 
 # -- CFD and CIND violations ---------------------------------------------------

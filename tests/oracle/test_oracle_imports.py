@@ -6,7 +6,7 @@ from pathlib import Path
 import oracle.definitions
 
 #: modules and names whose logic the definitions restate instead of reusing
-FORBIDDEN_MODULES = ("repro.detection", "repro.discovery", "repro.repair",
+FORBIDDEN_MODULES = ("repro.cqa", "repro.detection", "repro.discovery", "repro.repair",
                      "repro.relational.index", "repro.relational.predicates")
 FORBIDDEN_NAMES = {"matches", "matches_values", "constants_equal", "is_null",
                    "is_wildcard", "HashIndex", "partition_of", "PartitionProvider"}

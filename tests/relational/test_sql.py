@@ -9,7 +9,7 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.engine import SQLEngine
-from repro.relational.sql.parser import parse_sql
+from repro.relational.sql.parser import MAX_NESTING, parse_sql
 from repro.relational.sql.tokenizer import tokenize
 from repro.relational.types import NULL, AttributeType, is_null
 
@@ -112,6 +112,41 @@ class TestParser:
     def test_empty_statement_raises(self):
         with pytest.raises(SQLSyntaxError):
             parse_sql("   ")
+
+
+class TestNestingLimit:
+    """Parentheses, NOT and unary minus nest at most MAX_NESTING deep."""
+
+    @pytest.mark.parametrize("prefix, opener, body, closer, suffix", [
+        ("SELECT phn FROM customer WHERE ", "(", "cc = '44'", ")", ""),
+        ("SELECT phn FROM customer WHERE ", "NOT ", "cc = '44'", "", ""),
+        ("SELECT ", "- ", "1", "", " FROM customer"),
+        ("SELECT ", "upper(", "city", ")", " FROM customer"),
+    ], ids=["parentheses", "not", "minus", "calls"])
+    def test_deep_nesting_raises_at_the_first_token_past_the_limit(
+            self, prefix, opener, body, closer, suffix):
+        text = prefix + opener * 5000 + body + closer * 5000 + suffix
+        with pytest.raises(SQLSyntaxError) as raised:
+            parse_sql(text)
+        # the opening token of level MAX_NESTING + 1 (a call's parenthesis)
+        assert raised.value.position == (len(prefix) + MAX_NESTING * len(opener)
+                                         + max(opener.find("("), 0))
+        assert f"position {raised.value.position}" in str(raised.value)
+
+    def test_one_level_past_the_limit_raises(self):
+        depth = MAX_NESTING + 1
+        with pytest.raises(SQLSyntaxError):
+            parse_sql("SELECT phn FROM customer WHERE " + "(" * depth + "cc = '44'"
+                      + ")" * depth)
+
+    def test_nesting_at_the_limit_returns_the_flat_rows(self, engine):
+        flat = [row.values for row in engine.query(
+            "SELECT phn FROM customer WHERE cc = '44'")]
+        for where in ("(" * MAX_NESTING + "cc = '44'" + ")" * MAX_NESTING,
+                      "NOT " * MAX_NESTING + "cc = '44'",
+                      "(NOT " * (MAX_NESTING // 2) + "cc = '44'" + ")" * (MAX_NESTING // 2)):
+            deep = engine.query("SELECT phn FROM customer WHERE " + where)
+            assert [row.values for row in deep] == flat
 
 
 class TestExecutorBasics:

@@ -214,6 +214,45 @@ class TestSemandaqCLI:
         assert errors[-1] == f"semandaq: error: argument {flag}: must be at least 1, got 0"
         assert not any("Traceback" in line for line in errors)
 
+    def test_missing_data_file_is_one_line_and_exit_66(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        exit_code = semandaq_main([str(missing), "--sql", "SELECT phn FROM missing"])
+        assert exit_code == 66
+        captured = capsys.readouterr()
+        assert captured.err == (f"semandaq: error: cannot read {missing}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
+
+    def test_missing_constraints_file_is_one_line_and_exit_66(self, tmp_path, capsys):
+        data_path, _ = self._write_inputs(tmp_path)
+        missing = tmp_path / "missing.txt"
+        exit_code = semandaq_main([str(data_path), str(missing)])
+        assert exit_code == 66
+        assert capsys.readouterr().err == (f"semandaq: error: cannot read {missing}: "
+                                           "No such file or directory\n")
+
+    def test_malformed_constraints_are_one_line_and_exit_65(self, tmp_path, capsys):
+        data_path, constraints_path = self._write_inputs(tmp_path)
+        constraints_path.write_text("customer([zip] -> [street]\n", encoding="utf-8")
+        exit_code = semandaq_main([str(data_path), str(constraints_path)])
+        assert exit_code == 65
+        assert capsys.readouterr().err == (
+            "semandaq: error: line 1: cannot parse CFD: 'customer([zip] -> [street]'\n")
+
+    def test_failing_sql_is_one_line_and_exit_65(self, tmp_path, capsys):
+        data_path, _ = self._write_inputs(tmp_path)
+        exit_code = semandaq_main([str(data_path), "--sql", "SELECT nope FROM customer"])
+        assert exit_code == 65
+        assert capsys.readouterr().err == "semandaq: error: unknown column 'nope'\n"
+
+    def test_sql_syntax_error_is_one_line_and_exit_65(self, tmp_path, capsys):
+        data_path, _ = self._write_inputs(tmp_path)
+        exit_code = semandaq_main([str(data_path), "--sql",
+                                   "SELECT phn FROM customer WHERE " + "(" * 5000])
+        assert exit_code == 65
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("semandaq: error: expression nests")
+
 
 class TestSessionSQL:
     def test_sql_runs_through_the_session(self, session):
