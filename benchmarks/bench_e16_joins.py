@@ -1,19 +1,16 @@
-"""E16 — code-native joins vs. the row path, and CIND anti-joins.
+"""E16 — code-native joins on dictionary bridges, and CIND anti-joins.
 
 The cross-relation half of the compressed-execution argument: an INNER
-JOIN with grouped aggregates runs once on the retained row path
-(``use_columns=False`` — ``_ExecRow`` merges, value-at-a-time hashing)
-and once as an integer hash join over dictionary-bridge translations.
-Results are asserted identical at every size; the measured speedup lands
-in the benchmark JSON ``extra_info`` with a >= 1.5x floor asserted at the
-largest size.  CIND detection (the bridged-code anti-join) is checked for
-identical reports across engines.
+JOIN with grouped aggregates runs as an integer hash join over
+dictionary-bridge translations.  The parity smoke asserts the in-process
+plan and the serial chunked engine return identical relations, and CIND
+detection (the bridged-code anti-join) identical reports across engines;
+the scaling benchmark times the join plan per size.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
@@ -25,8 +22,6 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.engine import SQLEngine
 from repro.relational.types import NULL, AttributeType
-
-from conftest import print_series
 
 SIZES = [500, 1000, 2000, 4000]
 
@@ -89,13 +84,14 @@ def test_e16_join_scaling(benchmark, size):
     database = _database(size)
     engine = SQLEngine(database)
     benchmark.pedantic(lambda: engine.query(JOIN_QUERY), rounds=3, iterations=1)
+    assert engine.last_plan == "join"
 
 
 def test_e16_join_and_cind_parity(benchmark):
-    """Smoke: identical join results and CIND reports across all paths."""
+    """Smoke: identical joins from the in-process and chunked plans, and CIND
+    reports across engines."""
     def compute():
         database = _database(1000)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         queries = [
@@ -105,11 +101,10 @@ def test_e16_join_and_cind_parity(benchmark):
             "SELECT DISTINCT z.region FROM orders o JOIN zips z ON o.zip = z.zip",
         ]
         for sql in queries:
-            expected = _fingerprint(row.query(sql))
-            assert row.last_plan == "row"
-            assert _fingerprint(code.query(sql)) == expected
+            expected = _fingerprint(code.query(sql))
             assert code.last_plan == "join"
             assert _fingerprint(serial.query(sql)) == expected
+            assert serial.last_plan == "join"
         expected_tids = _violation_tids(
             CINDDetector(database, [CIND_CONSTRAINT], engine="sequential").detect())
         assert expected_tids
@@ -118,32 +113,3 @@ def test_e16_join_and_cind_parity(benchmark):
         return len(queries)
 
     assert benchmark.pedantic(compute, rounds=1, iterations=1) == 3
-
-
-def test_e16_row_vs_code_join_speedup(benchmark):
-    """The headline series: row-path join vs. the integer hash join."""
-    def compute():
-        rows = []
-        for size in SIZES:
-            database = _database(size)
-            row_engine = SQLEngine(database, use_columns=False)
-            code_engine = SQLEngine(database)
-            code_engine.query(JOIN_QUERY)  # steady state: caches + bridges built
-            started = time.perf_counter()
-            row_result = row_engine.query(JOIN_QUERY)
-            row_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            code_result = code_engine.query(JOIN_QUERY)
-            code_seconds = time.perf_counter() - started
-            assert _fingerprint(code_result) == _fingerprint(row_result)
-            assert code_engine.last_plan == "join"
-            rows.append([size, len(code_result), row_seconds, code_seconds,
-                         row_seconds / code_seconds])
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    print_series("E16: grouped equi join, row path vs. bridged codes",
-                 ["tuples", "groups", "row_s", "code_s", "speedup"], rows)
-    benchmark.extra_info["speedups"] = {str(r[0]): round(r[4], 2) for r in rows}
-    benchmark.extra_info["speedup_largest"] = round(rows[-1][4], 2)
-    assert rows[-1][4] >= 1.5

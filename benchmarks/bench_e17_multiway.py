@@ -1,14 +1,14 @@
-"""E17 — multiway (3-table) joins: leapfrog on rank arrays vs. the alternatives.
+"""E17 — multiway (3-table) joins: leapfrog on rank arrays vs. a join cascade.
 
 The N-ary half of the compressed-execution argument: a 3-table chain
-join with grouped aggregates runs once on the retained row path
-(``use_columns=False`` — left-deep ``_ExecRow`` pipeline), once as the
-leapfrog-style sorted-intersection join over shared-code rank arrays,
-and once as a cascade of two 2-table hash joins with the intermediate
-result materialised into a temporary database.  Results are asserted
-identical at every size; the measured speedups land in the benchmark
-JSON ``extra_info`` with a >= 1.5x floor (row vs. multiway) asserted at
-the largest size.
+join with grouped aggregates runs as the leapfrog-style
+sorted-intersection join over shared-code rank arrays, and once as a
+cascade of two 2-table hash joins with the intermediate result
+materialised into a temporary database.  The parity smoke asserts the
+in-process plan and the serial chunked engine return identical
+relations; the scaling benchmark times the multiway plan per size, and
+the series records the cascade-to-multiway ratio, whose results are
+asserted identical at every size.
 """
 
 from __future__ import annotations
@@ -124,13 +124,13 @@ def test_e17_multiway_scaling(benchmark, size):
     database = _database(size)
     engine = SQLEngine(database)
     benchmark.pedantic(lambda: engine.query(MULTI_QUERY), rounds=3, iterations=1)
+    assert engine.last_plan == "multiway"
 
 
 def test_e17_multiway_parity_smoke(benchmark):
-    """Smoke: identical 3-table results across row, multiway and serial pool."""
+    """Smoke: identical 3-table results from the in-process and chunked plans."""
     def compute():
         database = _database(1000)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         queries = [
@@ -142,43 +142,13 @@ def test_e17_multiway_parity_smoke(benchmark):
             "WHERE o.zip = z.zip AND z.region = r.region",
         ]
         for sql in queries:
-            expected = _fingerprint(row.query(sql))
-            assert row.last_plan == "row"
-            assert _fingerprint(code.query(sql)) == expected
+            expected = _fingerprint(code.query(sql))
             assert code.last_plan == "multiway"
             assert _fingerprint(serial.query(sql)) == expected
+            assert serial.last_plan == "multiway"
         return len(queries)
 
     assert benchmark.pedantic(compute, rounds=1, iterations=1) == 3
-
-
-def test_e17_row_vs_multiway_speedup(benchmark):
-    """The headline series: row-path 3-table join vs. leapfrog on ranks."""
-    def compute():
-        rows = []
-        for size in SIZES:
-            database = _database(size)
-            row_engine = SQLEngine(database, use_columns=False)
-            code_engine = SQLEngine(database)
-            code_engine.query(MULTI_QUERY)  # steady state: caches + bridges built
-            started = time.perf_counter()
-            row_result = row_engine.query(MULTI_QUERY)
-            row_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            code_result = code_engine.query(MULTI_QUERY)
-            code_seconds = time.perf_counter() - started
-            assert _fingerprint(code_result) == _fingerprint(row_result)
-            assert code_engine.last_plan == "multiway"
-            rows.append([size, len(code_result), row_seconds, code_seconds,
-                         row_seconds / code_seconds])
-        return rows
-
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
-    print_series("E17: 3-table grouped join, row path vs. leapfrog on ranks",
-                 ["tuples", "groups", "row_s", "multi_s", "speedup"], rows)
-    benchmark.extra_info["speedups"] = {str(r[0]): round(r[4], 2) for r in rows}
-    benchmark.extra_info["speedup_largest"] = round(rows[-1][4], 2)
-    assert rows[-1][4] >= 1.5
 
 
 def test_e17_cascade_vs_multiway(benchmark):

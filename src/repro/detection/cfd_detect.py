@@ -30,7 +30,10 @@ return the same :class:`~repro.constraints.violations.ViolationReport`.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict
+from decimal import Decimal
 from typing import Any, Sequence
 
 from repro import obs
@@ -44,6 +47,7 @@ from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.sql.engine import SQLEngine
+from repro.relational.types import AttributeType
 
 
 class CFDDetector:
@@ -165,6 +169,42 @@ def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD],
                        engine=engine, workers=workers).detect()
 
 
+def _matching_cell(kind: AttributeType, constant: Any) -> Any:
+    """The one value of type *kind* that ``≍`` *constant*, or ``None``.
+
+    A cell *v* ≍ *c* iff ``v == c`` or ``str(v) == str(c)``.  A STRING
+    cell must be ``str(c)``; an INTEGER cell equals an integral number or
+    spells a canonical decimal string; a FLOAT cell equals a number or
+    spells ``c`` as Python prints floats (``'1.0'``, never ``'1'``); a
+    BOOLEAN cell equals ``c`` (``True == 1``) or prints as it.  NaN
+    matches nothing: a FLOAT column stores it as NULL.
+    """
+    if kind is AttributeType.STRING:
+        return str(constant)
+    number = isinstance(constant, (int, float))
+    if kind is AttributeType.BOOLEAN:
+        if number:
+            return {1: True, 0: False}.get(constant)
+        return {"True": True, "False": False}.get(str(constant))
+    convert = int if kind is AttributeType.INTEGER else float
+    try:
+        value = convert(constant if number else str(constant))
+    except (ValueError, OverflowError):
+        return None
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value if (value == constant if number else str(value) == str(constant)) \
+        else None
+
+
+def _number_literal(value: int | float) -> str:
+    """*value* as SQL the tokenizer reads back exactly (digits and one dot)."""
+    text = repr(value)
+    if "e" in text:
+        text = format(Decimal(value), "f")
+    return text
+
+
 class SQLCFDDetector:
     """SQL-generation based CFD detection (the Semandaq approach).
 
@@ -193,38 +233,85 @@ class SQLCFDDetector:
     def _quote(value: Any) -> str:
         return "'" + str(value).replace("'", "''") + "'"
 
+    def _tests(self, relation: Relation, attribute: str,
+               constant: Any) -> tuple[str, str | None] | None:
+        """SQL for ``t[attribute] ≍ constant`` and for its negation or NULL.
+
+        ``None`` when no cell of the column's type ≍ *constant*; else one
+        value of the type does (:func:`_matching_cell`).  A STRING column
+        compares with the quoted string, a BOOLEAN one tests the cell.  A
+        numeric column takes a range, because the code plan compiles
+        ranges but not numeric ``=``.  Ranges compare in float order, so
+        the test may also select a cell that order cannot tell from the
+        value (an integer past 2**53, ``0.0`` for ``-0.0``); match-back
+        re-checks every tuple.  The negation is ``None`` (no condition)
+        past the largest float and wherever it could miss such a cell.
+        """
+        column = f"t.{attribute}"
+        kind = relation.schema.attribute(attribute).type
+        value = _matching_cell(kind, constant)
+        if value is None:
+            return None
+        if kind is AttributeType.STRING:
+            literal = self._quote(value)
+            return f"{column} = {literal}", f"({column} <> {literal} OR {column} IS NULL)"
+        if kind is AttributeType.BOOLEAN:
+            return (column if value else f"NOT {column}",
+                    f"({'NOT ' if value else ''}{column} OR {column} IS NULL)")
+        if abs(value) > sys.float_info.max:  # ±inf, or an int no float reaches
+            bound = _number_literal(sys.float_info.max)
+            return (f"{column} > {bound}" if value > 0 else f"{column} < -{bound}"), None
+        literal = _number_literal(value)
+        exact = value != 0 if kind is AttributeType.FLOAT else abs(value) < 2 ** 53
+        return (f"{column} BETWEEN {literal} AND {literal}",
+                f"({column} < {literal} OR {column} > {literal} OR {column} IS NULL)"
+                if exact else None)
+
+    def _lhs_tests(self, relation: Relation, cfd: CFD,
+                   pattern: PatternTuple) -> list[str] | None:
+        """The pattern's LHS constant tests, or ``None`` when one matches no cell."""
+        tests = []
+        for attribute in cfd.lhs:
+            if pattern.is_constant_on(attribute):
+                test = self._tests(relation, attribute, pattern.constant(attribute))
+                if test is None:
+                    return None
+                tests.append(test[0])
+        return tests
+
     def single_tuple_sql(self, cfd: CFD, pattern: PatternTuple) -> str | None:
-        """The single-tuple violation query, or ``None`` when not applicable."""
+        """The single-tuple violation query, or ``None`` when not applicable
+        (no constant on the RHS, or no tuple can match the LHS constants)."""
         constant_rhs = [a for a in cfd.rhs if pattern.is_constant_on(a)]
         if not constant_rhs:
             return None
-        conditions = [
-            f"t.{attribute} = {self._quote(pattern.constant(attribute))}"
-            for attribute in cfd.lhs if pattern.is_constant_on(attribute)
-        ]
-        rhs_disagrees = [
-            f"(t.{attribute} <> {self._quote(pattern.constant(attribute))}"
-            f" OR t.{attribute} IS NULL)"
-            for attribute in constant_rhs
-        ]
-        where = " AND ".join(conditions + ["(" + " OR ".join(rhs_disagrees) + ")"]) \
-            if conditions else "(" + " OR ".join(rhs_disagrees) + ")"
-        return f"SELECT t.* FROM {cfd.relation_name} t WHERE {where}"
+        relation = self._database.relation(cfd.relation_name)
+        conditions = self._lhs_tests(relation, cfd, pattern)
+        if conditions is None:
+            return None
+        negations = []
+        for attribute in constant_rhs:
+            test = self._tests(relation, attribute, pattern.constant(attribute))
+            negations.append(test[1] if test else None)
+        if None not in negations:  # else no condition: every tuple may disagree
+            conditions.append("(" + " OR ".join(negations) + ")")
+        where = f" WHERE {' AND '.join(conditions)}" if conditions else ""
+        return f"SELECT t.* FROM {cfd.relation_name} t{where}"
 
     def group_sql(self, cfd: CFD, pattern: PatternTuple) -> str | None:
-        """The group (pair) violation query, or ``None`` when not applicable."""
+        """The group (pair) violation query, or ``None`` when not applicable
+        (no wildcard on the RHS, or no tuple can match the LHS constants)."""
         variable_rhs = [a for a in cfd.rhs if not pattern.is_constant_on(a)]
         if not variable_rhs:
             return None
-        conditions = [
-            f"t.{attribute} = {self._quote(pattern.constant(attribute))}"
-            for attribute in cfd.lhs if pattern.is_constant_on(attribute)
-        ]
+        relation = self._database.relation(cfd.relation_name)
+        conditions = self._lhs_tests(relation, cfd, pattern)
+        if conditions is None:
+            return None
         null_guards = [f"t.{attribute} IS NOT NULL" for attribute in cfd.lhs]
         where = " AND ".join(conditions + null_guards)
         group_cols = ", ".join(f"t.{attribute}" for attribute in cfd.lhs)
         select_cols = ", ".join(f"t.{a} AS {a}" for a in cfd.lhs)
-        relation = self._database.relation(cfd.relation_name)
         disagreements = []
         for attribute in variable_rhs:
             disagreements.append(f"COUNT(DISTINCT t.{attribute}) > 1")

@@ -9,15 +9,14 @@ fully self-contained relational engine providing
   (:mod:`repro.relational.columns`) — the substrate of the detection,
   discovery and statistics hot paths,
 * hash indexes over column codes (:mod:`repro.relational.index`),
-* a relational-algebra layer (:mod:`repro.relational.algebra`),
 * CSV import/export (:mod:`repro.relational.csvio`), and
 * a small SQL dialect — enough to run the CFD/CIND violation-detection
   queries of Fan et al. (:mod:`repro.relational.sql`).
 
 The engine is deliberately simple (row store, hash joins, no cost-based
 optimizer) but semantically faithful: NULL follows three-valued logic,
-group-by/aggregation matches SQL semantics, and every operator is covered
-by unit and property tests.
+group-by/aggregation matches SQL semantics, and the SQL parity suites
+check every plan against the SELECT restated in ``tests/oracle``.
 """
 
 from repro.relational.types import (

@@ -1,7 +1,7 @@
 """Scalar expressions with SQL three-valued logic.
 
-The expression AST is shared by the relational-algebra layer and the SQL
-executor: column references, literals, comparisons, boolean connectives,
+The expression AST of the SQL parser and executor: column references,
+literals, comparisons, boolean connectives,
 arithmetic, ``IS NULL``, ``IN``, ``LIKE`` and a handful of scalar
 functions.  Evaluation takes an :class:`EvaluationContext` that resolves
 column references to values; boolean results use three-valued logic with
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.errors import SQLExecutionError
 from repro.relational.types import NULL, is_null, sort_key
@@ -30,22 +30,6 @@ class EvaluationContext:
 
     def __init__(self, bindings: Mapping[str, Any]) -> None:
         self._bindings = {key.lower(): value for key, value in bindings.items()}
-
-    @classmethod
-    def from_tuple(cls, row: "Any", alias: str | None = None) -> "EvaluationContext":
-        """Context exposing one relation tuple, optionally under an alias."""
-        bindings: dict[str, Any] = {}
-        for name in row.schema.attribute_names:
-            bindings[name.lower()] = row[name]
-            if alias:
-                bindings[f"{alias.lower()}.{name.lower()}"] = row[name]
-        return cls(bindings)
-
-    def merged_with(self, other: "EvaluationContext") -> "EvaluationContext":
-        """Context containing the bindings of both contexts (other wins ties)."""
-        merged = dict(self._bindings)
-        merged.update(other._bindings)
-        return EvaluationContext(merged)
 
     def lookup(self, name: str, qualifier: str | None = None) -> Any:
         """Resolve a column reference; raises when the name is unknown."""
@@ -65,19 +49,12 @@ class EvaluationContext:
             raise SQLExecutionError(f"ambiguous column reference {name!r}")
         raise SQLExecutionError(f"unknown column {name!r}")
 
-    def names(self) -> list[str]:
-        return list(self._bindings.keys())
-
 
 class Expression:
     """Base class of all scalar expressions."""
 
     def evaluate(self, context: EvaluationContext) -> Any:
         raise NotImplementedError
-
-    def references(self) -> set[str]:
-        """Unqualified column names referenced by this expression."""
-        return set()
 
 
 @dataclass(frozen=True)
@@ -106,9 +83,6 @@ class ColumnRef(Expression):
 
     def evaluate(self, context: EvaluationContext) -> Any:
         return context.lookup(self.name, self.qualifier)
-
-    def references(self) -> set[str]:
-        return {self.name.lower()}
 
     def __str__(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
@@ -146,9 +120,6 @@ class Comparison(Expression):
             result = _COMPARISONS[self.operator](left, right)
         return result
 
-    def references(self) -> set[str]:
-        return self.left.references() | self.right.references()
-
     def __str__(self) -> str:
         return f"({self.left} {self.operator} {self.right})"
 
@@ -178,12 +149,6 @@ class And(Expression):
                 return False
         return NULL if saw_unknown else True
 
-    def references(self) -> set[str]:
-        refs: set[str] = set()
-        for operand in self.operands:
-            refs |= operand.references()
-        return refs
-
     def __str__(self) -> str:
         return "(" + " AND ".join(str(op) for op in self.operands) + ")"
 
@@ -204,12 +169,6 @@ class Or(Expression):
                 return True
         return NULL if saw_unknown else False
 
-    def references(self) -> set[str]:
-        refs: set[str] = set()
-        for operand in self.operands:
-            refs |= operand.references()
-        return refs
-
     def __str__(self) -> str:
         return "(" + " OR ".join(str(op) for op in self.operands) + ")"
 
@@ -226,9 +185,6 @@ class Not(Expression):
             return NULL
         return not value
 
-    def references(self) -> set[str]:
-        return self.operand.references()
-
     def __str__(self) -> str:
         return f"(NOT {self.operand})"
 
@@ -244,9 +200,6 @@ class IsNull(Expression):
         value = self.operand.evaluate(context)
         result = is_null(value)
         return (not result) if self.negated else result
-
-    def references(self) -> set[str]:
-        return self.operand.references()
 
     def __str__(self) -> str:
         return f"({self.operand} IS {'NOT ' if self.negated else ''}NULL)"
@@ -276,12 +229,6 @@ class InList(Expression):
             return NULL
         return True if self.negated else False
 
-    def references(self) -> set[str]:
-        refs = self.operand.references()
-        for value in self.values:
-            refs |= value.references()
-        return refs
-
     def __str__(self) -> str:
         values = ", ".join(str(v) for v in self.values)
         return f"({self.operand} {'NOT ' if self.negated else ''}IN ({values}))"
@@ -302,9 +249,6 @@ class Like(Expression):
         regex = _like_to_regex(self.pattern)
         result = bool(regex.fullmatch(str(value)))
         return (not result) if self.negated else result
-
-    def references(self) -> set[str]:
-        return self.operand.references()
 
     def __str__(self) -> str:
         return f"({self.operand} {'NOT ' if self.negated else ''}LIKE '{self.pattern}')"
@@ -355,9 +299,6 @@ class Arithmetic(Expression):
                 f"cannot apply {self.operator!r} to {left!r} and {right!r}"
             ) from exc
 
-    def references(self) -> set[str]:
-        return self.left.references() | self.right.references()
-
     def __str__(self) -> str:
         return f"({self.left} {self.operator} {self.right})"
 
@@ -387,34 +328,8 @@ class FunctionCall(Expression):
         values = [arg.evaluate(context) for arg in self.arguments]
         return func(*values)
 
-    def references(self) -> set[str]:
-        refs: set[str] = set()
-        for argument in self.arguments:
-            refs |= argument.references()
-        return refs
-
     def __str__(self) -> str:
         return f"{self.name.upper()}({', '.join(str(a) for a in self.arguments)})"
-
-
-def conjunction(operands: Sequence[Expression]) -> Expression:
-    """AND of *operands*, simplified for the 0- and 1-operand cases."""
-    operands = [op for op in operands if op is not None]
-    if not operands:
-        return Literal(True)
-    if len(operands) == 1:
-        return operands[0]
-    return And(tuple(operands))
-
-
-def disjunction(operands: Sequence[Expression]) -> Expression:
-    """OR of *operands*, simplified for the 0- and 1-operand cases."""
-    operands = [op for op in operands if op is not None]
-    if not operands:
-        return Literal(False)
-    if len(operands) == 1:
-        return operands[0]
-    return Or(tuple(operands))
 
 
 def truth(value: Any) -> bool:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.errors import RelationError, SchemaError
 from repro.relational.columns import ColumnStore
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import NULL, coerce_value, is_null, sort_key, value_repr
+from repro.relational.types import NULL, coerce_value, is_null, value_repr
 
 
 class Tuple:
@@ -280,22 +280,6 @@ class Relation:
         clone._next_tid = self._next_tid
         return clone
 
-    def project_relation(self, attribute_names: Sequence[str], name: str | None = None,
-                         distinct: bool = False) -> "Relation":
-        """New relation containing only *attribute_names* (optionally deduplicated)."""
-        target_schema = self._schema.project(attribute_names, name or self.name)
-        result = Relation(target_schema)
-        seen: set[tuple[Any, ...]] = set()
-        positions = self._schema.positions(attribute_names)
-        for values in self._rows.values():
-            row = tuple(values[p] for p in positions)
-            if distinct:
-                if row in seen:
-                    continue
-                seen.add(row)
-            result.insert(row)
-        return result
-
     def filter(self, predicate: Callable[[Tuple], bool], name: str | None = None) -> "Relation":
         """New relation with the tuples satisfying *predicate* (tids preserved)."""
         result = Relation(self._schema if name is None else self._schema.renamed_relation(name))
@@ -304,17 +288,7 @@ class Relation:
         result._next_tid = self._next_tid
         return result
 
-    def sorted_tuples(self, attribute_names: Sequence[str] | None = None) -> list[Tuple]:
-        """Tuples sorted by the given attributes (or the whole row)."""
-        names = list(attribute_names) if attribute_names else list(self._schema.attribute_names)
-        return sorted(self, key=lambda t: tuple(sort_key(v) for v in t.project(names)))
-
     # -- diagnostics -----------------------------------------------------
-
-    def count_distinct(self, attribute_names: Sequence[str]) -> int:
-        """Number of distinct value combinations over *attribute_names*."""
-        positions = self._schema.positions(attribute_names)
-        return len({tuple(values[p] for p in positions) for values in self._rows.values()})
 
     def null_count(self, attribute_name: str) -> int:
         """Number of NULLs in *attribute_name*."""

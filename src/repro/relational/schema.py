@@ -10,7 +10,7 @@ schema objects so that relations can safely share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.types import AttributeType
@@ -28,10 +28,6 @@ class Attribute:
             raise SchemaError(f"attribute name must be a non-empty string, got {self.name!r}")
         if not isinstance(self.type, AttributeType):
             raise SchemaError(f"attribute type must be an AttributeType, got {self.type!r}")
-
-    def renamed(self, new_name: str) -> "Attribute":
-        """Return a copy of this attribute with a different name."""
-        return Attribute(new_name, self.type)
 
 
 class RelationSchema:
@@ -123,29 +119,9 @@ class RelationSchema:
 
     # -- derived schemas -------------------------------------------------
 
-    def project(self, attribute_names: Sequence[str], name: str | None = None) -> "RelationSchema":
-        """Schema restricted to *attribute_names* (in the given order)."""
-        attrs = [self.attribute(a) for a in attribute_names]
-        return RelationSchema(name or self.name, attrs)
-
-    def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "RelationSchema":
-        """Schema with attributes renamed according to *mapping*."""
-        lowered = {old.lower(): new for old, new in mapping.items()}
-        for old in mapping:
-            self.position(old)  # validate
-        attrs = [
-            attr.renamed(lowered[attr.name.lower()]) if attr.name.lower() in lowered else attr
-            for attr in self._attributes
-        ]
-        return RelationSchema(name or self.name, attrs)
-
     def renamed_relation(self, new_name: str) -> "RelationSchema":
         """Schema identical to this one but belonging to relation *new_name*."""
         return RelationSchema(new_name, self._attributes)
-
-    def extend(self, extra: Sequence[Attribute | tuple[str, AttributeType]], name: str | None = None) -> "RelationSchema":
-        """Schema with additional attributes appended."""
-        return RelationSchema(name or self.name, list(self._attributes) + list(extra))
 
     def equivalent(self, other: "RelationSchema") -> bool:
         """Attribute-wise equality ignoring the relation name."""

@@ -76,11 +76,10 @@ class TableRef:
 
 @dataclass(frozen=True)
 class Join:
-    """An explicit ``JOIN ... ON`` clause."""
+    """An explicit ``[INNER] JOIN ... ON`` clause (the only join kind)."""
 
     table: TableRef
     condition: Expression
-    kind: str = "inner"  # only inner joins are supported
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ relation's dictionary code arrays end to end.
 :func:`compile_plan` returns ``None`` whenever the statement needs more
 than this pipeline — joins, multiple tables, residual (expression-valued)
 WHERE conjuncts, non-column GROUP BY keys, aggregates over expressions —
-and the executor falls back to the retained row path, which produces
-byte-identical results (the randomized SQL parity suite pins this down).
+and the executor falls back to the row path; both answer exactly what
+the oracle's SELECT does (the randomized SQL parity suites pin this down).
 
 The compiled plan is deliberately split from its execution: the scan
 itself is the picklable ``sql_scan`` worker handler
@@ -705,8 +705,6 @@ def compile_join_plan(database: "Database", statement: SelectStatement,
     tables = list(statement.tables) + [join.table for join in statement.joins]
     if len(tables) != 2:
         return _note(reasons, "query does not read exactly two tables")
-    if any(join.kind != "inner" for join in statement.joins):
-        return _note(reasons, "only INNER joins compile to hash joins")
     if tables[0].binding_name.lower() == tables[1].binding_name.lower():
         # ambiguous bindings: leave to the row path
         return _note(reasons, "the two tables share one binding name")
@@ -1121,8 +1119,6 @@ def compile_multi_join_plan(database: "Database", statement: SelectStatement,
     tables = list(statement.tables) + [join.table for join in statement.joins]
     if len(tables) < 3:
         return _note(reasons, "query reads fewer than three tables")
-    if any(join.kind != "inner" for join in statement.joins):
-        return _note(reasons, "only INNER joins compile to multiway joins")
     bindings = [table.binding_name.lower() for table in tables]
     if len(set(bindings)) != len(bindings):
         return _note(reasons, "tables share a binding name")
@@ -1359,26 +1355,17 @@ def multiway_fold_payload(plan: MultiJoinPlan) -> dict[str, Any]:
 #   re-sorted by representative to restore the ascending first-occurrence
 #   order of the sorted enumeration.
 
-#: module switch used by parity tests to force the enumerated reference.
+#: module switch forcing the enumerated plans (the factorised parity
+#: suite checks both against the oracle; E18 times one against the other).
 FACTORISE = True
 
 #: column types whose SUM/AVG folds are exact (order-free) integers.
 _EXACT_FOLD_TYPES = (AttributeType.INTEGER, AttributeType.BOOLEAN)
 
 
-class FactorisedPlan:
-    """A grouped join plan evaluated by semiring folds, not enumeration."""
-
-    __slots__ = ("plan", "kind")
-
-    def __init__(self, plan: "JoinPlan | MultiJoinPlan", kind: str) -> None:
-        self.plan = plan  #: the compiled enumerated plan (shape + specs).
-        self.kind = kind  #: ``"join"`` (two tables) or ``"multiway"``.
-
-
-def factorise_plan(plan: "JoinPlan | MultiJoinPlan",
-                   reasons: list[str] | None = None) -> FactorisedPlan | None:
-    """Wrap *plan* as a :class:`FactorisedPlan`, or ``None`` to enumerate.
+def factorise_plan(plan: "JoinPlan | MultiJoinPlan", reasons: list[str] | None = None
+                   ) -> "JoinPlan | MultiJoinPlan | None":
+    """*plan* when it runs by semiring folds, or ``None`` to enumerate.
 
     A plan factorises when it is grouped (plain scans must enumerate
     their output tuples) and every aggregate is semiring-foldable —
@@ -1400,8 +1387,7 @@ def factorise_plan(plan: "JoinPlan | MultiJoinPlan",
                     reasons,
                     f"aggregate {call} folds {attribute.type.value} values, "
                     "whose fold order the factorised product cannot preserve")
-    kind = "join" if isinstance(plan, JoinPlan) else "multiway"
-    return FactorisedPlan(plan, kind)
+    return plan
 
 
 def factorised_aggregates(plan: "JoinPlan | MultiJoinPlan") -> list[tuple]:

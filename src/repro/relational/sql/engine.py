@@ -1,4 +1,13 @@
-"""The public SQL entry point: parse + execute against a database."""
+"""The public SQL entry point: parse + execute against a database.
+
+Each SELECT runs on a code-native plan over dictionary codes when one
+compiles (single-table scans, two-table hash joins, multiway joins and
+their factorised aggregates) and on the row executor otherwise; the row
+path is the fallback for the shapes no code plan covers, not a second
+implementation to compare against.  ``tests/oracle/definitions.select``
+restates SELECT over dict rows, and the SQL parity suites hold every
+plan and engine to it.
+"""
 
 from __future__ import annotations
 
@@ -24,21 +33,19 @@ class SQLEngine:
     scan/filter/group/aggregate plans fan out across column-partition
     chunks, with results identical to the in-process path.  The
     ``REPRO_ENGINE`` / ``REPRO_WORKERS`` environment variables provide the
-    same defaults process-wide.  ``use_columns=False`` retains the
-    historical row-at-a-time execution for everything (the parity
-    reference).
+    same defaults process-wide.
     """
 
     def __init__(self, database: Database, engine: str | None = None,
-                 workers: int | None = None, use_columns: bool = True,
-                 fds: Any = None, task_timeout: float | None = None,
+                 workers: int | None = None, fds: Any = None,
+                 task_timeout: float | None = None,
                  task_retries: int | None = None) -> None:
         from repro.engine.executor import resolve_pool
 
         self._database = database
         # fds are variable-ordering hints for multiway joins; they never
         # change results, only the order join variables are bound in.
-        self._executor = SQLExecutor(database, use_columns=use_columns,
+        self._executor = SQLExecutor(database,
                                      pool=resolve_pool(engine, workers,
                                                        task_timeout=task_timeout,
                                                        task_retries=task_retries),

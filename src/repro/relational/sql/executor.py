@@ -1,34 +1,36 @@
 """Executor for the SQL subset.
 
-Execution takes one of two paths, selected per SELECT:
+Each SELECT takes one of five plans, tried in this order:
 
-**Code-native path** (the default for single-table statements).  The
-statement is compiled by :func:`repro.relational.sql.columnar.compile_plan`
-into a scan → filter → group → aggregate pipeline over the relation's
-dictionary code arrays: WHERE conjuncts become ``(position, allowed code
-set)`` filters (string equality / ``IN`` and their negations, plus ``<``
-``<=`` ``>`` ``>=`` and the desugared ``BETWEEN`` via the column's
-dictionary-order view), GROUP BY keys are code tuples straight off the
-arrays, and COUNT / COUNT(DISTINCT) / MIN / MAX / SUM / AVG are computed
-on codes.  No ``_ExecRow`` binding dict is ever built — values decode
-only into the output rows.  The scan runs in-process, or fans out across
-:mod:`repro.engine` chunks (the ``sql_scan`` worker, stitched by
-:class:`~repro.engine.sql.AggregateMerger`) when the executor was built
-with a pool.
+**Code-native plans.**  :mod:`repro.relational.sql.columnar` compiles
+the statement into a single-table scan → filter → group → aggregate
+pipeline (``code``), a two-table integer hash join (``join``), a 3+-table
+leapfrog join (``multiway``), or either join with its grouped aggregates
+folded by semirings (``factorised``), all over the relations' dictionary
+code arrays: WHERE conjuncts become ``(position, allowed code set)``
+filters (string equality / ``IN`` and their negations, ``<`` ``<=`` ``>``
+``>=`` and the desugared ``BETWEEN`` via the column's dictionary-order
+view, ``IS [NOT] NULL``, one-column ORs), GROUP BY keys are code tuples
+and aggregates run on codes.  Values decode only into the output rows.
+The scans and probes run in-process, or fan out across
+:mod:`repro.engine` chunks when the executor was built with a pool.
 
-**Row path** (joins, multiple tables, residual predicates, computed
-select items — and everything when ``use_columns=False``).  The FROM
-clause is turned into a left-deep sequence of hash equi-joins where
-possible and nested-loop filters otherwise (:class:`_FromPlanner`);
-push-downable WHERE conjuncts still select tids by code membership before
-any binding dict is built (unless ``use_columns=False``); the remaining
+**Row path** (the fallback).  Shapes no code plan compiles — an OR
+across columns, computed items or GROUP BY keys, residual conjuncts
+across tables, cross products, duplicate binding names, UNION parts —
+run here: the FROM clause becomes a left-deep sequence of hash
+equi-joins where possible and nested-loop products otherwise
+(:class:`_FromPlanner`); push-downable conjuncts still select tids by
+code membership before any binding row is built; the remaining
 conjuncts, GROUP BY, aggregates and HAVING are evaluated row-at-a-time.
+EXPLAIN names why each code plan was rejected.
 
-Both paths produce identical results — rows, order, names and inferred
-types — which the randomized SQL parity suite pins down.  DISTINCT /
-ORDER BY / LIMIT and result-relation construction are shared; the
-code-native plain scan orders by dictionary ranks instead when every
-ORDER BY key allows it.  The result of execution is an ordinary
+Every plan answers exactly what ``tests/oracle/definitions.select``, the
+SELECT restated over dict rows, answers — rows, order, names and
+inferred types; the randomized SQL parity suites pin that down on every
+engine.  DISTINCT / ORDER BY / LIMIT and result-relation construction
+are shared; the code-native plans order by dictionary ranks instead when
+every ORDER BY key allows it.  The result is an ordinary
 :class:`~repro.relational.relation.Relation`, so query results compose
 with the rest of the engine.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro import obs
 from repro.errors import SQLExecutionError
@@ -61,7 +63,6 @@ from repro.relational.sql.ast import (
 )
 from repro.relational.sql.columnar import (
     CodePlan,
-    FactorisedPlan,
     JoinPlan,
     MultiJoinPlan,
     build_factorised_buckets,
@@ -90,11 +91,6 @@ from repro.relational.sql.columnar import (
 )
 from repro.relational.types import NULL, AttributeType, is_null, sort_key
 
-#: test hook: called with every _ExecRow built (None disables).  The SQL
-#: parity suite points this at a counter to assert the code-native path
-#: allocates zero binding rows.
-_exec_row_hook: Callable[["_ExecRow"], None] | None = None
-
 
 class _ExecRow:
     """One intermediate row: bindings for evaluation plus source tuples."""
@@ -104,8 +100,6 @@ class _ExecRow:
     def __init__(self, bindings: dict[str, Any], sources: list[tuple[str, Tuple]]) -> None:
         self.bindings = bindings
         self.sources = sources
-        if _exec_row_hook is not None:
-            _exec_row_hook(self)
 
     def context(self) -> EvaluationContext:
         return EvaluationContext(self.bindings)
@@ -149,11 +143,9 @@ class _FromPlanner:
     """Builds the joined row stream for a SELECT statement."""
 
     def __init__(self, database: Database, statement: SelectStatement,
-                 use_columns: bool = True,
                  record: list[dict[str, Any]] | None = None) -> None:
         self._database = database
         self._statement = statement
-        self._use_columns = use_columns
         #: EXPLAIN sink: per-pushed-conjunct pruning entries land here.
         self._record = record
 
@@ -195,12 +187,9 @@ class _FromPlanner:
         and range comparisons on any column compile to dictionary-code
         sets via :func:`~repro.relational.sql.columnar.compile_filter`;
         everything else stays a residual conjunct, so results — rows
-        *and* their order — are identical to the row-at-a-time path.
-        With ``use_columns=False`` nothing is pushed down at all: the
-        retained reference path evaluates every conjunct on binding rows.
+        *and* their order — are those of evaluating every conjunct on
+        binding rows.
         """
-        if not self._use_columns:
-            return [], list(conjuncts)
         relation = self._database.relation(table.relation_name)
         filters: list[tuple[list[int], set[int]]] = []
         pushed: list[tuple[Expression, int, set[int]]] = []
@@ -296,8 +285,6 @@ def _infer_output_type(values: Iterable[Any]) -> AttributeType:
 class SQLExecutor:
     """Executes parsed statements against a :class:`Database`.
 
-    ``use_columns=False`` retains the historical row-at-a-time reference
-    path for everything (no code-native plans, no code-set push-down).
     *pool* is an :class:`~repro.engine.executor.ExecutorPool`: when given,
     code-native scans fan out across it chunk by chunk (results are
     identical — the engine is an execution detail).  *fds* are
@@ -306,10 +293,8 @@ class SQLExecutor:
     results).
     """
 
-    def __init__(self, database: Database, use_columns: bool = True,
-                 pool: Any = None, fds: Any = None) -> None:
+    def __init__(self, database: Database, pool: Any = None, fds: Any = None) -> None:
         self._database = database
-        self._use_columns = use_columns
         self._pool = pool
         self._fds = list(fds) if fds else []
         #: per-relation chunked engines (broadcast state survives queries).
@@ -373,83 +358,73 @@ class SQLExecutor:
                     "why_not_multiway": [], "why_not_factorised": [],
                     "filters": [], "join": None, "multiway": None,
                     "factorised": None}
-            if not self._use_columns:
-                info["why_not_code"].append("use_columns=False")
-                info["why_not_join"].append("use_columns=False")
-                info["why_not_multiway"].append("use_columns=False")
-                info["why_not_factorised"].append("use_columns=False")
         self._explain = info
-        if self._use_columns:
-            plan = compile_plan(self._database, statement,
-                                info["why_not_code"] if info is not None else None)
-            if plan is not None:
-                self.last_plan = "code"
-                if obs.enabled:
-                    obs.inc("sql.plan.code")
-                if info is not None:
-                    info["plan"] = "code"
-                    info["why_not_join"].append("code-native single-table plan chosen")
-                    info["filters"] = self._explain_filters(
-                        plan.relation, plan.table.binding_name, plan.filters)
-                output_rows, names, pre_ordered = self._execute_code_plan(plan)
+        plan = compile_plan(self._database, statement,
+                            info["why_not_code"] if info is not None else None)
+        if plan is not None:
+            self.last_plan = "code"
+            if obs.enabled:
+                obs.inc("sql.plan.code")
+            if info is not None:
+                info["plan"] = "code"
+                info["why_not_join"].append("code-native single-table plan chosen")
+                info["filters"] = self._explain_filters(
+                    plan.relation, plan.table.binding_name, plan.filters)
+            output_rows, names, pre_ordered = self._execute_code_plan(plan)
+            ran_code = True
+        else:
+            join_plan = compile_join_plan(
+                self._database, statement,
+                info["why_not_join"] if info is not None else None)
+            if join_plan is not None:
+                if factorise_plan(join_plan, info["why_not_factorised"]
+                                  if info is not None else None) is not None:
+                    self.last_plan = "factorised"
+                    if obs.enabled:
+                        obs.inc("sql.plan.factorised")
+                    if info is not None:
+                        info["plan"] = "factorised"
+                    output_rows, names, pre_ordered = \
+                        self._execute_factorised_join(join_plan)
+                else:
+                    self.last_plan = "join"
+                    if obs.enabled:
+                        obs.inc("sql.plan.join")
+                    if info is not None:
+                        info["plan"] = "join"
+                    output_rows, names, pre_ordered = \
+                        self._execute_join_plan(join_plan)
                 ran_code = True
             else:
-                join_plan = compile_join_plan(
+                multi_plan = compile_multi_join_plan(
                     self._database, statement,
-                    info["why_not_join"] if info is not None else None)
-                if join_plan is not None:
-                    factorised = factorise_plan(
-                        join_plan,
-                        info["why_not_factorised"] if info is not None else None)
-                    if factorised is not None:
+                    info["why_not_multiway"] if info is not None else None,
+                    self._fds)
+                if multi_plan is not None:
+                    if factorise_plan(multi_plan, info["why_not_factorised"]
+                                      if info is not None else None) is not None:
                         self.last_plan = "factorised"
                         if obs.enabled:
                             obs.inc("sql.plan.factorised")
                         if info is not None:
                             info["plan"] = "factorised"
                         output_rows, names, pre_ordered = \
-                            self._execute_factorised_join(join_plan)
+                            self._execute_factorised_multi(multi_plan)
                     else:
-                        self.last_plan = "join"
+                        self.last_plan = "multiway"
                         if obs.enabled:
-                            obs.inc("sql.plan.join")
+                            obs.inc("sql.plan.multiway")
                         if info is not None:
-                            info["plan"] = "join"
+                            info["plan"] = "multiway"
                         output_rows, names, pre_ordered = \
-                            self._execute_join_plan(join_plan)
+                            self._execute_multi_join_plan(multi_plan)
                     ran_code = True
-                else:
-                    multi_plan = compile_multi_join_plan(
-                        self._database, statement,
-                        info["why_not_multiway"] if info is not None else None,
-                        self._fds)
-                    if multi_plan is not None:
-                        factorised = factorise_plan(
-                            multi_plan,
-                            info["why_not_factorised"] if info is not None else None)
-                        if factorised is not None:
-                            self.last_plan = "factorised"
-                            if obs.enabled:
-                                obs.inc("sql.plan.factorised")
-                            if info is not None:
-                                info["plan"] = "factorised"
-                            output_rows, names, pre_ordered = \
-                                self._execute_factorised_multi(multi_plan)
-                        else:
-                            self.last_plan = "multiway"
-                            if obs.enabled:
-                                obs.inc("sql.plan.multiway")
-                            if info is not None:
-                                info["plan"] = "multiway"
-                            output_rows, names, pre_ordered = \
-                                self._execute_multi_join_plan(multi_plan)
-                        ran_code = True
         if obs.enabled and not ran_code:
             obs.inc("sql.plan.row")
 
         if not ran_code:
             rows, residual = _FromPlanner(
-                self._database, statement, use_columns=self._use_columns,
+                self._database, statement,
                 record=info["filters"] if info is not None else None).execute()
 
             for conjunct in residual:

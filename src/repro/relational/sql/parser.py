@@ -61,11 +61,6 @@ class AggregateExpr(Expression):
     def evaluate(self, context):  # pragma: no cover - defensive
         raise SQLSyntaxError("aggregate used outside GROUP BY/HAVING context")
 
-    def references(self) -> set[str]:
-        if self.call.argument is None:
-            return set()
-        return self.call.argument.references()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AggregateExpr) and self.call == other.call
 
@@ -94,7 +89,7 @@ class _Parser:
     def _advance(self) -> Token:
         token = self._peek()
         if token is None:
-            raise SQLSyntaxError("unexpected end of SQL input")
+            raise SQLSyntaxError("unexpected end of SQL input", len(self._text))
         self._index += 1
         return token
 
@@ -102,14 +97,15 @@ class _Parser:
         token = self._peek()
         if token is None or not token.is_keyword(*names):
             raise SQLSyntaxError(
-                f"expected {'/'.join(names).upper()} near {self._context()}"
-            )
+                f"expected {'/'.join(names).upper()} near {self._context()}",
+                self._position())
         return self._advance()
 
     def _expect_operator(self, symbol: str) -> Token:
         token = self._peek()
         if token is None or not token.is_operator(symbol):
-            raise SQLSyntaxError(f"expected {symbol!r} near {self._context()}")
+            raise SQLSyntaxError(f"expected {symbol!r} near {self._context()}",
+                                 self._position())
         return self._advance()
 
     def _match_keyword(self, *names: str) -> bool:
@@ -145,6 +141,11 @@ class _Parser:
             return "end of input"
         return f"{token.value!r} (position {token.position})"
 
+    def _position(self) -> int:
+        """The next token's offset, or the end of the text after the last."""
+        token = self._peek()
+        return len(self._text) if token is None else token.position
+
     # -- statements --------------------------------------------------------
 
     def parse_statement(self) -> Statement:
@@ -156,7 +157,8 @@ class _Parser:
             selects.append(self._parse_select())
         self._match_operator(";")
         if self._peek() is not None:
-            raise SQLSyntaxError(f"unexpected trailing input near {self._context()}")
+            raise SQLSyntaxError(f"unexpected trailing input near {self._context()}",
+                                 self._position())
         if len(selects) == 1:
             return first
         return UnionStatement(selects=selects, all=union_all)
@@ -208,7 +210,8 @@ class _Parser:
         if self._match_keyword("limit"):
             token = self._advance()
             if token.kind != "number":
-                raise SQLSyntaxError(f"LIMIT expects a number, got {token.value!r}")
+                raise SQLSyntaxError(f"LIMIT expects a number, got {token.value!r}",
+                                     token.position)
             limit = int(float(token.value))
 
         return SelectStatement(
@@ -238,7 +241,8 @@ class _Parser:
         if self._match_keyword("as"):
             alias_token = self._advance()
             if alias_token.kind not in ("identifier", "keyword"):
-                raise SQLSyntaxError(f"bad alias {alias_token.value!r}")
+                raise SQLSyntaxError(f"bad alias {alias_token.value!r}",
+                                     alias_token.position)
             alias = alias_token.value
         else:
             next_token = self._peek()
@@ -251,7 +255,8 @@ class _Parser:
     def _parse_table_ref(self) -> TableRef:
         token = self._advance()
         if token.kind not in ("identifier", "keyword"):
-            raise SQLSyntaxError(f"expected relation name, got {token.value!r}")
+            raise SQLSyntaxError(f"expected relation name, got {token.value!r}",
+                                 token.position)
         alias = None
         if self._match_keyword("as"):
             alias = self._advance().value
@@ -262,18 +267,17 @@ class _Parser:
         return TableRef(relation_name=token.value, alias=alias)
 
     def _parse_join(self) -> Join:
-        kind = "inner"
-        if self._match_keyword("inner"):
-            kind = "inner"
-        elif self._match_keyword("left"):
-            kind = "left"
+        start = self._position()
+        left = self._match_keyword("left")
+        if not left:
+            self._match_keyword("inner")
         self._expect_keyword("join")
         table = self._parse_table_ref()
         self._expect_keyword("on")
         condition = self._parse_expression()
-        if kind != "inner":
-            raise SQLSyntaxError("only INNER JOIN is supported")
-        return Join(table=table, condition=condition, kind=kind)
+        if left:
+            raise SQLSyntaxError("only INNER JOIN is supported", start)
+        return Join(table=table, condition=condition)
 
     def _parse_order_item(self) -> OrderItem:
         expression = self._parse_expression()
@@ -346,7 +350,8 @@ class _Parser:
             self._advance()
             pattern_token = self._advance()
             if pattern_token.kind != "string":
-                raise SQLSyntaxError("LIKE expects a string pattern")
+                raise SQLSyntaxError("LIKE expects a string pattern",
+                                     pattern_token.position)
             return Like(left, pattern_token.value, negated=negated)
 
         if token is not None and token.is_keyword("between"):
@@ -389,7 +394,7 @@ class _Parser:
     def _parse_primary(self) -> Expression:
         token = self._peek()
         if token is None:
-            raise SQLSyntaxError("unexpected end of expression")
+            raise SQLSyntaxError("unexpected end of expression", len(self._text))
 
         if token.is_operator("("):
             self._nest(self._advance())
@@ -420,7 +425,8 @@ class _Parser:
         if token.kind in ("identifier", "keyword"):
             return self._parse_name_or_function()
 
-        raise SQLSyntaxError(f"unexpected token {token.value!r} in expression")
+        raise SQLSyntaxError(f"unexpected token {token.value!r} in expression",
+                             token.position)
 
     def _parse_aggregate(self) -> Expression:
         function_token = self._advance()
@@ -457,7 +463,8 @@ class _Parser:
             self._advance()
             column_token = self._advance()
             if column_token.kind not in ("identifier", "keyword"):
-                raise SQLSyntaxError(f"expected column name after {name!r}.")
+                raise SQLSyntaxError(f"expected column name after {name!r}.",
+                                     column_token.position)
             return ColumnRef(column_token.value, qualifier=name)
 
         return ColumnRef(name)
@@ -467,5 +474,5 @@ def parse_sql(text: str) -> Statement:
     """Parse SQL *text* into a statement AST."""
     tokens = tokenize(text)
     if not tokens:
-        raise SQLSyntaxError("empty SQL statement")
+        raise SQLSyntaxError("empty SQL statement", 0)
     return _Parser(tokens, text).parse_statement()

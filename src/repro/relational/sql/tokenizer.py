@@ -57,8 +57,9 @@ def tokenize(text: str) -> list[Token]:
 
         # string literal
         if char == "'":
-            value, i = _read_string(text, i)
+            value, end = _read_string(text, i)
             tokens.append(Token("string", value, i))
+            i = end
             continue
 
         # quoted identifier

@@ -36,8 +36,10 @@ Errors print one line on stderr instead of a traceback: a data,
 constraint or query error (any :class:`~repro.errors.ReproError`) prints
 ``semandaq: error: <message>`` and exits with 65 (sysexits'
 ``EX_DATAERR``); an input file that cannot be read prints ``semandaq:
-error: cannot read <path>: <reason>`` and exits with 66 (``EX_NOINPUT``).
-Usage errors keep argparse's exit status 2.
+error: cannot read <path>: <reason>`` and exits with 66 (``EX_NOINPUT``);
+an output file (``--repair``, ``--stats``) that cannot be written prints
+``semandaq: error: cannot write <path>: <reason>`` and exits with 73
+(``EX_CANTCREAT``).  Usage errors keep argparse's exit status 2.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from repro.semandaq.session import SemandaqSession
 EX_DATAERR = 65
 #: exit status of an input file that cannot be read (sysexits' EX_NOINPUT).
 EX_NOINPUT = 66
+#: exit status of an output file that cannot be written (EX_CANTCREAT).
+EX_CANTCREAT = 73
 
 
 def _at_least_one(text: str) -> int:
@@ -174,8 +178,7 @@ def _run(arguments: argparse.Namespace) -> int:
         if plan_report is not None:
             print(plan_report)
         if arguments.constraints is None and not arguments.discover:
-            _write_stats(arguments, session)
-            return 0  # pure query invocation: no detection/repair to run
+            return _write_stats(arguments, session)  # pure query: nothing to clean
 
     cfds = []
     if constraints_text is not None:
@@ -204,23 +207,34 @@ def _run(arguments: argparse.Namespace) -> int:
 
     if arguments.repair:
         repair = session.apply_repair(relation_name)
-        relation_to_csv(session.database.relation(relation_name), arguments.repair)
+        try:
+            relation_to_csv(session.database.relation(relation_name), arguments.repair)
+        except OSError as error:
+            return _cannot_write(arguments.repair, error)
         print(f"wrote repaired relation ({len(repair.changes)} cells changed) "
               f"to {arguments.repair}")
-    _write_stats(arguments, session)
-    return 0
+    return _write_stats(arguments, session)
 
 
-def _write_stats(arguments: argparse.Namespace, session: SemandaqSession) -> None:
-    """Dump the metrics snapshot as JSON when --stats was given."""
+def _write_stats(arguments: argparse.Namespace, session: SemandaqSession) -> int:
+    """Dump the metrics snapshot as JSON when --stats was given; the exit code."""
     if arguments.stats is None:
-        return
+        return 0
     text = json.dumps(session.metrics(), indent=2, sort_keys=True)
     if arguments.stats == "-":
         print(text)
-    else:
+        return 0
+    try:
         Path(arguments.stats).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote metrics snapshot to {arguments.stats}")
+    except OSError as error:
+        return _cannot_write(arguments.stats, error)
+    print(f"wrote metrics snapshot to {arguments.stats}")
+    return 0
+
+
+def _cannot_write(path: str, error: OSError) -> int:
+    print(f"semandaq: error: cannot write {path}: {error.strerror}", file=sys.stderr)
+    return EX_CANTCREAT
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in examples

@@ -129,7 +129,7 @@ class TestMultiwayPlanExplain:
         assert "neither an equi key nor a single-side code-set test" in text
 
 
-class TestFactorisedPlanExplain:
+class TestFactorisedExplain:
     QUERY = ("SELECT c.city, COUNT(*) AS n FROM customer c "
              "JOIN orders o ON c.name = o.cust GROUP BY city")
 

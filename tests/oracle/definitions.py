@@ -7,7 +7,11 @@ shares no helper with the engine — not ``PatternTuple.matches``,
 ``constants_equal`` or ``is_null``, not ``HashIndex``, nothing from
 ``repro.discovery.partitions`` or ``repro.detection.columnar``, and no
 detector — so a bug in shared engine code cannot make an implementation
-agree with its own reference.  ``test_oracle_imports.py`` enforces that.
+agree with its own reference.  SQL is parsed with the engine's parser,
+but :func:`select` reads only the fields of the statement and expression
+nodes: it evaluates, groups, aggregates and orders by itself, with no
+executor, code plan or expression ``evaluate``.
+``test_oracle_imports.py`` enforces all of that.
 
 Everything favours clarity over speed: the hypothesis suites run it on
 relations of at most ten tuples, the seed-dataset suites on a few
@@ -22,10 +26,25 @@ patterns keep their multiplicity.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.constraints.tableau import UNDERSCORE
-from repro.relational.types import NULL
+from repro.relational.expressions import (
+    And,
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    FunctionCall,
+    InList,
+    IsNull,
+    Like,
+    Literal,
+    Not,
+    Or,
+)
+from repro.relational.sql.ast import AggregateCall, SelectStatement
+from repro.relational.sql.parser import AggregateExpr, parse_sql
+from repro.relational.types import NULL, AttributeType
 
 Row = dict[str, Any]
 
@@ -416,3 +435,402 @@ def _assert_changes(before, after, cfds, result, cost_model, allow_fresh: bool) 
         assert attribute in rhs or (allow_fresh and attribute in last_lhs
                                     and str(new).startswith(FRESH_PREFIX)), \
             f"repair changed {attribute!r}, which no CFD allows it to"
+
+
+# -- SQL SELECT ----------------------------------------------------------------
+#
+# Expressions compile once per statement into closures over an environment
+# ``(cells, aggregate)``: ``cells`` is the bound row dicts in FROM order (or
+# an output row, for ORDER BY) and ``aggregate`` maps an aggregate call to
+# its value over the current group.
+
+
+def select(database, sql: str) -> tuple[list[str], list[AttributeType], list[tuple]]:
+    """``(names, types, rows)`` of one SELECT block over *database*.
+
+    * FROM / JOIN: nested loops over the tables in FROM order, each in
+      ascending tid order.  ``alias.col`` is that table's cell; a bare
+      ``col`` is the cell of the first table in FROM order that has it.
+    * WHERE / ON: the conjunction of their top-level AND operands under
+      three-valued logic (:func:`sql_expression`); a combination survives
+      iff every conjunct is TRUE.  A conjunct is tested as soon as the
+      tables it names are bound, which keeps exactly the combinations,
+      in the order, that filtering the whole product would.
+    * GROUP BY (or any aggregate, or HAVING): groups in first-occurrence
+      order, one group without GROUP BY even over no rows
+      (:func:`sql_aggregate`); HAVING and computed items see the group's
+      first row.
+    * Then DISTINCT keeps first occurrences; ORDER BY is a stable sort
+      (:func:`sql_order_key`): the ascending sort reversed when every key
+      is DESC, one stable sort per key, last key first, for mixed
+      directions; a key names an output column first.  LIMIT truncates.
+    * Output: a repeated name gets ``_2``, ``_3``, ... and a column's type
+      is that of its first non-NULL value (STRING when there is none).
+    """
+    statement = parse_sql(sql)
+    if not isinstance(statement, SelectStatement):
+        raise NotImplementedError("the oracle restates single SELECT blocks")
+    tables = list(statement.tables) + [join.table for join in statement.joins]
+    data = []
+    for table in tables:
+        cells = rows(database.relation(table.relation_name))
+        data.append([cells[tid] for tid in sorted(cells)])
+    bindings = [(table.alias or table.relation_name).lower() for table in tables]
+    schemas = [attributes_of(database.relation(table.relation_name)) for table in tables]
+
+    def side_of(ref: ColumnRef) -> int:
+        name = ref.name.lower()
+        if ref.qualifier is None:
+            return next(side for side, names in enumerate(schemas) if name in names)
+        side = bindings.index(ref.qualifier.lower())
+        if name not in schemas[side]:
+            raise KeyError(f"{ref.qualifier}.{ref.name}")
+        return side
+
+    def cell(ref: ColumnRef) -> Callable:
+        side, name = side_of(ref), ref.name.lower()
+        return lambda env: env[0][side][name]
+
+    def compiled(node) -> Callable:
+        return sql_expression(node, cell)
+
+    conjuncts = _conjuncts(statement.where)
+    for join in statement.joins:
+        conjuncts.extend(_conjuncts(join.condition))
+    tested_at: list[list[Callable]] = [[] for _ in tables]
+    for conjunct in conjuncts:
+        sides = [side_of(ref) for ref in _column_refs(conjunct)]
+        tested_at[max(sides, default=0)].append(compiled(conjunct))
+
+    combos: list[list[Row]] = [[]]
+    for tests, table_rows in zip(tested_at, data):
+        extended = []
+        for bound in combos:
+            for row in table_rows:
+                env = (bound + [row], None)
+                if all(_true(test(env)) for test in tests):
+                    extended.append(env[0])
+        combos = extended
+
+    items = _select_items(statement, database, tables, bindings)
+    names = [name for name, _ in items]
+    calls = [call for _, expression in items for call in _aggregate_calls(expression)]
+    if statement.having is not None:
+        calls.extend(_aggregate_calls(statement.having))
+    values = [compiled(expression) if not isinstance(expression, AggregateCall)
+              else (lambda env, call=expression: env[1](call)) for _, expression in items]
+    output: list[tuple] = []
+    if statement.group_by or calls or statement.having is not None:
+        keys = [compiled(expression) for expression in statement.group_by]
+        groups: dict[tuple, list[list[Row]]] = {}
+        for bound in combos:
+            groups.setdefault(tuple(key((bound, None)) for key in keys), []).append(bound)
+        if not keys:
+            groups = {(): combos}
+        arguments = {call: compiled(call.argument) for call in calls
+                     if call.argument is not None}
+        having = compiled(statement.having) if statement.having is not None else None
+        for group in groups.values():
+            totals = {call: sql_aggregate(call, [arguments[call]((bound, None))
+                                                 for bound in group]
+                                          if call.argument is not None else group)
+                      for call in calls}
+            env = (group[0] if group else None, totals.__getitem__)
+            if having is not None and not _true(having(env)):
+                continue
+            output.append(tuple(value(env) for value in values))
+    else:
+        output = [tuple(value((bound, None)) for value in values) for bound in combos]
+
+    if statement.distinct:
+        seen: set[tuple] = set()
+        output = [row for row in output if not (row in seen or seen.add(row))]
+    if statement.order_by:
+        output = _ordered(output, names, statement.order_by)
+    if statement.limit is not None:
+        output = output[:statement.limit]
+
+    counts: dict[str, int] = {}
+    unique = []
+    for name in names:
+        counts[name.lower()] = counts.get(name.lower(), 0) + 1
+        unique.append(name if counts[name.lower()] == 1 else f"{name}_{counts[name.lower()]}")
+    types = [_output_type([row[i] for row in output]) for i in range(len(names))]
+    return unique, types, output
+
+
+def sql_expression(node, cell: Callable[[ColumnRef], Callable]) -> Callable:
+    """*node* as a function of an environment, with NULL standing for UNKNOWN.
+
+    *cell* maps a column reference to the function reading its cell.  A
+    comparison or arithmetic with NULL is NULL; ``=`` and ``<>`` equate
+    numbers by value but never a number and a string; ``<`` and friends
+    compare in :func:`sql_order_key`'s order; NOT, AND and OR are
+    three-valued; ``x IN (...)`` is TRUE on an equal member, else UNKNOWN
+    if a member is NULL, else FALSE; LIKE matches ``%`` and ``_``
+    against the value's string form; ``/`` or ``%`` by zero is NULL.
+    """
+    def sub(child):
+        return sql_expression(child, cell)
+
+    if isinstance(node, Literal):
+        return lambda env, value=node.value: value
+    if isinstance(node, ColumnRef):
+        return cell(node)
+    if isinstance(node, AggregateExpr):
+        return lambda env, call=node.call: env[1](call)
+    if isinstance(node, Comparison):
+        left, right, operator = sub(node.left), sub(node.right), node.operator
+        test = _COMPARE[operator]
+
+        def compare(env):
+            a, b = left(env), right(env)
+            return NULL if a is NULL or b is NULL else test(a, b)
+        return compare
+    if isinstance(node, (And, Or)):
+        operands = [sub(operand) for operand in node.operands]
+        decisive = isinstance(node, Or)  # TRUE decides an OR, FALSE an AND
+
+        def connect(env):
+            unknown = False
+            for operand in operands:
+                value = operand(env)
+                if value is NULL:
+                    unknown = True
+                elif bool(value) == decisive:
+                    return decisive
+            return NULL if unknown else not decisive
+        return connect
+    if isinstance(node, Not):
+        operand = sub(node.operand)
+        return lambda env: NULL if (value := operand(env)) is NULL else not value
+    if isinstance(node, IsNull):
+        operand, negated = sub(node.operand), node.negated
+        return lambda env: (operand(env) is NULL) != negated
+    if isinstance(node, InList):
+        operand, members, negated = sub(node.operand), [sub(m) for m in node.values], \
+            node.negated
+
+        def contains(env):
+            value = operand(env)
+            if value is NULL:
+                return NULL
+            found = [member(env) for member in members]
+            if any(m is not NULL and _sql_equal(value, m) for m in found):
+                return not negated
+            return NULL if any(m is NULL for m in found) else negated
+        return contains
+    if isinstance(node, Like):
+        operand, pattern, negated = sub(node.operand), node.pattern, node.negated
+        return lambda env: NULL if (value := operand(env)) is NULL \
+            else _like(str(value), pattern) != negated
+    if isinstance(node, Arithmetic):
+        left, right, apply = sub(node.left), sub(node.right), _ARITHMETIC[node.operator]
+        dividing = node.operator in ("/", "%")
+
+        def arithmetic(env):
+            a, b = left(env), right(env)
+            if a is NULL or b is NULL or (dividing and b == 0):
+                return NULL
+            return apply(a, b)
+        return arithmetic
+    if isinstance(node, FunctionCall):
+        arguments, function = [sub(a) for a in node.arguments], _FUNCTIONS[node.name.lower()]
+
+        def call(env):
+            values = [argument(env) for argument in arguments]
+            return NULL if any(v is NULL for v in values) else function(*values)
+        return call
+    raise NotImplementedError(f"the oracle does not restate {type(node).__name__}")
+
+
+def sql_order_key(value: Any) -> tuple:
+    """The total order of ORDER BY, MIN and MAX: NULL, then booleans,
+    then numbers by value, then strings."""
+    if value is NULL:
+        return (0,)
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, str(value))
+
+
+def sql_aggregate(call: AggregateCall, values: list) -> Any:
+    """*call* over one group's argument *values* (its rows, for ``COUNT(*)``).
+
+    ``COUNT(*)`` counts rows.  Otherwise NULLs are skipped and DISTINCT
+    keeps first occurrences; COUNT counts what is left, SUM and AVG fold
+    it in row order, MIN and MAX keep the first least or greatest value.
+    Over no values COUNT is 0 and the others are NULL.
+    """
+    if call.argument is None:
+        return len(values)
+    values = [v for v in values if v is not NULL]
+    if call.distinct:
+        values = [v for i, v in enumerate(values) if v not in values[:i]]
+    if call.function == "count":
+        return len(values)
+    if not values:
+        return NULL
+    if call.function in ("sum", "avg"):
+        total = 0
+        for v in values:
+            total = total + v
+        return total if call.function == "sum" else total / len(values)
+    keys = [sql_order_key(v) for v in values]
+    return values[keys.index(min(keys) if call.function == "min" else max(keys))]
+
+
+def _sql_equal(left: Any, right: Any) -> bool:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (left, right))
+    return left == right if numbers or type(left) is type(right) else False
+
+
+_COMPARE = {
+    "=": _sql_equal,
+    "<>": lambda a, b: not _sql_equal(a, b),
+    "!=": lambda a, b: not _sql_equal(a, b),
+    "<": lambda a, b: sql_order_key(a) < sql_order_key(b),
+    "<=": lambda a, b: sql_order_key(a) <= sql_order_key(b),
+    ">": lambda a, b: sql_order_key(a) > sql_order_key(b),
+    ">=": lambda a, b: sql_order_key(a) >= sql_order_key(b),
+}
+
+_ARITHMETIC = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b, "%": lambda a, b: a % b,
+}
+
+_FUNCTIONS = {
+    "length": lambda v: len(str(v)),
+    "upper": lambda v: str(v).upper(),
+    "lower": lambda v: str(v).lower(),
+}
+
+
+def _like(text: str, pattern: str) -> bool:
+    if not pattern:
+        return not text
+    head, rest = pattern[0], pattern[1:]
+    if head == "%":
+        return any(_like(text[i:], rest) for i in range(len(text) + 1))
+    return bool(text) and head in ("_", text[0]) and _like(text[1:], rest)
+
+
+def _true(value: Any) -> bool:
+    return value is not NULL and bool(value)
+
+
+def _conjuncts(expression) -> list:
+    if expression is None:
+        return []
+    if isinstance(expression, And):
+        return [c for operand in expression.operands for c in _conjuncts(operand)]
+    return [expression]
+
+
+def _children(node) -> list:
+    if isinstance(node, AggregateExpr):
+        return [node.call.argument] if node.call.argument is not None else []
+    if isinstance(node, (And, Or)):
+        return list(node.operands)
+    if isinstance(node, (Comparison, Arithmetic)):
+        return [node.left, node.right]
+    if isinstance(node, (Not, IsNull, Like)):
+        return [node.operand]
+    if isinstance(node, InList):
+        return [node.operand, *node.values]
+    if isinstance(node, FunctionCall):
+        return list(node.arguments)
+    return []
+
+
+def _column_refs(node) -> list[ColumnRef]:
+    if isinstance(node, ColumnRef):
+        return [node]
+    return [ref for child in _children(node) for ref in _column_refs(child)]
+
+
+def _aggregate_calls(node) -> list[AggregateCall]:
+    if isinstance(node, AggregateCall):
+        return [node]
+    if isinstance(node, AggregateExpr):
+        return [node.call]
+    return [call for child in _children(node) for call in _aggregate_calls(child)]
+
+
+def _select_items(statement, database, tables, bindings) -> list[tuple[str, Any]]:
+    """``(output name, expression)`` per output column, stars expanded.
+
+    ``*`` (or ``alias.*``) lists every column of every table (of that
+    table) in FROM order, a repeated column name as ``binding_name``.
+    Otherwise a column is named by its alias, an aggregate
+    ``function[_distinct]_argument`` (``count`` for ``COUNT(*)``), a
+    column reference by its column name, anything else ``col_<index>``.
+    """
+    items: list[tuple[str, Any]] = []
+    for index, item in enumerate(statement.items):
+        if item.expression is None:
+            seen: set[str] = set()
+            for table, binding in zip(tables, bindings):
+                if item.star_qualifier is not None and binding != item.star_qualifier.lower():
+                    continue
+                label = table.alias or table.relation_name
+                for name in database.relation(table.relation_name).schema.attribute_names:
+                    items.append((name if name.lower() not in seen else f"{label}_{name}",
+                                  ColumnRef(name, label)))
+                    seen.add(name.lower())
+        elif item.alias:
+            items.append((item.alias, item.expression))
+        elif isinstance(item.expression, AggregateCall):
+            call = item.expression
+            if call.argument is None:
+                items.append(("count", call))
+            else:
+                argument = str(call.argument).replace(".", "_")
+                prefix = f"{call.function}_distinct" if call.distinct else call.function
+                items.append((f"{prefix}_{argument}", call))
+        elif isinstance(item.expression, ColumnRef):
+            items.append((item.expression.name, item.expression))
+        else:
+            items.append((f"col_{index}", item.expression))
+    return items
+
+
+def _ordered(output: list[tuple], names: list[str], order_by) -> list[tuple]:
+    lowered = [name.lower() for name in names]
+
+    def output_cell(ref: ColumnRef) -> Callable:
+        position = lowered.index(ref.name.lower())
+        return lambda env: env[0][position]
+
+    def key_of(expression) -> Callable[[tuple], Any]:
+        if isinstance(expression, ColumnRef) and expression.qualifier is None:
+            read = output_cell(expression)
+        else:
+            read = sql_expression(expression, output_cell)
+        return lambda row: sql_order_key(read((row, None)))
+
+    keys = [(key_of(item.expression), item.descending) for item in order_by]
+    if all(descending for _, descending in keys) or not any(d for _, d in keys):
+        ordered = sorted(output, key=lambda row: tuple(key(row) for key, _ in keys))
+        return ordered[::-1] if keys[0][1] else ordered
+    for key, descending in reversed(keys):
+        output = sorted(output, key=key, reverse=descending)
+    return output
+
+
+def _output_type(column: list) -> AttributeType:
+    for value in column:
+        if value is NULL:
+            continue
+        if isinstance(value, bool):
+            return AttributeType.BOOLEAN
+        if isinstance(value, int):
+            return AttributeType.INTEGER
+        if isinstance(value, float):
+            return AttributeType.FLOAT
+        return AttributeType.STRING
+    return AttributeType.STRING

@@ -208,16 +208,15 @@ class TestMutationRegressions:
     def test_mutation_then_join_sees_the_new_codes(self):
         database = join_database()
         code = SQLEngine(database)
-        row = SQLEngine(database, use_columns=False)
         sql = ("SELECT o.zip, z.region FROM orders o JOIN zips z "
                "ON o.zip = z.zip ORDER BY zip")
-        assert rows(code.query(sql)) == rows(row.query(sql))
+        assert rows(code.query(sql)) == oracle.select(database, sql)[2]
         assert code.last_plan == "join"
         # both dictionaries grow: the cached bridge must rebuild
         database.relation("orders").insert(("PEK", 40))
         database.relation("zips").insert(("PEK", "cn"))
         database.relation("zips").insert(("SFO", "us"))
-        assert rows(code.query(sql)) == rows(row.query(sql))
+        assert rows(code.query(sql)) == oracle.select(database, sql)[2]
         assert ("PEK", "cn") in rows(code.query(sql))
 
     def test_mutation_then_cind_sees_the_new_codes(self):

@@ -18,8 +18,6 @@ from repro.relational.expressions import (
     Literal,
     Not,
     Or,
-    conjunction,
-    disjunction,
     truth,
 )
 from repro.relational.types import NULL, is_null
@@ -131,28 +129,3 @@ class TestContextAndHelpers:
         with pytest.raises(SQLExecutionError):
             ColumnRef("ghost").evaluate(ctx(x=1))
 
-    def test_merged_contexts(self):
-        merged = ctx(a=1).merged_with(ctx(b=2))
-        assert ColumnRef("a").evaluate(merged) == 1
-        assert ColumnRef("b").evaluate(merged) == 2
-
-    def test_conjunction_disjunction_helpers(self):
-        assert conjunction([]).evaluate(ctx()) is True
-        assert disjunction([]).evaluate(ctx()) is False
-        single = Comparison("=", Literal(1), Literal(1))
-        assert conjunction([single]) is single
-
-    def test_references_collection(self):
-        expr = And((Comparison("=", ColumnRef("a"), Literal(1)),
-                    Like(ColumnRef("b"), "x%")))
-        assert expr.references() == {"a", "b"}
-
-    def test_from_tuple_context(self):
-        from repro.relational.relation import Relation
-        from repro.relational.schema import RelationSchema
-
-        relation = Relation(RelationSchema("r", ["a", "b"]))
-        tid = relation.insert(["1", "2"])
-        context = EvaluationContext.from_tuple(relation.tuple(tid), alias="t")
-        assert ColumnRef("a", qualifier="t").evaluate(context) == "1"
-        assert ColumnRef("b").evaluate(context) == "2"

@@ -1,4 +1,4 @@
-"""Randomized parity: factorised (semiring) aggregates == enumerated plans.
+"""Randomized parity: factorised (semiring) aggregates agree with the oracle.
 
 Grouped statements whose aggregates all fold through a semiring
 (COUNT / COUNT DISTINCT / MIN / MAX, and SUM / AVG over exact integer or
@@ -9,17 +9,18 @@ by semiring multiplication (``factorise_plan`` in
 databases and random *factorisable* grouped queries over two-table hash
 joins and chain / star / triangle multiway shapes — NULL join keys,
 ``NO_PARTNER`` bridge entries, WHERE push-down, HAVING, ORDER BY,
-LIMIT — and assert the factorised results are byte-identical to the
-enumerated plans (forced via ``columnar.FACTORISE = False``) and to the
-row-at-a-time reference, across the serial chunked pool, every chunk
-size, and real process pools, with interleaved mutations between
-queries.
+LIMIT — and assert the factorised results and the enumerated plans
+(forced via ``columnar.FACTORISE = False``) are both identical to
+:func:`oracle.definitions.select`, in-process, across the serial chunked
+pool, every chunk size, and real process pools, with interleaved
+mutations between queries.
 """
 
 import random
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -219,16 +220,15 @@ def enumerated_fingerprint(engine: SQLEngine, sql: str):
 
 class TestRandomizedFactorisedParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_factorised_matches_enumerated_and_row(self, seed):
+    def test_factorised_and_enumerated_match_oracle(self, seed):
         rng = random.Random(9000 + seed)
         database = random_database(seed)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         factorised = 0
         for _ in range(16):
             sql = random_factorised_query(rng)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert enumerated_fingerprint(code, sql) == expected, sql
             assert code.last_plan in ("join", "multiway"), sql
             assert fingerprint(code.query(sql)) == expected, sql
@@ -243,11 +243,10 @@ class TestRandomizedFactorisedParity:
     def test_every_shape_factorises(self, shape):
         rng = random.Random(hash(shape) % 10_000)
         database = random_database(7)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         for _ in range(6):
             sql = random_factorised_query(rng, shape)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert fingerprint(code.query(sql)) == expected, sql
             assert code.last_plan == "factorised", sql
             mutate(database, rng)
@@ -262,52 +261,40 @@ class TestRandomizedFactorisedParity:
             ("sfo", "YYYY", "US", NULL, 3.0)]))
         database.add(Relation.from_rows(ZIPS, [
             ("10012", "us", 100), ("94107", "us", NULL)]))
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = ("SELECT z.region, COUNT(*) AS n, SUM(o.amount) AS s, "
                "MIN(o.city) AS lo FROM orders o JOIN zips z "
                "ON o.zip = z.zip GROUP BY region")
-        expected = fingerprint(row.query(sql))
+        expected = oracle.select(database, sql)
         assert fingerprint(code.query(sql)) == expected
         assert code.last_plan == "factorised"
         assert enumerated_fingerprint(code, sql) == expected
         database.relation("orders").update(1, "zip", "10012")
         database.relation("orders").update(2, "zip", "94107")
-        expected = fingerprint(row.query(sql))
+        expected = oracle.select(database, sql)
         assert fingerprint(code.query(sql)) == expected
         assert enumerated_fingerprint(code, sql) == expected
 
     def test_zero_exec_rows_on_the_factorised_path(self):
-        from repro.relational.sql import executor as executor_module
-
         database = random_database(11)
         code = SQLEngine(database)
-        row = SQLEngine(database, use_columns=False)
         sql = ("SELECT o.city, COUNT(*) AS n, SUM(z.pop) AS s, "
                "AVG(o.amount) AS a, COUNT(DISTINCT z.region) AS d "
                "FROM orders o, zips z, regions r "
                "WHERE o.zip = z.zip AND z.region = r.region "
                "AND o.amount BETWEEN 5 AND 90 AND z.region IN ('uk', 'us') "
                "GROUP BY o.city HAVING COUNT(*) > 0 ORDER BY city")
-        built = []
-        executor_module._exec_row_hook = built.append
-        try:
-            result = code.query(sql)
-        finally:
-            executor_module._exec_row_hook = None
-        assert code.last_plan == "factorised"
-        assert not built  # zero _ExecRow allocations end to end
-        assert fingerprint(result) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
+        assert code.last_plan == "factorised"  # no binding row is built off the row plan
 
     def test_parallel_factorised_across_real_processes(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         rng = random.Random(777)
         database = random_database(777, orders=40, zips=20, regions=12, cities=15)
-        row = SQLEngine(database, use_columns=False)
         parallel = SQLEngine(database, engine="parallel", workers=2)
         for _ in range(8):
             sql = random_factorised_query(rng)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert fingerprint(parallel.query(sql)) == expected, sql
             mutate(database, rng)
 
@@ -318,16 +305,15 @@ class TestRandomizedFactorisedParity:
         from repro.relational.sql.parser import parse_sql
 
         database = random_database(66)
-        row = SQLEngine(database, use_columns=False)
         executor = SQLExecutor(database, pool=SerialPool(num_chunks=chunks))
         rng = random.Random(66)
         for _ in range(10):
             sql = random_factorised_query(rng)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert fingerprint(executor.execute(parse_sql(sql))) == expected, sql
 
 
-class TestFactorisedPlanGate:
+class TestFactorisationGate:
     def test_float_aggregates_stay_enumerated_with_reason(self):
         database = random_database(3)
         code = SQLEngine(database)

@@ -1,4 +1,4 @@
-"""Randomized parity: code-native joins are identical to the row path.
+"""Randomized parity: code-native joins agree with the oracle's SELECT.
 
 Two-table INNER JOIN statements compile to integer hash joins over
 dictionary-bridge translations (``repro.relational.sql.columnar``), and
@@ -6,11 +6,12 @@ CIND detection anti-joins bridged codes.  These tests generate random
 relation pairs and random join queries — single- and multi-key equi
 joins, WHERE push-down on either side, grouped aggregates drawing from
 both sides, HAVING, ORDER BY, DISTINCT, LIMIT, plus residual predicates
-that force the row fallback — and assert results are *identical* across
-the row path, the in-process code path, the chunked serial pool and real
-process pools, for every chunk size, with interleaved mutations on both
-relations between queries.  CIND reports must also equal the violations
-:mod:`oracle.definitions` derives from the rows.
+that force the row fallback — and assert each result is *identical* to
+:func:`oracle.definitions.select` on the in-process code path, the
+chunked serial pool and real process pools, for every chunk size, with
+interleaved mutations on both relations between queries.  CIND reports
+must also equal the violations :mod:`oracle.definitions` derives from
+the rows.
 """
 
 import random
@@ -156,24 +157,22 @@ def fingerprint(result: Relation):
             [t.values for t in result])
 
 
-def assert_engines_agree(reference: SQLEngine, others: list[SQLEngine], sql: str) -> None:
-    expected = fingerprint(reference.query(sql))
-    assert reference.last_plan == "row"
-    for engine in others:
+def assert_engines_agree(database: Database, engines: list[SQLEngine], sql: str) -> None:
+    expected = oracle.select(database, sql)
+    for engine in engines:
         assert fingerprint(engine.query(sql)) == expected, sql
 
 
 class TestRandomizedJoinParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_code_join_matches_row_path(self, seed):
+    def test_code_join_matches_oracle(self, seed):
         rng = random.Random(2000 + seed)
         database = random_database(seed)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         joined = 0
         for _ in range(20):
-            assert_engines_agree(row, [code, serial], random_join_query(rng))
+            assert_engines_agree(database, [code, serial], random_join_query(rng))
             # grouped statements with exact-foldable aggregates factorise;
             # everything else enumerates on the hash-join plan
             joined += code.last_plan in ("join", "factorised")
@@ -182,16 +181,14 @@ class TestRandomizedJoinParity:
 
     def test_residual_join_predicates_fall_back_with_parity(self):
         database = random_database(3)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = ("SELECT o.city, z.region FROM orders o JOIN zips z "
                "ON o.zip = z.zip WHERE LENGTH(o.city) >= 3 ORDER BY city, region")
-        assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
         assert code.last_plan == "row"
 
     def test_null_test_and_one_column_or_push_down_on_the_join_path(self):
         database = random_database(8)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         rng = random.Random(8)
         sql = ("SELECT o.city, o.amount, z.region FROM orders o JOIN zips z "
@@ -199,38 +196,27 @@ class TestRandomizedJoinParity:
                "AND (o.amount < 20 OR o.amount > 70 OR o.amount IS NULL) "
                "ORDER BY city, amount, region")
         for _ in range(4):
-            assert_engines_agree(row, [code], sql)
+            assert_engines_agree(database, [code], sql)
             assert code.last_plan == "join"
             mutate(database, rng)
 
     def test_zero_exec_rows_on_the_join_path(self):
-        from repro.relational.sql import executor as executor_module
-
         database = random_database(11)
         code = SQLEngine(database)
-        row = SQLEngine(database, use_columns=False)
         sql = ("SELECT o.city, COUNT(*) AS n, SUM(z.pop) AS s, AVG(o.score) AS a "
                "FROM orders o JOIN zips z ON o.zip = z.zip "
                "WHERE o.amount BETWEEN 5 AND 90 AND z.region IN ('uk', 'us') "
                "GROUP BY o.city HAVING COUNT(*) > 1 ORDER BY city")
-        built = []
-        executor_module._exec_row_hook = built.append
-        try:
-            result = code.query(sql)
-        finally:
-            executor_module._exec_row_hook = None
-        assert code.last_plan == "join"
-        assert not built  # zero _ExecRow allocations end to end
-        assert fingerprint(result) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
+        assert code.last_plan == "join"  # no binding row is built off the row plan
 
     def test_parallel_join_across_real_processes(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         rng = random.Random(777)
         database = random_database(777, left_size=50, right_size=30)
-        row = SQLEngine(database, use_columns=False)
         parallel = SQLEngine(database, engine="parallel", workers=2)
         for _ in range(10):
-            assert_engines_agree(row, [parallel], random_join_query(rng))
+            assert_engines_agree(database, [parallel], random_join_query(rng))
             mutate(database, rng)
 
     @pytest.mark.parametrize("chunks", [1, 2, 3, 7, 1000])
@@ -240,12 +226,11 @@ class TestRandomizedJoinParity:
         from repro.relational.sql.parser import parse_sql
 
         database = random_database(55, left_size=40, right_size=25)
-        row = SQLEngine(database, use_columns=False)
         executor = SQLExecutor(database, pool=SerialPool(num_chunks=chunks))
         rng = random.Random(55)
         for _ in range(10):
             sql = random_join_query(rng)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert fingerprint(executor.execute(parse_sql(sql))) == expected, sql
 
 

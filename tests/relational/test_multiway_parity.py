@@ -1,4 +1,4 @@
-"""Randomized parity: multiway (3+ table) joins are identical to the row path.
+"""Randomized parity: multiway (3+ table) joins agree with the oracle's SELECT.
 
 3+-table all-equi SELECT statements compile to leapfrog-style
 sorted-intersection joins over per-column rank arrays
@@ -9,16 +9,17 @@ variables are bound one at a time by galloping intersection.  These
 tests generate random 3- and 4-table databases and random join queries —
 chain, star and triangle shapes, WHERE push-down on every table, grouped
 aggregates drawing from all sides, HAVING, ORDER BY, DISTINCT, LIMIT —
-and assert results are *identical* across the row path, the in-process
-code path, the chunked serial pool and real process pools, for every
-chunk size, with interleaved mutations on every relation between
-queries.
+and assert each result is *identical* to :func:`oracle.definitions.select`
+on the in-process code path, the chunked serial pool and real process
+pools, for every chunk size, with interleaved mutations on every
+relation between queries.
 """
 
 import random
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -214,24 +215,22 @@ def fingerprint(result: Relation):
             [t.values for t in result])
 
 
-def assert_engines_agree(reference: SQLEngine, others: list[SQLEngine], sql: str) -> None:
-    expected = fingerprint(reference.query(sql))
-    assert reference.last_plan == "row"
-    for engine in others:
+def assert_engines_agree(database: Database, engines: list[SQLEngine], sql: str) -> None:
+    expected = oracle.select(database, sql)
+    for engine in engines:
         assert fingerprint(engine.query(sql)) == expected, sql
 
 
 class TestRandomizedMultiwayParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_multiway_matches_row_path(self, seed):
+    def test_multiway_matches_oracle(self, seed):
         rng = random.Random(4000 + seed)
         database = random_database(seed)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         multiway = 0
         for _ in range(16):
-            assert_engines_agree(row, [code, serial], random_multiway_query(rng))
+            assert_engines_agree(database, [code, serial], random_multiway_query(rng))
             # grouped statements with exact-foldable aggregates factorise;
             # everything else enumerates on the multiway plan
             multiway += code.last_plan in ("multiway", "factorised")
@@ -242,43 +241,31 @@ class TestRandomizedMultiwayParity:
     def test_every_shape_compiles_to_multiway(self, shape):
         rng = random.Random(hash(shape) % 10_000)
         database = random_database(7)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         for _ in range(6):
             sql = random_multiway_query(rng, shape)
-            assert_engines_agree(row, [code], sql)
+            assert_engines_agree(database, [code], sql)
             assert code.last_plan in ("multiway", "factorised"), sql
             mutate(database, rng)
 
     def test_zero_exec_rows_on_the_multiway_path(self):
-        from repro.relational.sql import executor as executor_module
-
         database = random_database(11)
         code = SQLEngine(database)
-        row = SQLEngine(database, use_columns=False)
         sql = ("SELECT o.city, COUNT(*) AS n, SUM(z.pop) AS s, AVG(o.score) AS a "
                "FROM orders o, zips z, regions r "
                "WHERE o.zip = z.zip AND z.region = r.region "
                "AND o.amount BETWEEN 5 AND 90 AND z.region IN ('uk', 'us') "
                "GROUP BY o.city HAVING COUNT(*) > 0 ORDER BY city")
-        built = []
-        executor_module._exec_row_hook = built.append
-        try:
-            result = code.query(sql)
-        finally:
-            executor_module._exec_row_hook = None
-        assert code.last_plan == "multiway"
-        assert not built  # zero _ExecRow allocations end to end
-        assert fingerprint(result) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
+        assert code.last_plan == "multiway"  # no binding row is built off the row plan
 
     def test_parallel_multiway_across_real_processes(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         rng = random.Random(888)
         database = random_database(888, orders=40, zips=20, regions=12, cities=15)
-        row = SQLEngine(database, use_columns=False)
         parallel = SQLEngine(database, engine="parallel", workers=2)
         for _ in range(8):
-            assert_engines_agree(row, [parallel], random_multiway_query(rng))
+            assert_engines_agree(database, [parallel], random_multiway_query(rng))
             mutate(database, rng)
 
     @pytest.mark.parametrize("chunks", [1, 2, 7, 1000])
@@ -288,24 +275,40 @@ class TestRandomizedMultiwayParity:
         from repro.relational.sql.parser import parse_sql
 
         database = random_database(66)
-        row = SQLEngine(database, use_columns=False)
         executor = SQLExecutor(database, pool=SerialPool(num_chunks=chunks))
         rng = random.Random(66)
         for _ in range(10):
             sql = random_multiway_query(rng)
-            expected = fingerprint(row.query(sql))
+            expected = oracle.select(database, sql)
             assert fingerprint(executor.execute(parse_sql(sql))) == expected, sql
 
 
 class TestMultiwayPlanShape:
+    @pytest.mark.parametrize("sql, plan", [
+        ("SELECT country, r.gdp FROM orders o, zips z, regions r "
+         "WHERE o.zip = z.zip AND z.region = r.region ORDER BY country, gdp",
+         "multiway"),
+        ("SELECT country, COUNT(*) AS n FROM orders o, zips z, regions r "
+         "WHERE o.zip = z.zip AND z.region = r.region GROUP BY country",
+         "factorised"),
+        ("SELECT country, r.gdp FROM orders o, zips z, regions r "
+         "WHERE o.zip = z.zip AND z.region = r.region AND LENGTH(country) = 2 "
+         "ORDER BY country, gdp", "row"),
+    ], ids=["multiway", "factorised", "row"])
+    def test_bare_names_bind_to_the_first_table_that_has_them(self, sql, plan):
+        # orders and regions both have a country; o's is the one meant
+        database = random_database(12)
+        code = SQLEngine(database)
+        assert_engines_agree(database, [code], sql)
+        assert code.last_plan == plan
+
     def test_residual_predicates_fall_back_with_parity_and_reason(self):
         database = random_database(3)
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = ("SELECT o.city, z.region, r.country FROM orders o, zips z, regions r "
                "WHERE o.zip = z.zip AND z.region = r.region "
                "AND LENGTH(o.city) >= 3 ORDER BY city, region, country")
-        assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
         assert code.last_plan == "row"
         code.query(sql, explain=True)
         reasons = code.last_explain["why_not_multiway"]

@@ -40,23 +40,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             RelationSchema("r", [])
 
-    def test_project_preserves_order(self, customer_schema):
-        projected = customer_schema.project(["zip", "cc"])
-        assert projected.attribute_names == ("zip", "cc")
-
-    def test_rename(self, customer_schema):
-        renamed = customer_schema.rename({"phn": "phone"})
-        assert renamed.has_attribute("phone")
-        assert not renamed.has_attribute("phn")
-
-    def test_rename_unknown_raises(self, customer_schema):
-        with pytest.raises(SchemaError):
-            customer_schema.rename({"nope": "x"})
-
-    def test_extend(self, customer_schema):
-        extended = customer_schema.extend([Attribute("country", AttributeType.STRING)])
-        assert extended.arity == customer_schema.arity + 1
-
     def test_schema_helper(self):
         s = schema("r", a="string", n=AttributeType.INTEGER)
         assert s.attribute("n").type is AttributeType.INTEGER
@@ -117,13 +100,6 @@ class TestRelation:
         clone = relation.copy()
         clone.update(tid, "cc", "01")
         assert relation.value(tid, "cc") == "44"
-
-    def test_project_relation_distinct(self, customer_schema):
-        relation = Relation(customer_schema)
-        relation.insert_dict({"cc": "44", "zip": "EH8"})
-        relation.insert_dict({"cc": "44", "zip": "EH8"})
-        projected = relation.project_relation(["cc", "zip"], distinct=True)
-        assert len(projected) == 1
 
     def test_filter_preserves_tids(self, customer_schema):
         relation = Relation(customer_schema)

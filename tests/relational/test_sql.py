@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import definitions as oracle
 from repro.errors import SQLExecutionError, SQLSyntaxError
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -112,6 +113,31 @@ class TestParser:
     def test_empty_statement_raises(self):
         with pytest.raises(SQLSyntaxError):
             parse_sql("   ")
+
+
+class TestParseErrorPositions:
+    """Every parse error points at an offset: the offending token's, or
+    the end of the text when the input stops short."""
+
+    @pytest.mark.parametrize("text", [
+        "SELECT a FROM",
+        "SELECT a FROM t WHERE a = ",
+        "SELECT a FROM t WHERE",
+        "SELECT a FROM t GROUP",
+        "SELECT FROM t",
+        "SELECT " + "count(" * 30 + "a",
+    ], ids=["from", "comparison", "where", "group", "select-list", "nested-calls"])
+    def test_truncated_input_points_at_the_end(self, text):
+        with pytest.raises(SQLSyntaxError) as raised:
+            parse_sql(text)
+        assert raised.value.position == len(text)
+
+    def test_expected_token_points_at_the_token_found(self):
+        text = "SELECT a FROM t WHERE a = 'x' 'y'"
+        with pytest.raises(SQLSyntaxError) as raised:
+            parse_sql(text)
+        assert raised.value.position == text.index("'y'")
+        assert f"position {raised.value.position}" in str(raised.value)
 
 
 class TestNestingLimit:
@@ -502,22 +528,19 @@ class TestRangePushdown:
 
 
 class TestCodeNativePlans:
-    """Single-table scan/filter/group/aggregate plans bypass _ExecRow."""
+    """Single-table scan/filter/group/aggregate plans bypass the row path,
+    and every plan answers what :func:`oracle.definitions.select` does."""
 
-    def _count_exec_rows(self, engine, sql):
-        from repro.relational.sql import executor as executor_module
-        built = []
-        executor_module._exec_row_hook = built.append
-        try:
-            result = engine.query(sql)
-        finally:
-            executor_module._exec_row_hook = None
-        return result, len(built)
+    def _query(self, engine, sql):
+        result = engine.query(sql)
+        assert ([a.name for a in result.schema.attributes],
+                [a.type for a in result.schema.attributes],
+                [t.values for t in result]) == oracle.select(engine.database, sql)
+        return result
 
     def test_plain_scan_builds_no_exec_rows(self, engine):
-        result, count = self._count_exec_rows(
-            engine, "SELECT phn, city FROM customer WHERE cc = '44'")
-        assert count == 0 and engine.last_plan == "code"
+        result = self._query(engine, "SELECT phn, city FROM customer WHERE cc = '44'")
+        assert engine.last_plan == "code"
         assert [r["phn"] for r in result] == ["1111", "2222", "3333"]
 
     @pytest.mark.parametrize("where, phns", [
@@ -526,15 +549,14 @@ class TestCodeNativePlans:
         ("city <> 'edi' OR city IS NULL", ["3333", "4444", "4444", "5555"]),
     ])
     def test_null_tests_and_one_column_or_build_no_exec_rows(self, engine, where, phns):
-        result, count = self._count_exec_rows(
-            engine, f"SELECT phn FROM customer WHERE {where}")
-        assert count == 0 and engine.last_plan == "code"
+        result = self._query(engine, f"SELECT phn FROM customer WHERE {where}")
+        assert engine.last_plan == "code"
         assert [r["phn"] for r in result] == phns
 
     def test_or_across_columns_falls_back(self, engine):
         sql = "SELECT phn FROM customer WHERE city = 'edi' OR zip = 'EH8'"
-        result, count = self._count_exec_rows(engine, sql)
-        assert count > 0 and engine.last_plan == "row"
+        result = self._query(engine, sql)
+        assert engine.last_plan == "row"
         assert [r["phn"] for r in result] == ["1111", "2222", "3333"]
         assert ("WHERE conjunct ((city = 'edi') OR (zip = 'EH8')) "
                 "is not a code-set test") in engine.explain(sql)
@@ -548,77 +570,72 @@ class TestCodeNativePlans:
         assert "customer.city: code set of 4, 6 rows in, 2 pruned, 4 out" in text
 
     def test_range_group_aggregate_builds_no_exec_rows(self, engine):
-        result, count = self._count_exec_rows(
+        result = self._query(
             engine,
             "SELECT phn, COUNT(*) AS n, SUM(amount) AS s FROM orders "
             "WHERE amount >= 10 AND amount <= 30 GROUP BY phn")
-        assert count == 0 and engine.last_plan == "code"
+        assert engine.last_plan == "code"
         assert [(r["phn"], r["n"], r["s"]) for r in result] == \
             [("1111", 2, 30), ("4444", 1, 30)]
 
     def test_equi_join_builds_no_exec_rows(self, engine):
-        result, count = self._count_exec_rows(
+        result = self._query(
             engine, "SELECT c.city FROM customer c JOIN orders o ON c.phn = o.phn")
-        assert count == 0 and engine.last_plan == "join"
+        assert engine.last_plan == "join"
         assert len(result) == 4
 
     def test_non_equi_join_falls_back(self, engine):
-        _, count = self._count_exec_rows(
-            engine, "SELECT t1.phn, t2.phn FROM customer t1, customer t2 "
-                    "WHERE t1.zip = t2.zip AND t1.street <> t2.street")
-        assert count > 0 and engine.last_plan == "row"
+        self._query(engine, "SELECT t1.phn, t2.phn FROM customer t1, customer t2 "
+                            "WHERE t1.zip = t2.zip AND t1.street <> t2.street")
+        assert engine.last_plan == "row"
 
     def test_residual_predicate_falls_back(self, engine):
-        _, count = self._count_exec_rows(
-            engine, "SELECT phn FROM customer WHERE LENGTH(city) = 3")
-        assert count > 0 and engine.last_plan == "row"
+        self._query(engine, "SELECT phn FROM customer WHERE LENGTH(city) = 3")
+        assert engine.last_plan == "row"
 
     def test_group_by_expression_falls_back(self, engine):
-        _, count = self._count_exec_rows(
-            engine, "SELECT UPPER(city) AS c, COUNT(*) AS n FROM customer "
-                    "GROUP BY UPPER(city)")
-        assert count > 0 and engine.last_plan == "row"
+        self._query(engine, "SELECT UPPER(city) AS c, COUNT(*) AS n FROM customer "
+                            "GROUP BY UPPER(city)")
+        assert engine.last_plan == "row"
 
     def test_min_max_ride_dictionary_order(self, engine):
-        result = engine.query(
-            "SELECT MIN(city) AS lo, MAX(city) AS hi FROM customer")
+        result = self._query(
+            engine, "SELECT MIN(city) AS lo, MAX(city) AS hi FROM customer")
         row = result.tuples()[0]
         assert (row["lo"], row["hi"]) == ("edi", "nyc")
         assert engine.last_plan == "code"
 
     def test_count_distinct_on_codes(self, engine):
-        assert engine.scalar(
-            "SELECT COUNT(DISTINCT street) FROM customer") == 3
+        result = self._query(engine, "SELECT COUNT(DISTINCT street) FROM customer")
+        assert result.tuples()[0].at(0) == 3
         assert engine.last_plan == "code"
 
     def test_order_by_rides_rank_index(self, engine):
-        result = engine.query(
+        result = self._query(
+            engine,
             "SELECT phn, city FROM customer WHERE cc = '01' ORDER BY city DESC, phn")
         assert engine.last_plan == "code"
         assert [r["phn"] for r in result] == ["4444", "5555", "4444"]
 
     def test_aggregate_over_empty_relation(self, engine):
-        result = engine.query(
+        result = self._query(
+            engine,
             "SELECT COUNT(*) AS n, SUM(amount) AS s FROM orders WHERE amount > 999")
         row = result.tuples()[0]
         assert row["n"] == 0 and is_null(row["s"])
         assert engine.last_plan == "code"
 
     def test_having_over_codes(self, engine):
-        result = engine.query(
+        result = self._query(
+            engine,
             "SELECT zip, COUNT(*) AS n FROM customer GROUP BY zip "
             "HAVING COUNT(*) > 1 AND zip = 'EH8'")
         assert [(r["zip"], r["n"]) for r in result] == [("EH8", 3)]
         assert engine.last_plan == "code"
 
     def test_embedded_aggregate_in_item(self, engine):
-        result = engine.query(
+        result = self._query(
+            engine,
             "SELECT zip, COUNT(*) + 1 AS n1 FROM customer GROUP BY zip ORDER BY zip")
         assert [(r["zip"], r["n1"]) for r in result] == \
             [("07974", 3), ("10012", 2), ("EH8", 4)]
-
-    def test_use_columns_false_disables_everything(self, database):
-        engine = SQLEngine(database, use_columns=False)
-        result = engine.query("SELECT phn FROM customer WHERE city = 'edi'")
-        assert engine.last_plan == "row"
-        assert [r["phn"] for r in result] == ["1111", "2222"]

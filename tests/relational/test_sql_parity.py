@@ -1,22 +1,24 @@
-"""Randomized parity: code-native SQL execution is identical to the row path.
+"""Randomized parity: every SQL engine agrees with the oracle's SELECT.
 
 Single-table scan/filter/group/aggregate statements run on dictionary
-codes by default (``repro.relational.sql.columnar``); ``use_columns=False``
-keeps the historical row-at-a-time execution.  These tests generate random
-relations and random queries over the features the code path covers —
-ranges, BETWEEN, IN / NOT IN, IS [NOT] NULL, ORs on one column, GROUP BY
-with every aggregate, HAVING, ORDER BY, DISTINCT, LIMIT, plus residual
+codes (``repro.relational.sql.columnar``); shapes no code plan compiles
+fall back to the row executor.  These tests generate random relations
+and random queries over the features the code path covers — ranges,
+BETWEEN, IN / NOT IN, IS [NOT] NULL, ORs on one column, GROUP BY with
+every aggregate, HAVING, ORDER BY, DISTINCT, LIMIT, plus residual
 predicates (an OR across columns, a function call) that force the
-fallback — and assert the result relations are *identical* (rows, order,
-names, inferred types) across the row path, the in-process code path, the
-chunked serial pool and real process pools, with interleaved
-insert/delete/update mutations between queries.
+fallback — and assert each result is *identical* (rows, order, names,
+inferred types) to :func:`oracle.definitions.select`, the SELECT
+restated over dict rows, on the in-process path, the chunked serial
+pool and real process pools, with interleaved insert/delete/update
+mutations between queries.
 """
 
 import random
 
 import pytest
 
+from oracle import definitions as oracle
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -140,55 +142,42 @@ def fingerprint(result: Relation):
             [t.values for t in result])
 
 
-def assert_engines_agree(reference: SQLEngine, others: list[SQLEngine], sql: str) -> None:
-    expected = fingerprint(reference.query(sql))
-    assert reference.last_plan == "row"
-    for engine in others:
+def assert_engines_agree(database: Database, engines: list[SQLEngine], sql: str) -> None:
+    expected = oracle.select(database, sql)
+    for engine in engines:
         assert fingerprint(engine.query(sql)) == expected, sql
 
 
 class TestRandomizedParity:
     @pytest.mark.parametrize("seed", range(6))
-    def test_code_path_matches_row_path(self, seed):
+    def test_code_path_matches_oracle(self, seed):
         rng = random.Random(1000 + seed)
         database = Database()
         database.add(random_relation(seed))
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
         for _ in range(25):
-            assert_engines_agree(row, [code, serial], random_query(rng))
+            assert_engines_agree(database, [code, serial], random_query(rng))
             mutate(database.relation("t"), rng)
 
     def test_zero_exec_rows_on_the_code_path(self):
-        from repro.relational.sql import executor as executor_module
-
         database = Database()
         database.add(random_relation(77, size=60))
         code = SQLEngine(database)
-        row = SQLEngine(database, use_columns=False)
         sql = ("SELECT zip, COUNT(*) AS n, MIN(amount) AS lo, AVG(score) AS a "
                "FROM t WHERE amount BETWEEN 10 AND 80 AND city IN ('edi', 'nyc') "
                "GROUP BY zip HAVING COUNT(*) > 1 ORDER BY zip")
-        built = []
-        executor_module._exec_row_hook = built.append
-        try:
-            result = code.query(sql)
-        finally:
-            executor_module._exec_row_hook = None
-        assert code.last_plan == "code"
-        assert not built  # zero _ExecRow allocations end to end
-        assert fingerprint(result) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
+        assert code.last_plan == "code"  # no binding row is built off the row plan
 
     def test_parallel_engine_across_real_processes(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
         rng = random.Random(4242)
         database = Database()
         database.add(random_relation(4242, size=70))
-        row = SQLEngine(database, use_columns=False)
         parallel = SQLEngine(database, engine="parallel", workers=2)
         for _ in range(12):
-            assert_engines_agree(row, [parallel], random_query(rng))
+            assert_engines_agree(database, [parallel], random_query(rng))
             mutate(database.relation("t"), rng)
 
     def test_mutation_between_queries_rebroadcasts(self, monkeypatch):
@@ -196,13 +185,12 @@ class TestRandomizedParity:
         database = Database()
         database.add(random_relation(9, size=40))
         relation = database.relation("t")
-        row = SQLEngine(database, use_columns=False)
         parallel = SQLEngine(database, engine="parallel", workers=2)
         sql = "SELECT city, COUNT(*) AS n FROM t WHERE amount >= 0 GROUP BY city"
-        assert_engines_agree(row, [parallel], sql)
+        assert_engines_agree(database, [parallel], sql)
         relation.insert(["edi", "EH8", 0, 1.0])  # new rows must reach the workers
         relation.update(relation.tids()[0], "city", "brand-new-city")
-        assert_engines_agree(row, [parallel], sql)
+        assert_engines_agree(database, [parallel], sql)
 
     @pytest.mark.parametrize("chunks", [1, 2, 3, 7, 1000])
     def test_chunk_boundaries_are_invisible(self, chunks):
@@ -212,18 +200,16 @@ class TestRandomizedParity:
 
         database = Database()
         database.add(random_relation(31, size=50))
-        row = SQLEngine(database, use_columns=False)
         executor = SQLExecutor(database, pool=SerialPool(num_chunks=chunks))
         rng = random.Random(31)
         for _ in range(10):
             sql = random_query(rng)
-            expected = fingerprint(row.query(sql))
             statement = parse_sql(sql)
-            assert fingerprint(executor.execute(statement)) == expected, sql
+            assert fingerprint(executor.execute(statement)) == oracle.select(database, sql), sql
 
 
 class TestAggregateEdgeCases:
-    """Pin grouped-aggregate corners to the row-path semantics."""
+    """Pin grouped-aggregate corners to the oracle's semantics."""
 
     def _database(self, rows):
         database = Database()
@@ -234,11 +220,10 @@ class TestAggregateEdgeCases:
         database = self._database([
             ("edi", "EH8", NULL, NULL), ("edi", "EH8", NULL, NULL),
             ("nyc", "10012", 4, 2.0), ("nyc", "10012", 6, NULL)])
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = ("SELECT city, AVG(amount) AS a, AVG(score) AS sc, "
                "COUNT(amount) AS n FROM t GROUP BY city ORDER BY city")
-        expected = fingerprint(row.query(sql))
+        expected = oracle.select(database, sql)
         assert fingerprint(code.query(sql)) == expected
         assert code.last_plan == "code"
         # the edi group aggregates zero non-NULL values: AVG is NULL, not 0/0
@@ -250,18 +235,17 @@ class TestAggregateEdgeCases:
         database = self._database([
             ("edi", "EH8", NULL, 1.0), ("nyc", "10012", 4, 2.0),
             ("nyc", "10012", 6, 3.0)])
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         # edi's SUM(amount) folds zero values -> NULL; HAVING drops it
         sql = ("SELECT city, SUM(amount) AS s FROM t GROUP BY city "
                "HAVING SUM(amount) > 0 ORDER BY city")
-        expected = fingerprint(row.query(sql))
+        expected = oracle.select(database, sql)
         assert fingerprint(code.query(sql)) == expected
         names, _, rows = fingerprint(code.query(sql))
         assert [r[0] for r in rows] == ["nyc"]
         # without HAVING the all-NULL group surfaces with a NULL sum
         bare = "SELECT city, SUM(amount) AS s FROM t GROUP BY city ORDER BY city"
-        assert fingerprint(code.query(bare)) == fingerprint(row.query(bare))
+        assert fingerprint(code.query(bare)) == oracle.select(database, bare)
         assert fingerprint(code.query(bare))[2][0] == ("edi", NULL)
 
 
@@ -275,10 +259,9 @@ class TestOrderByLimitTopK:
     def test_top_k_matches_full_sort(self, order, limit):
         database = Database()
         database.add(random_relation(52, size=90))
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = f"SELECT city, zip, amount, score FROM t ORDER BY {order} LIMIT {limit}"
-        assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
         assert code.last_plan == "code"
 
     def test_explain_records_the_heap_selection(self):
@@ -294,10 +277,9 @@ class TestOrderByLimitTopK:
     def test_limit_at_or_past_row_count_sorts_fully(self):
         database = Database()
         database.add(random_relation(52, size=20))
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         sql = "SELECT city, amount FROM t ORDER BY amount LIMIT 1000"
-        assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+        assert fingerprint(code.query(sql)) == oracle.select(database, sql)
         code.query(sql, explain=True)
         assert code.last_explain.get("order") is None  # no pruning to report
 
@@ -305,12 +287,11 @@ class TestOrderByLimitTopK:
         database = Database()
         database.add(random_relation(14, size=60))
         relation = database.relation("t")
-        row = SQLEngine(database, use_columns=False)
         code = SQLEngine(database)
         rng = random.Random(14)
         sql = ("SELECT city, amount FROM t WHERE amount >= 10 "
                "ORDER BY amount DESC, city LIMIT 6")
         for _ in range(5):
-            assert fingerprint(code.query(sql)) == fingerprint(row.query(sql))
+            assert fingerprint(code.query(sql)) == oracle.select(database, sql)
             assert code.last_plan == "code"
             mutate(relation, rng)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
 from repro.detection.cfd_detect import detect_cfd_violations
@@ -244,6 +245,27 @@ class TestSemandaqCLI:
         exit_code = semandaq_main([str(data_path), "--sql", "SELECT nope FROM customer"])
         assert exit_code == 65
         assert capsys.readouterr().err == "semandaq: error: unknown column 'nope'\n"
+
+    def test_unwritable_repair_output_is_one_line_and_exit_73(self, tmp_path, capsys):
+        data_path, constraints_path = self._write_inputs(tmp_path)
+        target = tmp_path / "no" / "such" / "dir" / "out.csv"
+        exit_code = semandaq_main([str(data_path), str(constraints_path),
+                                   "--repair", str(target)])
+        assert exit_code == 73
+        assert capsys.readouterr().err == (f"semandaq: error: cannot write {target}: "
+                                           "No such file or directory\n")
+        assert not target.exists()
+
+    def test_unwritable_stats_output_is_one_line_and_exit_73(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(obs, "enabled", obs.enabled)  # --stats switches it on
+        data_path, _ = self._write_inputs(tmp_path)
+        target = tmp_path / "no" / "such" / "dir" / "s.json"
+        exit_code = semandaq_main([str(data_path), "--sql", "SELECT phn FROM customer",
+                                   "--stats", str(target)])
+        assert exit_code == 73
+        assert capsys.readouterr().err == (f"semandaq: error: cannot write {target}: "
+                                           "No such file or directory\n")
 
     def test_sql_syntax_error_is_one_line_and_exit_65(self, tmp_path, capsys):
         data_path, _ = self._write_inputs(tmp_path)
