@@ -6,10 +6,10 @@ broadcastable state once (dictionaries referencing the column store's
 handle whenever the relation version changes — a fresh token is what
 tells the multiprocessing backend that worker-side snapshots are stale
 and the state must ship again, and *supersedes* lets it retire the
-now-stale OS pool instead of waiting for LRU eviction.  The protocol
-leans on :meth:`~repro.relational.columns.ColumnStore.rebuild` mutating
-code arrays in place (array identities survive), which is why the state
-dict never needs rebuilding here.
+now-stale OS pool instead of waiting for LRU eviction.  A relation's
+code arrays and dictionaries are its storage and keep their identities
+for its lifetime, which is why the state dict never needs rebuilding
+here.
 
 :class:`RelationBroadcastEngine` is that protocol, factored out of the
 CFD, partition and SQL engines; subclasses supply :meth:`_build_state`.
@@ -54,7 +54,6 @@ class RelationBroadcastEngine:
         elif self._version != self._relation.version:
             if obs.enabled:
                 obs.inc("engine.broadcast.retokenize")
-            self._relation.columns  # rebuild the store in place if it went stale
             self._handle = StateHandle(self._handle.state,
                                        supersedes=self._handle.token)
         elif obs.enabled:

@@ -86,8 +86,6 @@ class ChunkedJoinEngine:
         elif versions != self._versions:
             if obs.enabled:
                 obs.inc("engine.broadcast.retokenize")
-            for relation in self._relations:
-                relation.columns  # rebuild a stale store in place first
             self._handle = StateHandle(self._handle.state,
                                        supersedes=self._handle.token)
         elif obs.enabled:

@@ -5,15 +5,15 @@ fully self-contained relational engine providing
 
 * typed schemas and relations with stable tuple identifiers
   (:mod:`repro.relational.schema`, :mod:`repro.relational.relation`),
-* dictionary-encoded columnar storage maintained alongside the row store
-  (:mod:`repro.relational.columns`) — the substrate of the detection,
-  discovery and statistics hot paths,
+* dictionary-encoded columnar storage, the one copy of a relation's
+  tuples (:mod:`repro.relational.columns`) — the substrate of the
+  detection, discovery and statistics hot paths,
 * hash indexes over column codes (:mod:`repro.relational.index`),
 * CSV import/export (:mod:`repro.relational.csvio`), and
 * a small SQL dialect — enough to run the CFD/CIND violation-detection
   queries of Fan et al. (:mod:`repro.relational.sql`).
 
-The engine is deliberately simple (row store, hash joins, no cost-based
+The engine is deliberately simple (column store, hash joins, no cost-based
 optimizer) but semantically faithful: NULL follows three-valued logic,
 group-by/aggregation matches SQL semantics, and the SQL parity suites
 check every plan against the SELECT restated in ``tests/oracle``.

@@ -1,10 +1,12 @@
-"""Dictionary-encoded columnar storage attached to a :class:`Relation`.
+"""Dictionary-encoded columns: the storage of a :class:`Relation`.
 
 A :class:`ColumnStore` keeps, for every attribute of a relation, a
 :class:`Column`: an array of small integer *codes* indexed by tuple id plus
 a *dictionary* mapping codes back to values.  Equal values (under Python
 ``==``) share a code, NULL is always code :data:`NULL_CODE` (0) in every
-column, and deleted tuple ids keep the tombstone code ``-1``.
+column, and deleted tuple ids keep the tombstone code ``-1``.  Nothing
+else holds the tuples: the relation keeps only its live tids beside the
+store, and decodes values from here on demand.
 
 The store is the substrate of the hot paths: hash indexes group tuples by
 tuples of integer codes instead of raw values, CFD pattern matching becomes
@@ -14,20 +16,17 @@ out of a single pass over a code array, and per-column statistics
 (distinct count, null count, most common value) are read off the live
 occurrence counts the store maintains per code.
 
-Maintenance mirrors :class:`~repro.relational.index.HashIndex`: the store
-records the relation ``version`` it is synchronised with.  Mutations made
-through the :class:`Relation` API notify the store (``on_insert`` /
-``on_delete`` / ``on_update``) so it stays fresh in O(arity) per change;
-any mutation the hooks cannot track (e.g. ``Relation.clear``) simply
-leaves the store stale and the next access through ``Relation.columns``
-rebuilds it.  Code arrays, dictionaries and matcher sets are mutated *in
-place* on rebuild, so compiled detection plans holding references to them
-survive rebuilds.
+:meth:`Relation.insert`, :meth:`~Relation.update` and
+:meth:`~Relation.delete` write codes and counts here directly, in
+O(arity) per change.  Dictionaries only grow and codes are never
+reassigned, so code arrays, dictionaries, matcher sets and bridge
+translations are long-lived: compiled detection plans and broadcast
+states may hold them for the relation's lifetime.
 
 The store also owns the relation's *maintained* hash indexes
-(:meth:`ColumnStore.index`): the same hooks move one tid per registered
-index per change, and a store rebuild rebuilds them, so an index stays
-exactly as fresh as the store.
+(:meth:`ColumnStore.index`): the same mutations move one tid per
+registered index per change, so an index stays exactly as current as the
+columns.
 
 The relation owns its store, and the store and its indexes refer back to
 the relation only weakly, so a relation nothing else holds is freed at
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro import obs
 from repro.errors import RelationError
-from repro.relational.types import is_null, sort_key
+from repro.relational.types import NULL, is_null, sort_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.relational.index import HashIndex
@@ -54,7 +53,7 @@ NULL_CODE = 0
 """The code every column assigns to NULL (dictionary slot 0)."""
 
 TOMBSTONE = -1
-"""The code marking a deleted (or never-live) tuple id in a code array."""
+"""The code marking a deleted (or filtered-out) tuple id in a code array."""
 
 NO_PARTNER = -1
 """The bridge translation of a code whose value the target dictionary lacks."""
@@ -195,11 +194,11 @@ class DictionaryBridge:
       target-side keys comparable with translated source keys.
 
     A bridge is valid for one ``(source dictionary, target dictionary)``
-    state, tracked as ``(generation, size)`` per side: dictionaries only
-    grow between resets, so a size check is an exact staleness test — and
-    growth on *either* side can create partners that did not exist (an
-    insert interning a novel value mid-session), so both sides
-    participate.  :meth:`Column.bridge_to` revalidates on every access and
+    state, tracked as the size of each side: dictionaries only grow, so a
+    size check is an exact staleness test — and growth on *either* side
+    can create partners that did not exist (an insert interning a novel
+    value mid-session), so both sides participate.
+    :meth:`Column.bridge_to` revalidates on every access and
     rebuilds the translation **in place** (the list identity survives), so
     broadcast states and long-lived compiled plans holding the array stay
     correct, exactly like code arrays and matcher sets.
@@ -218,14 +217,14 @@ class DictionaryBridge:
         self.target = target
         self.mode = mode
         self.translation: list[int] = []
-        self._source_state: tuple[int, int] = (-1, -1)
-        self._target_state: tuple[int, int] = (-1, -1)
+        self._source_state = -1
+        self._target_state = -1
         self._rebuild()
 
     def is_stale(self) -> bool:
-        """Whether either side's dictionary grew or reset since the build."""
-        return (self._source_state != (self.source.generation, len(self.source.values))
-                or self._target_state != (self.target.generation, len(self.target.values)))
+        """Whether either side's dictionary grew since the build."""
+        return (self._source_state != len(self.source.values)
+                or self._target_state != len(self.target.values))
 
     def ensure_fresh(self) -> "DictionaryBridge":
         """Rebuild the translation in place if either dictionary moved."""
@@ -259,8 +258,8 @@ class DictionaryBridge:
                 if partner is not None:
                     translation[code] = partner
         self.translation[:] = translation
-        self._source_state = (source.generation, len(source.values))
-        self._target_state = (target.generation, len(target.values))
+        self._source_state = len(source.values)
+        self._target_state = len(target.values)
 
     def __repr__(self) -> str:
         matched = sum(1 for code in self.translation[1:] if code != NO_PARTNER)
@@ -294,8 +293,8 @@ class ComposedBridge:
     an intermediate member's dictionary has no live tuple in that member's
     relation either, so the multiway intersection would exclude it anyway.
 
-    Validity is per hop: the composition caches each hop's
-    ``(generation, size)`` stamps of both dictionaries at build time, and
+    Validity is per hop: the composition caches each hop's dictionary-size
+    stamps of both sides at build time, and
     :meth:`ensure_fresh` rebuilds the composed translation **in place**
     (list identity survives, like :class:`DictionaryBridge`) when any hop
     is stale *or* was rebuilt elsewhere since this composition last looked.
@@ -313,7 +312,7 @@ class ComposedBridge:
                     f"different from where {second!r} starts")
         self.hops: tuple[DictionaryBridge, ...] = tuple(hops)
         self.translation: list[int] = []
-        self._states: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        self._states: list[tuple[int, int]] = []
         self._rebuild()
 
     @property
@@ -376,31 +375,24 @@ class Column:
     """One dictionary-encoded attribute of a relation.
 
     * ``codes[tid]`` is the code of the value of this attribute in tuple
-      ``tid`` (``TOMBSTONE`` when the tuple is deleted or never existed);
+      ``tid`` (``TOMBSTONE`` when the tuple is deleted);
     * ``values[code]`` is the decoded value (``values[0]`` is NULL);
     * ``counts[code]`` is the number of *live* tuples carrying that code.
 
     The dictionary only ever grows; codes are never reassigned while the
-    column object lives (a full rebuild re-interns values but keeps the
-    ``codes``/``values``/``counts`` list objects and matcher sets, mutating
-    them in place).
+    column object lives.  A value whose last tuple went away keeps its
+    code, with a count of 0.
     """
 
-    __slots__ = ("attribute", "codes", "values", "counts", "generation",
+    __slots__ = ("attribute", "codes", "values", "counts",
                  "_code_by_value", "_matchers", "_strings", "_distances",
                  "_order", "_bridges")
 
     def __init__(self, attribute: str) -> None:
-        from repro.relational.types import NULL
-
         self.attribute = attribute
         self.codes: list[int] = []
         self.values: list[Any] = [NULL]
         self.counts: list[int] = [0]
-        #: bumped on every :meth:`_reset`; with the dictionary size it
-        #: identifies one dictionary state exactly (the dictionary only
-        #: grows between resets), which is what bridges validate against.
-        self.generation = 0
         self._code_by_value: dict[Any, int] = {NULL: NULL_CODE}
         self._matchers: dict[Hashable, ConstantMatcher] = {}
         self._strings: list[str] | None = None
@@ -408,14 +400,30 @@ class Column:
         self._order: ColumnOrder | None = None
         self._bridges: dict[tuple[int, str], DictionaryBridge] = {}
 
+    def copy(self) -> "Column":
+        """A column with copies of the codes and the dictionary.
+
+        Codes keep their meaning, so nothing is re-encoded.  Matchers,
+        order views, bridges and distance memos are not carried over:
+        they are rebuilt on demand for the copy.
+        """
+        clone = Column(self.attribute)
+        clone.codes = list(self.codes)
+        clone.values = list(self.values)
+        clone.counts = list(self.counts)
+        clone._code_by_value = dict(self._code_by_value)
+        if self._strings is not None:
+            clone._strings = list(self._strings)
+        return clone
+
     # -- encoding ---------------------------------------------------------
 
     def intern(self, value: Any) -> int:
         """The code of *value*, adding it to the dictionary if unseen."""
-        if is_null(value):
-            return NULL_CODE
-        code = self._code_by_value.get(value)
+        code = self._code_by_value.get(value)  # NULL is a key: code 0
         if code is None:
+            if is_null(value):
+                return NULL_CODE
             code = len(self.values)
             self.values.append(value)
             self.counts.append(0)
@@ -500,9 +508,8 @@ class Column:
         The repair cost model stores ``dist(values[a], values[b])`` here,
         keyed by the model's distance-function identity, so repeated cost
         evaluations decode a code pair at most once (the per-code string
-        cache makes the miss itself cheap).  Like matcher sets, caches are
-        cleared in place on rebuild — codes are re-interned then — so
-        long-lived references stay valid.
+        cache makes the miss itself cheap).  Codes are never reassigned,
+        so a memo stays valid for the column's lifetime.
         """
         cache = self._distances.get(key)
         if cache is None:
@@ -544,8 +551,8 @@ class Column:
         """The fresh code→code bridge from this dictionary into *other*'s.
 
         Bridges are cached per ``(target column, mode)`` and revalidated on
-        every access: if either dictionary grew (or was reset) since the
-        last build, the translation array is rebuilt in place before the
+        every access: if either dictionary grew since the last build, the
+        translation array is rebuilt in place before the
         bridge is returned.  The cache holds a strong reference to the
         target column — bridge consumers (join plans, CIND specs) always
         name both relations, which keep their columns alive anyway.
@@ -560,32 +567,18 @@ class Column:
             return bridge
         return bridge.ensure_fresh()
 
-    # -- maintenance ------------------------------------------------------
-
-    def _reset(self) -> None:
-        """Forget all codes and counts in place; registered matchers survive."""
-        from repro.relational.types import NULL
-
-        self.generation += 1
-        self.codes.clear()
-        del self.values[1:]
-        del self.counts[1:]
-        self.counts[0] = 0
-        self._code_by_value = {NULL: NULL_CODE}
-        self._strings = None
-        self._order = None
-        for matcher in self._matchers.values():
-            matcher.codes.clear()
-        for cache in self._distances.values():
-            cache.clear()
-
     def __repr__(self) -> str:
         return (f"Column({self.attribute!r}, {len(self.values) - 1} distinct values, "
                 f"{len(self.codes)} slots)")
 
 
 class ColumnStore:
-    """Dictionary-encoded columns of one relation, versioned like an index."""
+    """The dictionary-encoded columns of one relation and its maintained indexes.
+
+    The owning :class:`~repro.relational.relation.Relation` writes codes
+    and counts into the columns and refiles the maintained indexes on
+    every mutation; everything else reads.
+    """
 
     def __init__(self, relation: "Relation") -> None:
         # weak, so a dropped relation is freed at once rather than waiting
@@ -595,8 +588,13 @@ class ColumnStore:
         self._by_name = {column.attribute: column for column in self._columns}
         #: maintained indexes, by the schema positions they cover
         self._indexes: dict[tuple[int, ...], HashIndex] = {}
-        self._synced_version = -1
-        self.rebuild()
+
+    def copy(self, relation: "Relation") -> "ColumnStore":
+        """A store for *relation* with copies of these columns and no index."""
+        clone = ColumnStore(relation)
+        clone._columns = [column.copy() for column in self._columns]
+        clone._by_name = {column.attribute: column for column in clone._columns}
+        return clone
 
     # -- access -----------------------------------------------------------
 
@@ -633,13 +631,10 @@ class ColumnStore:
         """The relation's shared hash index on *attribute_names*, kept current.
 
         Built on the first request and registered for the relation's
-        lifetime; from then on the mutation hooks file each inserted,
-        deleted or updated tid, and a store rebuild rebuilds the index in
-        place.  Fetch it through ``relation.columns.index(...)`` at the
-        start of each unit of work, since that is what rebuilds a stale
-        store.  Bucket order is insertion order, not a fresh scan's
-        first-occurrence order: probe buckets, never iterate them for
-        ordered output.
+        lifetime; from then on every insert, delete and update of the
+        relation refiles the tid it touches.  Bucket order is insertion
+        order, not a fresh scan's first-occurrence order: probe buckets,
+        never iterate them for ordered output.
         """
         relation = self.relation
         positions = tuple(relation.schema.positions(attribute_names))
@@ -686,89 +681,6 @@ class ColumnStore:
                     bucket.append(tid)
         return buckets
 
-    # -- maintenance ------------------------------------------------------
-
-    def is_stale(self) -> bool:
-        """Whether the relation changed in a way the hooks did not track."""
-        return self._synced_version != self.relation.version
-
-    def rebuild(self) -> None:
-        """Re-encode the whole relation (in place: array identities survive)."""
-        relation = self.relation
-        rows = relation.rows_items()
-        bound = relation.tid_bound
-        for position, column in enumerate(self._columns):
-            column._reset()
-            codes = [TOMBSTONE] * bound
-            counts = column.counts
-            intern = column.intern
-            for tid, values in rows:
-                code = intern(values[position])
-                codes[tid] = code
-                counts[code] += 1
-            column.codes[:] = codes
-        self._synced_version = relation.version
-        for index in self._indexes.values():
-            index.rebuild()
-
-    def _in_sync_before_mutation(self) -> bool:
-        # A hook fires right after the relation bumped its version; the
-        # store can apply the delta only if it was fresh just before.
-        return self._synced_version == self.relation.version - 1
-
-    def _mark_synced(self) -> None:
-        version = self.relation.version
-        self._synced_version = version
-        for index in self._indexes.values():
-            index._built_version = version
-
-    def on_insert(self, tid: int, values: Sequence[Any]) -> None:
-        """Hook: *values* (already coerced) were inserted as tuple *tid*."""
-        if not self._in_sync_before_mutation():
-            return
-        for column, value in zip(self._columns, values):
-            codes = column.codes
-            while len(codes) < tid:
-                codes.append(TOMBSTONE)
-            code = column.intern(value)
-            codes.append(code)
-            column.counts[code] += 1
-        for index in self._indexes.values():
-            index._file(tid)
-        self._mark_synced()
-
-    def on_delete(self, tid: int) -> None:
-        """Hook: tuple *tid* was deleted."""
-        if not self._in_sync_before_mutation():
-            return
-        for index in self._indexes.values():
-            index._unfile(tid)
-        for column in self._columns:
-            code = column.codes[tid]
-            if code != TOMBSTONE:
-                column.counts[code] -= 1
-            column.codes[tid] = TOMBSTONE
-        self._mark_synced()
-
-    def on_update(self, tid: int, position: int, value: Any) -> None:
-        """Hook: cell ``(tid, position)`` now holds *value* (already coerced)."""
-        if not self._in_sync_before_mutation():
-            return
-        covering = [index for positions, index in self._indexes.items()
-                    if position in positions]
-        for index in covering:
-            index._unfile(tid)
-        column = self._columns[position]
-        old = column.codes[tid]
-        if old != TOMBSTONE:
-            column.counts[old] -= 1
-        code = column.intern(value)
-        column.codes[tid] = code
-        column.counts[code] += 1
-        for index in covering:
-            index._file(tid)
-        self._mark_synced()
-
     def __repr__(self) -> str:
         return (f"ColumnStore({self.relation.name}, {len(self._columns)} columns, "
-                f"{'stale' if self.is_stale() else 'fresh'})")
+                f"{len(self._indexes)} maintained indexes)")

@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import NULL, AttributeType, infer_type, is_null
+from repro.relational.types import NULL, infer_type, is_null
 
 
 def read_csv(path: str | Path, relation_name: str | None = None,
@@ -34,33 +34,48 @@ def read_csv(path: str | Path, relation_name: str | None = None,
 def relation_from_csv(text: str, relation_name: str = "relation",
                       schema: RelationSchema | None = None, delimiter: str = ",") -> Relation:
     """Like :func:`read_csv` but reading from a string (used in tests/examples)."""
-    return _read_csv_stream(io.StringIO(text), relation_name, schema, delimiter)
+    return _read_csv_stream(_lines(text), relation_name, schema, delimiter)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of *text*, ends kept, as ``io.StringIO(text)`` yields them.
+
+    ``io.StringIO`` would first copy the whole text into a buffer of four
+    bytes per character; slicing one line at a time keeps only the line.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        yield text[start:end]
+        start = end
 
 
 def _read_csv_stream(handle, relation_name: str, schema: RelationSchema | None,
                      delimiter: str) -> Relation:
-    reader = csv.reader(handle, delimiter=delimiter)
-    rows = [row for row in reader if row]
-    if not rows:
+    rows = (row for row in csv.reader(handle, delimiter=delimiter) if row)
+    header = next(rows, None)
+    if header is None:
         raise SchemaError("cannot read a relation from an empty CSV stream")
-    header, data = rows[0], rows[1:]
     header = [name.strip() for name in header]
 
     if schema is None:
+        # type inference needs every value of a column before the first insert
+        data = list(rows)
         columns = list(zip(*data)) if data else [[] for _ in header]
         attributes = [
             Attribute(name, infer_type(list(column)))
             for name, column in zip(header, columns)
         ]
         schema = RelationSchema(relation_name, attributes)
-    else:
-        if len(header) != schema.arity:
-            raise SchemaError(
-                f"CSV has {len(header)} columns but schema {schema.name!r} expects {schema.arity}"
-            )
+        rows = iter(data)
+    elif len(header) != schema.arity:
+        raise SchemaError(
+            f"CSV has {len(header)} columns but schema {schema.name!r} expects {schema.arity}"
+        )
 
+    # each row is coerced and interned as it is read: no row outlives its insert
     relation = Relation(schema)
-    for row in data:
+    for row in rows:
         if len(row) != schema.arity:
             raise SchemaError(
                 f"CSV row {row!r} has {len(row)} fields, expected {schema.arity}"
@@ -75,8 +90,14 @@ def relation_to_csv(relation: Relation, path: str | Path | None = None,
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(relation.schema.attribute_names)
-    for row in relation:
-        writer.writerow(["" if is_null(value) else _render(value) for value in row.values])
+    # render each dictionary value once, then zip the columns into rows
+    tids = relation.tids()
+    columns = []
+    for column in relation.columns.columns():
+        rendered = ["" if is_null(value) else _render(value) for value in column.values]
+        codes = column.codes
+        columns.append([rendered[codes[tid]] for tid in tids])
+    writer.writerows(zip(*columns))
     text = buffer.getvalue()
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")

@@ -6,8 +6,9 @@ detection (group tuples by the LHS attributes), of hash joins in the
 algebra/SQL layers, and of incremental detection and repair.
 
 Buckets are keyed by tuples of integer codes from the relation's
-:class:`~repro.relational.columns.ColumnStore`, so a rebuild is a single
-pass of integer array reads and key comparison never touches raw values.
+:class:`~repro.relational.columns.ColumnStore` (the relation's only
+storage), so a rebuild is a single pass of integer array reads and key
+comparison never touches raw values.
 
 The *value*-level API (:meth:`lookup`, :meth:`groups`, :meth:`keys`)
 translates keys at the boundary; code-level accessors (:meth:`key_at`,
@@ -22,7 +23,8 @@ An index comes in two kinds:
   first-occurrence order, which consumers that emit ordered output (the
   detectors' reports, discovery, CQA) rely on;
 * a *maintained* index, ``relation.columns.index(attributes)``, is owned
-  by the column store, whose mutation hooks move one tid per change.
+  by the column store; every insert, delete and update of the relation
+  moves the one tid it touches.
   After mutations its bucket order is insertion order, not
   first-occurrence order, so it is for probing buckets, never for
   iterating them into ordered output.
@@ -58,8 +60,8 @@ class HashIndex:
         self._columns: list[Column] = []
         self._arrays: list[list[int]] = []
         self._buckets: dict[tuple[Any, ...], set[int]] = {}
-        #: the relation version the buckets reflect; the owning store's
-        #: hooks stamp it on every change they apply to a maintained index
+        #: the relation version the buckets reflect; the relation's
+        #: mutations stamp it on every change they apply to a maintained index
         self._built_version = -1
         self.rebuild()
 
@@ -106,9 +108,9 @@ class HashIndex:
         """Whether the underlying relation changed since the index was built."""
         return self._built_version != self.relation.version
 
-    # Upkeep of a maintained index, called only by the owning ColumnStore's
-    # hooks while the tid's codes are live (after an insert has appended
-    # them, before a delete tombstones them).
+    # Upkeep of a maintained index, called only by the relation's mutations
+    # while the tid's codes are live (after an insert has appended them,
+    # before a delete tombstones them).
 
     def _file(self, tid: int) -> None:
         """Put tuple *tid* in the bucket of its current key."""

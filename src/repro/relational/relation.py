@@ -1,4 +1,4 @@
-"""Relations: mutable row stores with stable tuple identifiers.
+"""Relations: mutable tuple stores with stable tuple identifiers.
 
 A :class:`Relation` owns a :class:`~repro.relational.schema.RelationSchema`
 and a set of tuples.  Every tuple receives a *tuple id* (``tid``) that is
@@ -6,9 +6,14 @@ stable across updates and never reused after deletion — violation reports,
 repairs and incremental detection all refer to cells as ``(tid, attribute)``
 pairs, so stability matters.
 
-Tuples are stored as lists indexed by attribute position; the
-:class:`Tuple` wrapper gives dict-like access by attribute name without
-copying.
+The tuples are stored once, dictionary-encoded, in the relation's
+:class:`~repro.relational.columns.ColumnStore`: per attribute a code array
+indexed by tid and a dictionary of values.  The relation itself keeps
+only its live tids.  Reads decode on demand: :meth:`Relation.value` reads
+one cell, :meth:`Relation.tuple` one row, and iteration decodes one
+column at a time.  Mutations coerce, intern, write the code and refile
+the store's maintained indexes.  The :class:`Tuple` wrapper is a decoded
+snapshot with dict-like access by attribute name.
 """
 
 from __future__ import annotations
@@ -16,25 +21,27 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import RelationError, SchemaError
-from repro.relational.columns import ColumnStore
-from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import NULL, coerce_value, is_null, value_repr
+from repro.relational.columns import NULL_CODE, TOMBSTONE, ColumnStore
+from repro.relational.schema import RelationSchema
+from repro.relational.types import NULL, coerce_value, value_repr
 
 
 class Tuple:
-    """A read-mostly view of one row of a relation.
+    """A decoded snapshot of one row of a relation.
 
     Supports access by attribute name (``t['zip']``), by position
-    (``t.at(3)``) and conversion to a plain dict.  Equality and hashing
-    are value-based (the tid is excluded) so tuples can be deduplicated.
+    (``t.at(3)``) and conversion to a plain dict.  The values are read
+    when the tuple is made; later updates of the relation do not show
+    in it.  Equality and hashing are value-based (the tid is excluded) so
+    tuples can be deduplicated.
     """
 
     __slots__ = ("tid", "_schema", "_values")
 
-    def __init__(self, tid: int, schema: RelationSchema, values: list[Any]) -> None:
+    def __init__(self, tid: int, schema: RelationSchema, values: Sequence[Any]) -> None:
         self.tid = tid
         self._schema = schema
-        self._values = values
+        self._values = tuple(values)
 
     @property
     def schema(self) -> RelationSchema:
@@ -43,7 +50,7 @@ class Tuple:
     @property
     def values(self) -> tuple[Any, ...]:
         """The row values in schema order."""
-        return tuple(self._values)
+        return self._values
 
     def __getitem__(self, attribute_name: str) -> Any:
         return self._values[self._schema.position(attribute_name)]
@@ -76,10 +83,10 @@ class Tuple:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tuple):
             return NotImplemented
-        return tuple(self._values) == tuple(other._values)
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(tuple(self._values))
+        return hash(self._values)
 
     def __repr__(self) -> str:
         cells = ", ".join(
@@ -94,10 +101,11 @@ class Relation:
 
     def __init__(self, schema: RelationSchema) -> None:
         self._schema = schema
-        self._rows: dict[int, list[Any]] = {}
+        #: live tids in insertion (= ascending) order; the values are unused
+        self._live: dict[int, None] = {}
         self._next_tid = 0
         self._version = 0
-        self._column_store: ColumnStore | None = None
+        self._store = ColumnStore(self)
 
     # -- construction ----------------------------------------------------
 
@@ -115,6 +123,34 @@ class Relation:
         relation = cls(schema)
         for row in rows:
             relation.insert(row)
+        return relation
+
+    @classmethod
+    def from_columns(cls, schema: RelationSchema,
+                     columns: Sequence[Sequence[Any]]) -> "Relation":
+        """Build a relation from one value sequence per attribute.
+
+        Row ``i`` of the columns becomes tuple ``i``, exactly as
+        :meth:`from_rows` over the zipped rows would make it, but each
+        column is coerced and interned in one pass.
+        """
+        if len(columns) != schema.arity:
+            raise RelationError(
+                f"relation {schema.name!r} expects {schema.arity} columns, got {len(columns)}"
+            )
+        size = len(columns[0]) if columns else 0
+        if any(len(values) != size for values in columns):
+            raise RelationError(f"the columns of relation {schema.name!r} differ in length")
+        relation = cls(schema)
+        for attribute, column, values in zip(schema.attributes, relation._store.columns(),
+                                             columns):
+            intern, counts = column.intern, column.counts
+            codes = [intern(coerce_value(value, attribute.type)) for value in values]
+            for code in codes:
+                counts[code] += 1
+            column.codes[:] = codes
+        relation._live = dict.fromkeys(range(size))
+        relation._next_tid = relation._version = size
         return relation
 
     # -- accessors -------------------------------------------------------
@@ -139,64 +175,63 @@ class Relation:
 
     @property
     def columns(self) -> ColumnStore:
-        """The dictionary-encoded column store of this relation.
-
-        Built lazily on first access, then maintained incrementally by the
-        mutation methods; rebuilt transparently when a change the hooks
-        could not track left it stale.
-        """
-        store = self._column_store
-        if store is None:
-            store = ColumnStore(self)
-            self._column_store = store
-        elif store.is_stale():
-            store.rebuild()
-        return store
-
-    def rows_items(self) -> list[tuple[int, list[Any]]]:
-        """``(tid, values)`` pairs in insertion order.
-
-        The value lists are the live storage — fast-path callers (the
-        column store) must not mutate them.
-        """
-        return list(self._rows.items())
+        """The dictionary-encoded column store: the storage of this relation."""
+        return self._store
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._live)
 
     def __iter__(self) -> Iterator[Tuple]:
-        for tid, values in self._rows.items():
-            yield Tuple(tid, self._schema, values)
+        # decode a column at a time, then zip the decoded columns into rows
+        tids = list(self._live)
+        dense = len(tids) == self._next_tid  # no tombstones: decode codes as they lie
+        decoded = []
+        for column in self._store._columns:
+            values, codes = column.values, column.codes
+            decoded.append([values[code] for code in codes] if dense
+                           else [values[codes[tid]] for tid in tids])
+        schema = self._schema
+        for tid, row in zip(tids, zip(*decoded)):
+            yield Tuple(tid, schema, row)
 
     def __contains__(self, tid: int) -> bool:
-        return tid in self._rows
+        return tid in self._live
 
     def tids(self) -> list[int]:
         """All live tuple ids (insertion order)."""
-        return list(self._rows.keys())
+        return list(self._live)
+
+    def _check_live(self, tid: int) -> None:
+        if tid not in self._live:
+            raise RelationError(f"relation {self.name!r} has no tuple with tid {tid}")
 
     def tuple(self, tid: int) -> Tuple:
         """The tuple with id *tid*; raises :class:`RelationError` if absent."""
-        if tid not in self._rows:
-            raise RelationError(f"relation {self.name!r} has no tuple with tid {tid}")
-        return Tuple(tid, self._schema, self._rows[tid])
+        self._check_live(tid)
+        return Tuple(tid, self._schema,
+                     [column.values[column.codes[tid]] for column in self._store._columns])
 
     def value(self, tid: int, attribute_name: str) -> Any:
         """Value of cell ``(tid, attribute_name)``."""
-        return self.tuple(tid)[attribute_name]
+        self._check_live(tid)
+        column = self._store.column_at(self._schema.position(attribute_name))
+        return column.values[column.codes[tid]]
 
     def tuples(self) -> list[Tuple]:
         """All tuples as a list (insertion order)."""
-        return list(iter(self))
+        return list(self)
 
     def column(self, attribute_name: str) -> list[Any]:
         """All values of one attribute, in tuple order."""
-        position = self._schema.position(attribute_name)
-        return [values[position] for values in self._rows.values()]
+        column = self._store.column_at(self._schema.position(attribute_name))
+        values, codes = column.values, column.codes
+        return [values[codes[tid]] for tid in self._live]
 
     def active_domain(self, attribute_name: str) -> set[Any]:
         """Distinct non-NULL values appearing in *attribute_name*."""
-        return {v for v in self.column(attribute_name) if not is_null(v)}
+        column = self._store.column_at(self._schema.position(attribute_name))
+        values, counts = column.values, column.counts
+        return {values[code] for code in range(NULL_CODE + 1, len(values)) if counts[code] > 0}
 
     # -- mutation --------------------------------------------------------
 
@@ -212,10 +247,16 @@ class Relation:
         ]
         tid = self._next_tid
         self._next_tid += 1
-        self._rows[tid] = values
+        self._live[tid] = None
         self._version += 1
-        if self._column_store is not None:
-            self._column_store.on_insert(tid, values)
+        store = self._store
+        for column, value in zip(store._columns, values):
+            code = column.intern(value)
+            column.codes.append(code)
+            column.counts[code] += 1
+        for index in store._indexes.values():
+            index._file(tid)
+            index._built_version = self._version
         return tid
 
     def insert_dict(self, row: Mapping[str, Any]) -> int:
@@ -234,30 +275,41 @@ class Relation:
 
     def insert_tuple(self, source: Tuple) -> int:
         """Insert a copy of a tuple (possibly coming from another relation)."""
-        return self.insert(list(source.values))
+        return self.insert(source.values)
 
     def delete(self, tid: int) -> None:
         """Delete the tuple with id *tid*."""
-        if tid not in self._rows:
-            raise RelationError(f"relation {self.name!r} has no tuple with tid {tid}")
-        del self._rows[tid]
+        self._check_live(tid)
+        del self._live[tid]
         self._version += 1
-        if self._column_store is not None:
-            self._column_store.on_delete(tid)
+        store = self._store
+        for index in store._indexes.values():
+            index._unfile(tid)  # while the tid's codes are still live
+            index._built_version = self._version
+        _tombstone(store, tid)
 
     def update(self, tid: int, attribute_name: str, value: Any) -> Any:
         """Set cell ``(tid, attribute_name)`` to *value*; returns the old value."""
-        if tid not in self._rows:
-            raise RelationError(f"relation {self.name!r} has no tuple with tid {tid}")
+        self._check_live(tid)
         position = self._schema.position(attribute_name)
-        attr = self._schema.attributes[position]
-        old = self._rows[tid][position]
-        coerced = coerce_value(value, attr.type)
-        self._rows[tid][position] = coerced
+        coerced = coerce_value(value, self._schema.attributes[position].type)
         self._version += 1
-        if self._column_store is not None:
-            self._column_store.on_update(tid, position, coerced)
-        return old
+        store = self._store
+        covering = [index for positions, index in store._indexes.items()
+                    if position in positions]
+        for index in covering:
+            index._unfile(tid)
+        column = store._columns[position]
+        old = column.codes[tid]
+        column.counts[old] -= 1
+        code = column.intern(coerced)
+        column.codes[tid] = code
+        column.counts[code] += 1
+        for index in covering:
+            index._file(tid)
+        for index in store._indexes.values():
+            index._built_version = self._version
+        return column.values[old]
 
     def update_dict(self, tid: int, changes: Mapping[str, Any]) -> dict[str, Any]:
         """Apply several cell updates to one tuple; returns the old values."""
@@ -266,33 +318,34 @@ class Relation:
             old_values[attribute_name] = self.update(tid, attribute_name, value)
         return old_values
 
-    def clear(self) -> None:
-        """Remove all tuples (tuple ids are still never reused)."""
-        self._rows.clear()
-        self._version += 1
-
     # -- copies and views -------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Relation":
-        """Deep copy of this relation, preserving tuple ids."""
+        """Copy of this relation, preserving tuple ids.
+
+        The code arrays and dictionaries are copied as they are, without
+        re-encoding; the copy carries no maintained index.
+        """
         clone = Relation(self._schema if name is None else self._schema.renamed_relation(name))
-        clone._rows = {tid: list(values) for tid, values in self._rows.items()}
+        clone._live = dict(self._live)
         clone._next_tid = self._next_tid
+        clone._store = self._store.copy(clone)
         return clone
 
     def filter(self, predicate: Callable[[Tuple], bool], name: str | None = None) -> "Relation":
         """New relation with the tuples satisfying *predicate* (tids preserved)."""
-        result = Relation(self._schema if name is None else self._schema.renamed_relation(name))
-        kept = {t.tid: list(t.values) for t in self if predicate(t)}
-        result._rows = kept
-        result._next_tid = self._next_tid
+        result = self.copy(name)
+        for row in self:
+            if not predicate(row):
+                del result._live[row.tid]
+                _tombstone(result._store, row.tid)
         return result
 
     # -- diagnostics -----------------------------------------------------
 
     def null_count(self, attribute_name: str) -> int:
         """Number of NULLs in *attribute_name*."""
-        return sum(1 for value in self.column(attribute_name) if is_null(value))
+        return self._store.column_at(self._schema.position(attribute_name)).counts[NULL_CODE]
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """All rows as plain dictionaries (useful in tests and examples)."""
@@ -316,3 +369,10 @@ class Relation:
 
     def __repr__(self) -> str:
         return f"Relation({self.name}, {len(self)} tuples, arity {self._schema.arity})"
+
+
+def _tombstone(store: ColumnStore, tid: int) -> None:
+    """Take live tuple *tid* out of the columns' codes and counts."""
+    for column in store._columns:
+        column.counts[column.codes[tid]] -= 1
+        column.codes[tid] = TOMBSTONE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SQLSyntaxError
 from repro.relational.expressions import Expression
 
 
@@ -32,6 +33,55 @@ class AggregateCall:
         if self.distinct:
             inner = f"DISTINCT {inner}"
         return f"{self.function.upper()}({inner})"
+
+
+class AggregateExpr(Expression):
+    """An aggregate call used where a scalar expression is expected (HAVING,
+    or inside a computed select item).
+
+    The executor replaces these with references to pre-computed aggregate
+    columns; direct evaluation is a logic error.
+    """
+
+    __slots__ = ("call",)
+
+    def __init__(self, call: AggregateCall) -> None:
+        self.call = call
+
+    def evaluate(self, context):  # pragma: no cover - defensive
+        raise SQLSyntaxError("aggregate used outside GROUP BY/HAVING context")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AggregateExpr) and self.call == other.call
+
+    def __hash__(self) -> int:
+        return hash(self.call)
+
+    def __str__(self) -> str:
+        return str(self.call)
+
+
+def collect_aggregates(expression: Expression | None) -> list[AggregateCall]:
+    """Every aggregate call embedded in *expression*, in walk order."""
+    if expression is None:
+        return []
+    found: list[AggregateCall] = []
+
+    def walk(node: Expression) -> None:
+        if isinstance(node, AggregateExpr):
+            found.append(node.call)
+            return
+        for attribute in ("operands", "operand", "left", "right", "arguments", "values"):
+            child = getattr(node, attribute, None)
+            if isinstance(child, Expression):
+                walk(child)
+            elif isinstance(child, tuple):
+                for element in child:
+                    if isinstance(element, Expression):
+                        walk(element)
+
+    walk(expression)
+    return found
 
 
 @dataclass(frozen=True)
@@ -105,9 +155,17 @@ class SelectStatement:
     distinct: bool = False
 
     def has_aggregates(self) -> bool:
-        if any(isinstance(item.expression, AggregateCall) for item in self.items):
+        """Whether the statement is grouped, as SQL defines it.
+
+        It is when it has a GROUP BY or a HAVING, or an aggregate anywhere
+        in its select list, nested in a computed item too.  Without GROUP
+        BY, all rows form one group.
+        """
+        if self.group_by or self.having is not None:
             return True
-        return bool(self.group_by)
+        return any(isinstance(item.expression, AggregateCall)
+                   or (item.expression is not None and collect_aggregates(item.expression))
+                   for item in self.items)
 
 
 @dataclass

@@ -48,7 +48,7 @@ parent-side halves of that contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ReproError, SchemaError, SQLExecutionError
 from repro.relational.columns import NULL_CODE, passing
@@ -70,10 +70,11 @@ from repro.relational.predicates import (
 )
 from repro.relational.sql.ast import (
     AggregateCall,
+    AggregateExpr,
     SelectStatement,
     TableRef,
+    collect_aggregates,
 )
-from repro.relational.sql.parser import AggregateExpr
 from repro.relational.types import NULL, AttributeType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -135,29 +136,6 @@ def expanded_items(database: "Database",
         else:
             expanded.append((item.output_name(index), item.expression))
     return expanded
-
-
-def collect_aggregates(expression: Expression | None) -> list[AggregateCall]:
-    """Every aggregate call embedded in *expression*, in walk order."""
-    if expression is None:
-        return []
-    found: list[AggregateCall] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, AggregateExpr):
-            found.append(node.call)
-            return
-        for attribute in ("operands", "operand", "left", "right", "arguments", "values"):
-            child = getattr(node, attribute, None)
-            if isinstance(child, Expression):
-                walk(child)
-            elif isinstance(child, tuple):
-                for element in child:
-                    if isinstance(element, Expression):
-                        walk(element)
-
-    walk(expression)
-    return found
 
 
 def rewrite_aggregates(expression: Expression,
@@ -487,18 +465,27 @@ def compile_plan(database: "Database", statement: SelectStatement,
     return plan
 
 
+def output_positions(names: Sequence[str]) -> dict[str, int]:
+    """Each lower-cased output name's column index, the first one where
+    several output columns share the name: the column ORDER BY sorts by."""
+    positions: dict[str, int] = {}
+    for index, name in enumerate(names):
+        positions.setdefault(name.lower(), index)
+    return positions
+
+
 def _order_ranks(plan: CodePlan, statement: SelectStatement) -> list[tuple[int, bool]] | None:
     """ORDER BY as rank sorts over source columns, when every key allows it.
 
     Mirrors the row path's name resolution: an ORDER BY key rides the
     dictionary-order index only when it is an unqualified column reference
-    naming an output column (last occurrence wins, like the row path's
-    name map).  DISTINCT forces the shared value-level path — dedup runs
-    before ordering there.
+    naming an output column (the first of that name, see
+    :func:`output_positions`).  DISTINCT forces the shared value-level
+    path — dedup runs before ordering there.
     """
     if not statement.order_by or statement.distinct:
         return None
-    name_positions = {name.lower(): index for index, name in enumerate(plan.names)}
+    name_positions = output_positions(plan.names)
     ranks: list[tuple[int, bool]] = []
     for order_item in statement.order_by:
         expression = order_item.expression
@@ -791,7 +778,7 @@ def _join_order_ranks(plan: JoinPlan,
     """ORDER BY as rank sorts over joined pairs (see :func:`_order_ranks`)."""
     if not statement.order_by or statement.distinct:
         return None
-    name_positions = {name.lower(): index for index, name in enumerate(plan.names)}
+    name_positions = output_positions(plan.names)
     ranks: list[tuple[int, int, bool]] = []
     for order_item in statement.order_by:
         expression = order_item.expression
@@ -1251,7 +1238,7 @@ def multiway_query_payload(plan: MultiJoinPlan
     the first member; later members bridge to the *previous* member's
     column and compose onward
     (:meth:`~repro.relational.columns.DictionaryBridge.compose`), so every
-    hop is revalidated against its dictionaries' generation+size stamps on
+    hop is revalidated against its dictionaries' size stamps on
     every query.  Chaining through intermediate dictionaries is join-safe:
     a value an intermediate member never saw has no live tuple there, so
     the intersection would drop it regardless.

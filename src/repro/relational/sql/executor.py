@@ -60,6 +60,7 @@ from repro.relational.sql.ast import (
     Statement,
     TableRef,
     UnionStatement,
+    collect_aggregates,
 )
 from repro.relational.sql.columnar import (
     CodePlan,
@@ -67,7 +68,6 @@ from repro.relational.sql.columnar import (
     MultiJoinPlan,
     build_factorised_buckets,
     build_join_buckets,
-    collect_aggregates,
     compile_filter,
     compile_join_plan,
     compile_multi_join_plan,
@@ -86,6 +86,7 @@ from repro.relational.sql.columnar import (
     join_query_payload,
     multiway_fold_payload,
     multiway_query_payload,
+    output_positions,
     query_payload,
     rewrite_aggregates,
 )
@@ -458,9 +459,7 @@ class SQLExecutor:
         ]
         unique_attributes = _deduplicate_names(attributes)
         schema = RelationSchema(result_name, unique_attributes)
-        result = Relation(schema)
-        for row in output_rows:
-            result.insert(list(row))
+        result = Relation.from_columns(schema, columns)
         if info is not None:
             self.last_explain = info
             self._explain = None
@@ -1176,7 +1175,7 @@ class SQLExecutor:
 
     def _order(self, statement: SelectStatement, output_rows: list[list[Any]],
                names: list[str]) -> list[list[Any]]:
-        name_positions = {name.lower(): index for index, name in enumerate(names)}
+        name_positions = output_positions(names)
 
         def key_function(row: list[Any]) -> tuple:
             keys = []

@@ -27,6 +27,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.sql.ast import (
     AggregateCall,
+    AggregateExpr,
     Join,
     OrderItem,
     SelectItem,
@@ -44,31 +45,6 @@ AGGREGATE_KEYWORDS = ("count", "sum", "avg", "min", "max")
 #: deeper input raises :class:`SQLSyntaxError` instead of exhausting the
 #: interpreter's recursion limit (a parenthesis costs about eight frames).
 MAX_NESTING = 64
-
-
-class AggregateExpr(Expression):
-    """An aggregate call used where a scalar expression is expected (HAVING).
-
-    The executor replaces these with references to pre-computed aggregate
-    columns; direct evaluation is a logic error.
-    """
-
-    __slots__ = ("call",)
-
-    def __init__(self, call: AggregateCall) -> None:
-        self.call = call
-
-    def evaluate(self, context):  # pragma: no cover - defensive
-        raise SQLSyntaxError("aggregate used outside GROUP BY/HAVING context")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AggregateExpr) and self.call == other.call
-
-    def __hash__(self) -> int:
-        return hash(self.call)
-
-    def __str__(self) -> str:
-        return str(self.call)
 
 
 class _Parser:

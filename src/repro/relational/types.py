@@ -85,8 +85,9 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
     """Coerce *value* to the Python representation of *attr_type*.
 
     ``None``, the :data:`NULL` marker and the empty string all coerce to
-    NULL.  Strings are parsed for numeric and boolean attributes; numbers
-    are stringified for string attributes.  Raises
+    NULL, and so does a FLOAT NaN; a FLOAT ``-0.0`` becomes ``0.0``.
+    Strings are parsed for numeric and boolean attributes; numbers are
+    stringified for string attributes.  Raises
     :class:`~repro.errors.TypeMismatchError` when the value cannot be
     represented in the declared type.
     """
@@ -125,18 +126,18 @@ def coerce_value(value: Any, attr_type: AttributeType) -> Any:
             return float(value)
         if isinstance(value, (int, float)):
             result = float(value)
-            if math.isnan(result):
-                return NULL
-            return result
-        if isinstance(value, str):
+        elif isinstance(value, str):
             try:
                 result = float(value.strip())
             except ValueError as exc:
                 raise TypeMismatchError(f"cannot parse {value!r} as FLOAT") from exc
-            if math.isnan(result):
-                return NULL
-            return result
-        raise TypeMismatchError(f"cannot represent {value!r} as FLOAT")
+        else:
+            raise TypeMismatchError(f"cannot represent {value!r} as FLOAT")
+        if math.isnan(result):
+            return NULL
+        # -0.0 = 0.0 in SQL, and a column dictionary gives them one code:
+        # store the one form every reader sees
+        return 0.0 if result == 0 else result
 
     # BOOLEAN
     if isinstance(value, bool):

@@ -83,7 +83,9 @@ class SemandaqSession:
         self._cfds: list[CFD] = []
         self._cinds: list[CIND] = []
         self._sql_engine: SQLEngine | None = None
-        self._cost_model = CostModel()
+        #: one cost model per relation (by lower-cased name): cell weights
+        #: are keyed by (tid, attribute), which only one relation defines
+        self._cost_models: dict[str, CostModel] = {}
         self._locked_cells: dict[tuple[str, int, str], Any] = {}
         self._last_report: ViolationReport | None = None
         self._last_repair: dict[str, Repair] = {}
@@ -266,7 +268,7 @@ class SemandaqSession:
                 if cfd.relation_name.lower() == relation.name.lower()]
         if not cfds:
             raise ReproError(f"no CFDs registered for relation {relation.name!r}")
-        repair = BatchRepair(relation, cfds, cost_model=self._cost_model,
+        repair = BatchRepair(relation, cfds, cost_model=self._cost_model(relation),
                              engine=self._engine, workers=self._workers,
                              task_timeout=self._task_timeout,
                              task_retries=self._task_retries).repair()
@@ -305,7 +307,15 @@ class SemandaqSession:
 
     def _lock(self, relation: Relation, tid: int, attribute: str, value: Any) -> None:
         self._locked_cells[(relation.name.lower(), tid, attribute.lower())] = value
-        self._cost_model.set_weight(tid, attribute, LOCKED_WEIGHT)
+        self._cost_model(relation).set_weight(tid, attribute, LOCKED_WEIGHT)
+
+    def _cost_model(self, relation: Relation) -> CostModel:
+        """The cost model of *relation*'s repairs, made on first use."""
+        key = relation.name.lower()
+        model = self._cost_models.get(key)
+        if model is None:
+            model = self._cost_models[key] = CostModel()
+        return model
 
     # -- reporting -------------------------------------------------------------------------
 

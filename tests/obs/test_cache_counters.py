@@ -105,7 +105,7 @@ class TestHashIndexCounter:
     def test_maintained_index_builds_once(self, relation):
         index = relation.columns.index(["a", "b"])
         assert obs.counter("cache.index.rebuild") == 1
-        # the store's hooks keep it current: mutations rebuild nothing
+        # the relation's mutations keep it current: they rebuild nothing
         relation.insert(["a9", "b9", "c9"])
         relation.update(0, "a", "a5")
         relation.update(1, "c", "c5")
@@ -117,10 +117,6 @@ class TestHashIndexCounter:
         clone = relation.copy()
         assert clone.columns.index(["a", "b"]) is not index
         assert obs.counter("cache.index.rebuild") == 2
-        # a stale store rebuilds its registered indexes with it
-        relation.clear()
-        assert relation.columns.index(["a", "b"]) is index
-        assert obs.counter("cache.index.rebuild") == 3
 
 
 class TestCQAKeyIndex:

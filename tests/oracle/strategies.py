@@ -3,9 +3,10 @@
 Relations have at most ten tuples over three or four attributes a–d.
 Cells are drawn from small pools that include NULL and the colliding
 forms ``1``, ``"1"`` and ``1.0`` (coerced per attribute type, so a
-STRING column stores ``"1"`` for all three and a FLOAT column ``1.0``);
-pattern constants use the same colliding forms uncoerced, so ``≍``
-has to compare across types.
+STRING column stores ``"1"`` for all three and a FLOAT column ``1.0``),
+and, for FLOAT, ``0.0`` and ``-0.0`` (both stored as ``0.0``); pattern
+constants use the same colliding forms uncoerced, so ``≍`` has to
+compare across types.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MAX_ROWS = 10
 CELLS = {
     AttributeType.STRING: (NULL, "1", 1, 1.0, "a", "b"),
     AttributeType.INTEGER: (NULL, 1, "1", 1.0, 2),
-    AttributeType.FLOAT: (NULL, 1.0, 1, "1", 2.5),
+    AttributeType.FLOAT: (NULL, 1.0, 1, "1", 2.5, 0.0, -0.0),
 }
 
 #: pattern constants: the colliding forms plus values only some types hold

@@ -68,7 +68,7 @@ TYPED_CELLS = [
     (AttributeType.INTEGER, 2 ** 53 + 1, str(2 ** 53 + 1), True),
     (AttributeType.INTEGER, 1, 10 ** 400, False),
     (AttributeType.FLOAT, 0.0, "-0.0", False),
-    (AttributeType.FLOAT, -0.0, "0.0", False),
+    (AttributeType.FLOAT, -0.0, "0.0", True),  # a FLOAT -0.0 is stored as 0.0
     (AttributeType.FLOAT, 0.0, -0.0, True),
     (AttributeType.FLOAT, math.inf, "inf", True),
     (AttributeType.FLOAT, -math.inf, -math.inf, True),

@@ -30,19 +30,6 @@ def relation():
     return Relation.from_rows(SCHEMA, ROWS)
 
 
-def snapshot(store):
-    """Observable state of a store: per column (codes by tid, live value counts)."""
-    state = {}
-    for column in store.columns():
-        live = {}
-        for tid in store.relation.tids():
-            live[tid] = column.values[column.codes[tid]]
-        counts = {column.values[code]: count
-                  for code, count in enumerate(column.counts) if count}
-        state[column.attribute] = (live, counts)
-    return state
-
-
 class TestColumnStore:
     def test_codes_decode_to_row_values(self, relation):
         store = relation.columns
@@ -68,16 +55,6 @@ class TestColumnStore:
         with pytest.raises(SchemaError):
             relation.columns.column("nope")
 
-    def test_incremental_maintenance_matches_rebuild(self, relation):
-        store = relation.columns
-        relation.insert(("hopper", "nyc", 85))
-        relation.update(0, "city", "nyc")
-        relation.delete(1)
-        assert not store.is_stale()
-        maintained = snapshot(store)
-        store.rebuild()
-        assert snapshot(store) == maintained
-
     def test_delete_leaves_tombstone_and_decrements_counts(self, relation):
         store = relation.columns
         city = store.column("city")
@@ -86,22 +63,6 @@ class TestColumnStore:
         relation.delete(0)
         assert city.codes[0] == TOMBSTONE
         assert city.counts[code] == count_before - 1
-
-    def test_clear_leaves_store_stale_then_rebuilds(self, relation):
-        store = relation.columns
-        relation.clear()
-        assert store.is_stale()
-        relation.insert(("new", "berlin", 1))
-        fresh = relation.columns  # transparently rebuilt
-        assert not fresh.is_stale()
-        assert snapshot(fresh)["city"][1] == {"berlin": 1}
-
-    def test_store_created_after_mutations_is_fresh(self):
-        relation = Relation.from_rows(SCHEMA, ROWS)
-        relation.delete(2)
-        store = relation.columns
-        assert not store.is_stale()
-        assert store.column("name").distinct_count() == 2
 
     def test_filter_and_copy_get_their_own_store(self, relation):
         _ = relation.columns
@@ -271,13 +232,3 @@ class TestColumnOrder:
     def test_unknown_operator_rejected(self, relation):
         with pytest.raises(ValueError):
             relation.columns.column("city").order().codes_in_range("!", "x")
-
-    def test_reset_clears_view(self, relation):
-        column = relation.columns.column("city")
-        before = column.order()
-        relation.clear()
-        for row in ROWS:
-            relation.insert(list(row))
-        store = relation.columns  # stale store rebuilds in place
-        after = store.column("city").order()
-        assert after is not before

@@ -102,16 +102,6 @@ class TestCodeLevelCost:
         model = CostModel()
         assert model.code_distance(column, a, b) == model.distance("edi", "ldn")
 
-    def test_memo_cleared_on_rebuild(self):
-        model = CostModel(distance=lambda left, right: 0.5)
-        column = _column(["a", "b"])
-        a, b = column.code_of("a"), column.code_of("b")
-        model.code_distance(column, a, b)
-        cache = column.distance_cache(model._distance_key)
-        assert cache
-        column._reset()
-        assert not cache  # cleared in place: held references stay valid
-
     def test_cheapest_target_code_prefers_majority(self):
         model = CostModel()
         values = ["edi", "edi", "ldn"]

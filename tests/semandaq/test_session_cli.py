@@ -108,6 +108,20 @@ class TestSemandaqSession:
         report = session.detect()
         assert len(report.cind_violations()) == 1
 
+    def test_lock_reweights_only_its_own_relation(self):
+        database = Database()
+        schema = [Attribute("zip"), Attribute("city")]
+        database.create_from_dicts(RelationSchema("a", schema), [{"zip": "9", "city": "q"}])
+        database.create_from_dicts(RelationSchema("b", schema), [
+            {"zip": "1", "city": "x"}, {"zip": "1", "city": "y"}, {"zip": "1", "city": "y"}])
+        session = SemandaqSession(database)
+        session.register_cfds("b([zip] -> [city])")
+        before = session.propose_repair("b").changes
+        assert [(c.tid, c.new_value) for c in before] == [(0, "y")]
+        # a's tid 0 is locked, not b's: b's repair must not change
+        session.confirm_cell(0, "city", "a")
+        assert session.propose_repair("b").changes == before
+
     def test_end_to_end_on_generated_data(self):
         generator = CustomerGenerator(seed=19)
         clean = generator.generate(200)
