@@ -385,8 +385,7 @@ class Column:
     """
 
     __slots__ = ("attribute", "codes", "values", "counts",
-                 "_code_by_value", "_matchers", "_strings", "_distances",
-                 "_order", "_bridges")
+                 "_code_by_value", "_matchers", "_strings", "_order", "_bridges")
 
     def __init__(self, attribute: str) -> None:
         self.attribute = attribute
@@ -396,7 +395,6 @@ class Column:
         self._code_by_value: dict[Any, int] = {NULL: NULL_CODE}
         self._matchers: dict[Hashable, ConstantMatcher] = {}
         self._strings: list[str] | None = None
-        self._distances: dict[Hashable, dict[tuple[int, int], float]] = {}
         self._order: ColumnOrder | None = None
         self._bridges: dict[tuple[int, str], DictionaryBridge] = {}
 
@@ -404,8 +402,8 @@ class Column:
         """A column with copies of the codes and the dictionary.
 
         Codes keep their meaning, so nothing is re-encoded.  Matchers,
-        order views, bridges and distance memos are not carried over:
-        they are rebuilt on demand for the copy.
+        order views and bridges are not carried over: they are rebuilt on
+        demand for the copy.
         """
         clone = Column(self.attribute)
         clone.codes = list(self.codes)
@@ -499,23 +497,6 @@ class Column:
         elif obs.enabled:
             obs.inc("cache.matcher.hit")
         return matcher
-
-    # -- distance memo ----------------------------------------------------
-
-    def distance_cache(self, key: Hashable) -> dict[tuple[int, int], float]:
-        """A ``(code, code) → distance`` memo for one distance function.
-
-        The repair cost model stores ``dist(values[a], values[b])`` here,
-        keyed by the model's distance-function identity, so repeated cost
-        evaluations decode a code pair at most once (the per-code string
-        cache makes the miss itself cheap).  Codes are never reassigned,
-        so a memo stays valid for the column's lifetime.
-        """
-        cache = self._distances.get(key)
-        if cache is None:
-            cache = {}
-            self._distances[key] = cache
-        return cache
 
     # -- statistics -------------------------------------------------------
 
@@ -634,7 +615,7 @@ class ColumnStore:
         lifetime; from then on every insert, delete and update of the
         relation refiles the tid it touches.  Bucket order is insertion
         order, not a fresh scan's first-occurrence order: probe buckets,
-        never iterate them for ordered output.
+        or order what iterating them yields by each bucket's smallest tid.
         """
         relation = self.relation
         positions = tuple(relation.schema.positions(attribute_names))
@@ -645,6 +626,15 @@ class ColumnStore:
             index = HashIndex(relation, attribute_names)
             self._indexes[positions] = index
         return index
+
+    def drop_indexes(self) -> None:
+        """Unregister every maintained index; a later :meth:`index` builds afresh.
+
+        For a relation nothing will probe again, such as a finished
+        repair's working copy: its mutations stop refiling tids, and the
+        buckets are freed.
+        """
+        self._indexes.clear()
 
     def partition_groups(self, positions: Sequence[int]) -> dict[Any, list[int]]:
         """Live tids grouped by their code key over *positions* (one pass).

@@ -26,8 +26,10 @@ An index comes in two kinds:
   by the column store; every insert, delete and update of the relation
   moves the one tid it touches.
   After mutations its bucket order is insertion order, not
-  first-occurrence order, so it is for probing buckets, never for
-  iterating them into ordered output.
+  first-occurrence order.  Probe its buckets, or iterate them only where
+  the output is then ordered by each bucket's smallest tid (live tids
+  ascend, so that is a fresh index's first-occurrence order), as
+  :class:`~repro.detection.batch.BatchCFDDetector` orders its groups.
 
 Either kind refers to its relation weakly (the relation owns the store
 that owns a maintained index), so dropping a relation frees it at once;

@@ -26,11 +26,19 @@ pattern scope checks are compiled code tests
 decided through the per-code string caches, pinned targets live in a
 :class:`~repro.repair.eqclass.CodeEquivalenceClasses` keyed by ``(tid,
 column position)``, and cheapest targets come from the cost model's
-code-level face with its per-column distance memo.  Values are decoded
-only at the write-back and :class:`CellChange` boundaries.  The per-pass
-detection reuses one :class:`~repro.detection.batch.BatchCFDDetector`, so
-``engine=``/``workers=`` route every inner detection pass through the
-chunked execution engine (:mod:`repro.engine`).
+code-level face over its distance memo (one per model, so repairs that
+share a model compute each distance once).  Values are decoded only at
+the write-back and :class:`CellChange` boundaries.
+
+Step 1 runs on one :class:`~repro.detection.batch.BatchCFDDetector` over
+the working copy, and every write of step 2 goes through it.  Pass 1
+detects in full, grouping on the copy's maintained LHS indexes, which
+then follow the repair's writes (and are dropped when the repair ends);
+every later pass only re-checks the tuples and groups the previous pass
+wrote or reported (:meth:`~repro.detection.batch.BatchCFDDetector.recheck`),
+with the same violations in the same order.  ``engine=``/``workers=``
+route the first pass through the chunked execution engine
+(:mod:`repro.engine`); the re-checks run in-process.
 
 The repair never touches the input relation: it works on a copy and
 returns a :class:`Repair` carrying the repaired relation, the list of cell
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Any, Sequence
 
 from repro import obs
@@ -178,7 +187,7 @@ class BatchRepair:
                 passes += 1
                 if obs.enabled:
                     obs.inc("repair.passes")
-                report = detector.detect()
+                report = detector.detect() if passes == 1 else detector.recheck()
                 if report.is_clean():
                     converged = True
                     break
@@ -188,13 +197,15 @@ class BatchRepair:
                 pinned = CodeEquivalenceClasses()
                 for violation in violations:
                     if violation.is_single_tuple:
-                        self._resolve_constant(working, violation, pinned, plans)
+                        self._resolve_constant(working, detector, violation, pinned, plans)
                 for violation in violations:
                     if not violation.is_single_tuple:
-                        self._resolve_group(working, violation, pinned, plans)
+                        self._resolve_group(working, detector, violation, pinned, plans)
         else:
             # loop ended without break: check once more
-            converged = detector.detect().is_clean()
+            converged = detector.recheck().is_clean()
+        # the copy is handed back like any other copy: with no index
+        working.columns.drop_indexes()
 
         changes = self._collect_changes(working)
         if obs.enabled:
@@ -222,8 +233,8 @@ class BatchRepair:
             plans[key] = plan
         return plan
 
-    def _resolve_constant(self, working: Relation, violation: CFDViolation,
-                          pinned: CodeEquivalenceClasses,
+    def _resolve_constant(self, working: Relation, detector: BatchCFDDetector,
+                          violation: CFDViolation, pinned: CodeEquivalenceClasses,
                           plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
         """Write the pattern's RHS constants into the offending tuple."""
         tid = violation.tids[0]
@@ -242,14 +253,14 @@ class BatchRepair:
                 # two constant CFDs demand different values for the same cell:
                 # the CFD set is inconsistent on this tuple; move it out of the
                 # second pattern's scope instead of flip-flopping.
-                self._break_lhs(working, violation.cfd, tid)
+                self._break_lhs(detector, violation.cfd, tid)
                 return
-            working.update(tid, attribute, target)
+            detector.update(tid, attribute, target)
             if existing is None:
                 pinned.pin(cell, target_code)
 
-    def _resolve_group(self, working: Relation, violation: CFDViolation,
-                       pinned: CodeEquivalenceClasses,
+    def _resolve_group(self, working: Relation, detector: BatchCFDDetector,
+                       violation: CFDViolation, pinned: CodeEquivalenceClasses,
                        plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
         """Equalize the variable RHS attributes of a violating group."""
         tids = [tid for tid in violation.tids if tid in working]
@@ -277,7 +288,7 @@ class BatchRepair:
             if len(pins) > 1:
                 # irreconcilable constants: split the group on the LHS
                 for tid in live[1:]:
-                    self._break_lhs(working, violation.cfd, tid)
+                    self._break_lhs(detector, violation.cfd, tid)
                 return
             if pins:
                 # write the pinned constant's string form
@@ -290,25 +301,32 @@ class BatchRepair:
                 target_value = column.value_of(target_code)
             for tid, code in cells:
                 if strings[code] != target_str:
-                    working.update(tid, attribute, target_value)
+                    detector.update(tid, attribute, target_value)
 
-    def _break_lhs(self, working: Relation, cfd: CFD, tid: int) -> None:
+    def _break_lhs(self, detector: BatchCFDDetector, cfd: CFD, tid: int) -> None:
         """Move a tuple out of a pattern's scope by refreshing one LHS attribute."""
         attribute = cfd.lhs[-1]
         fresh = f"__repair_fresh_{next(self._fresh_counter)}"
-        working.update(tid, attribute, fresh)
+        detector.update(tid, attribute, fresh)
 
     # -- bookkeeping -------------------------------------------------------------------
 
     def _collect_changes(self, working: Relation) -> list[CellChange]:
-        """Change sweep on codes: per-code string compares, decode only changed cells."""
+        """Change sweep on codes: per-code string compares, decode only changed cells.
+
+        The copy keeps every code the repair did not write, so only the
+        tids whose codes differ in some column are compared.
+        """
         changes: list[CellChange] = []
         names = [name.lower() for name in self._original.schema.attribute_names]
         original_columns = self._original.columns.columns()
         working_columns = working.columns.columns()
         pairs = [(o.codes, o.strings, o.values, w.codes, w.strings, w.values)
                  for o, w in zip(original_columns, working_columns)]
-        for tid in self._original.tids():
+        differing: set[int] = set()
+        for o, w in zip(original_columns, working_columns):
+            differing.update(itertools.compress(itertools.count(), map(ne, o.codes, w.codes)))
+        for tid in sorted(differing):
             if tid not in working:
                 continue
             for name, (o_codes, o_strings, o_values, w_codes, w_strings, w_values) \

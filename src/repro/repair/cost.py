@@ -7,18 +7,21 @@ equally) and ``dist`` is a normalized distance in ``[0, 1]`` (here:
 normalized edit distance).  The cost of a repair is the sum over all
 changed cells; BatchRepair picks target values that minimize this sum.
 
-:meth:`CostModel.change_cost` prices one change of raw values (the cost
-of a finished repair).  Target selection works on dictionary codes:
-:meth:`CostModel.code_distance` and :meth:`CostModel.cheapest_target_code`
-take codes of one :class:`~repro.relational.columns.Column` and memoise
-every ``(code, code)`` distance on the column itself — codes are decoded
-only on a cache miss, so repeated repair passes over the same groups
-never recompute a pair.
+A model computes each distance once: :meth:`CostModel.distance` keeps a
+memo of every pair it was asked, keyed by the type and the value of both
+sides (INTEGER ``1`` and FLOAT ``1.0`` are ``==`` but print differently,
+so they never share an entry).  Everything prices through it:
+:meth:`CostModel.change_cost` (the cost of a finished repair) and the
+code-level face that target selection uses,
+:meth:`CostModel.code_distance` and :meth:`CostModel.cheapest_target_code`,
+which take codes of one :class:`~repro.relational.columns.Column` and
+decode them to look the pair up.  A session keeps one model per relation,
+so a proposed repair and the applied one share the memo.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro import obs
 from repro.matching.similarity import normalized_edit_distance
@@ -36,12 +39,8 @@ class CostModel:
         self._default_weight = default_weight
         self._weights: dict[tuple[int, str], float] = {}
         self._distance = distance or normalized_edit_distance
-        # Column-level memos are shared between models with the same
-        # distance *behaviour*: the concrete class participates so a
-        # subclass overriding distance() can never poison the memo of a
-        # plain model (and vice versa), while models passing the same
-        # function reuse one memo instead of growing a fresh one each.
-        self._distance_key: Hashable = (type(self), self._distance)
+        #: (type, value, type, value) -> distance, filled by distance()
+        self._memo: dict[tuple[Any, Any, Any, Any], float] = {}
 
     # -- weights ------------------------------------------------------------
 
@@ -63,10 +62,26 @@ class CostModel:
     # -- costs ---------------------------------------------------------------
 
     def distance(self, old_value: Any, new_value: Any) -> float:
-        """Distance in [0, 1] between two values (0 when equal)."""
-        if is_null(old_value) and is_null(new_value):
-            return 0.0
-        return self._distance(old_value, new_value)
+        """Distance in [0, 1] between two values (0 when equal), memoised."""
+        old_type, new_type = old_value.__class__, new_value.__class__
+        if old_type is float or new_type is float:
+            # FLOAT 0.0 and -0.0 are == but print differently; repr tells
+            # every float apart
+            key = (old_type, repr(old_value), new_type, repr(new_value))
+        else:
+            key = (old_type, old_value, new_type, new_value)
+        value = self._memo.get(key)
+        if value is None:
+            if obs.enabled:
+                obs.inc("cache.distance.miss")
+            if is_null(old_value) and is_null(new_value):
+                value = 0.0
+            else:
+                value = self._distance(old_value, new_value)
+            self._memo[key] = value
+        elif obs.enabled:
+            obs.inc("cache.distance.hit")
+        return value
 
     def change_cost(self, tid: int, attribute: str, old_value: Any, new_value: Any) -> float:
         """Cost of changing one cell."""
@@ -77,25 +92,14 @@ class CostModel:
     def code_distance(self, column: Column, code: int, target_code: int) -> float:
         """:meth:`distance` between two dictionary codes of one column.
 
-        Memoised in the column's :meth:`~repro.relational.columns.Column.
-        distance_cache` under this model's distance identity; the pair is
-        decoded (and the distance computed) only on the first encounter.
-        Equal codes short-circuit to ``0.0`` — which also covers the
-        NULL/NULL case, since NULL is one shared code.
+        Equal codes short-circuit to ``0.0`` (NULL is one shared code, so
+        this covers NULL/NULL too); any other pair is decoded and looked
+        up in the model's memo.
         """
         if code == target_code:
             return 0.0
-        cache = column.distance_cache(self._distance_key)
-        key = (code, target_code)
-        value = cache.get(key)
-        if value is None:
-            if obs.enabled:
-                obs.inc("cache.distance.miss")
-            value = self.distance(column.value_of(code), column.value_of(target_code))
-            cache[key] = value
-        elif obs.enabled:
-            obs.inc("cache.distance.hit")
-        return value
+        values = column.values
+        return self.distance(values[code], values[target_code])
 
     def code_target_cost(self, attribute: str, column: Column,
                          cells: Iterable[tuple[int, int]], target_code: int) -> float:

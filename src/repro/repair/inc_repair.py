@@ -23,21 +23,26 @@ running BatchRepair from scratch as the delta grows.
 Like :class:`~repro.repair.batch_repair.BatchRepair`, the repair runs on
 dictionary codes: pattern scope checks are compiled code tests, agreement
 with pattern constants and base-group values is decided through the
-per-code string caches, and delta-group equalization uses the cost
-model's code-level face.  ``engine=``/``workers=`` route the final
-delta-cleanliness detection through the chunked execution engine.
+per-code string caches, delta-group equalization uses the cost model's
+code-level face (and its distance memo, which the final cost sum reads
+too), and the changes are collected by comparing each delta tuple's
+codes with a snapshot taken before the first pass.  ``engine=``/
+``workers=`` route the final delta-cleanliness detection through the
+chunked execution engine.
 
 A delta tuple finds its base group by probing the relation's maintained
 LHS index (:meth:`~repro.relational.columns.ColumnStore.index`), which the
 column store keeps current under every insert, delete and update, so a
 batch costs work in proportion to the delta rather than a scan of the
-relation per CFD per pass.  The first repair on a relation registers the
-index (one scan); :meth:`Relation.copy` carries none.
+relation per CFD per pass.  The group's representative, its smallest
+base tid, is looked up once per LHS key and CFD in each pass.  The first
+repair on a relation registers the index (one scan);
+:meth:`Relation.copy` carries none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.tableau import PatternTuple
@@ -67,7 +72,8 @@ class IncRepair:
         """Repair the tuples *delta_tids* in place (only those may change)."""
         delta = [tid for tid in delta_tids if tid in self._relation]
         delta_set = set(delta)
-        originals = {tid: dict(self._relation.tuple(tid).as_dict()) for tid in delta}
+        columns = self._relation.columns.columns()
+        originals = {tid: [column.codes[tid] for column in columns] for tid in delta}
 
         converged = False
         passes = 0
@@ -96,8 +102,10 @@ class IncRepair:
         changed = False
         relation = self._relation
         # the store's maintained index: this call writes only RHS attributes
-        # of cfd, never its LHS, so the buckets hold still while it runs
+        # of cfd, never its LHS, so the buckets (and their smallest base
+        # tids) hold still while it runs
         index = relation.columns.index(cfd.lhs)
+        base_of: dict[tuple[int, ...], int | None] = {}
         for pattern in cfd.tableau:
             key = (cfd, pattern)
             plan = plans.get(key)
@@ -121,11 +129,14 @@ class IncRepair:
                 key_codes = plan.key_codes(tid)
                 if NULL_CODE in key_codes:
                     continue
-                group = index.bucket_view(key_codes)
-                base_tids = sorted(t for t in group if t not in delta_set)
-                if base_tids:
+                if key_codes in base_of:
+                    base_tid = base_of[key_codes]
+                else:
+                    base_tid = base_of[key_codes] = min(
+                        (t for t in index.bucket_view(key_codes) if t not in delta_set),
+                        default=None)
+                if base_tid is not None:
                     # the base is clean: adopt its RHS values
-                    base_tid = base_tids[0]
                     if not plan.lhs_matches(base_tid):
                         continue
                     for attribute, _position, column in plan.variable_rhs:
@@ -134,6 +145,7 @@ class IncRepair:
                             relation.update(tid, attribute, column.value_of(codes[base_tid]))
                             changed = True
                 else:
+                    group = index.bucket_view(key_codes)
                     changed |= self._equalize_delta_group(
                         plan, sorted(t for t in group if t != tid) + [tid])
         return changed
@@ -161,16 +173,20 @@ class IncRepair:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _collect_changes(self, originals: dict[int, dict[str, Any]]) -> list[CellChange]:
+    def _collect_changes(self, originals: dict[int, list[int]]) -> list[CellChange]:
+        """Change sweep on codes: per-code string compares, decode only changed cells."""
         changes = []
-        for tid, original in originals.items():
-            if tid not in self._relation:
+        relation = self._relation
+        names = [name.lower() for name in relation.schema.attribute_names]
+        columns = relation.columns.columns()
+        for tid, before in originals.items():
+            if tid not in relation:
                 continue
-            current = self._relation.tuple(tid)
-            for attribute, old_value in original.items():
-                new_value = current[attribute]
-                if str(old_value) != str(new_value):
-                    changes.append(CellChange(tid, attribute.lower(), old_value, new_value))
+            for name, column, old in zip(names, columns, before):
+                new = column.codes[tid]
+                if new != old and column.strings[old] != column.strings[new]:
+                    changes.append(CellChange(tid, name, column.values[old],
+                                              column.values[new]))
         return changes
 
     def _delta_clean(self, delta_set: set[int]) -> bool:

@@ -13,6 +13,7 @@ from repro.discovery.partitions import PartitionProvider
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
+from repro.semandaq.session import SemandaqSession
 
 SCHEMA = RelationSchema("r", [Attribute("a"), Attribute("b"), Attribute("c")])
 
@@ -133,3 +134,21 @@ class TestCQAKeyIndex:
         assert obs.counter("cache.index.rebuild") == 1
         assert answers == {("a0",), ("a1",), ("a2",)}
         assert engine.certain_answers(query) == answers
+
+
+class TestDistanceMemo:
+    def test_apply_after_propose_computes_no_distance(self, relation):
+        session = SemandaqSession(relation)
+        session.register_cfds("r([a] -> [b])")
+        proposal = session.propose_repair("r")
+        assert proposal.changes
+        misses = obs.counter("cache.distance.miss")
+        assert misses >= 1
+        hits = obs.counter("cache.distance.hit")
+        # the session's cost model is shared, so its memo outlives the
+        # proposal's working copy
+        applied = session.apply_repair("r")
+        assert obs.counter("cache.distance.miss") == misses
+        assert obs.counter("cache.distance.hit") > hits
+        assert [c.new_value for c in applied.changes] == \
+            [c.new_value for c in proposal.changes]

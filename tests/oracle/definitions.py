@@ -5,8 +5,9 @@ constraints only through their fields and pattern cells, and NULL only
 as the :data:`~repro.relational.types.NULL` marker.  It deliberately
 shares no helper with the engine — not ``PatternTuple.matches``,
 ``constants_equal`` or ``is_null``, not ``HashIndex``, nothing from
-``repro.discovery.partitions`` or ``repro.detection.columnar``, and no
-detector — so a bug in shared engine code cannot make an implementation
+``repro.discovery.partitions``, ``repro.detection.columnar`` or
+``repro.matching``, no detector, and of a repair's cost model only its
+weights — so a bug in shared engine code cannot make an implementation
 agree with its own reference.  SQL is parsed with the engine's parser,
 but :func:`select` reads only the fields of the statement and expression
 nodes: it evaluates, groups, aggregates and orders by itself, with no
@@ -423,10 +424,33 @@ def assert_inc_repair_postconditions(before: Mapping[int, Row], relation, cfds,
         assert cfd_violations(relation, cfds) == []
 
 
+def edit_distance(left: str, right: str) -> int:
+    """Levenshtein distance: the dynamic program over prefixes of both strings."""
+    previous = list(range(len(right) + 1))
+    for i, left_char in enumerate(left, start=1):
+        current = [i]
+        for j, right_char in enumerate(right, start=1):
+            current.append(min(current[j - 1] + 1, previous[j] + 1,
+                               previous[j - 1] + (left_char != right_char)))
+        previous = current
+    return previous[-1]
+
+
+def change_distance(old, new) -> float:
+    """The repair's value distance: edit distance over ``str`` forms divided
+    by the longer length; NULL is at 0 from NULL and at 1 from any value."""
+    if old is NULL or new is NULL:
+        return 0.0 if old is new else 1.0
+    left, right = str(old), str(new)
+    longest = max(len(left), len(right))
+    return edit_distance(left, right) / longest if longest else 0.0
+
+
 def _assert_changes(before, after, cfds, result, cost_model, allow_fresh: bool) -> None:
     reported = [(c.tid, c.attribute, c.old_value, c.new_value) for c in result.changes]
     assert sorted(map(repr, reported)) == sorted(map(repr, changed_cells(before, after)))
-    expected_cost = sum(cost_model.change_cost(tid, attribute, old, new)
+    # priced here, not by the model: only its weights are read
+    expected_cost = sum(cost_model.weight(tid, attribute) * change_distance(old, new)
                         for tid, attribute, old, new in reported)
     assert abs(result.cost - expected_cost) <= 1e-9 * max(1.0, expected_cost)
     rhs = {a.lower() for cfd in cfds for a in cfd.rhs}

@@ -8,7 +8,7 @@ directly; report order is pinned separately by the engine parity suites.
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracle import definitions as oracle
@@ -22,13 +22,15 @@ from oracle.strategies import (
 )
 from repro.constraints.cfd import CFD
 from repro.constraints.fd import FunctionalDependency
+from repro.constraints.tableau import UNDERSCORE
 from repro.detection.batch import BatchCFDDetector
 from repro.detection.cfd_detect import CFDDetector
 from repro.detection.cind_detect import CINDDetector
 from repro.detection.incremental import IncrementalCFDDetector
+from repro.errors import TypeMismatchError
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.types import AttributeType
+from repro.relational.types import AttributeType, coerce_value
 from repro.repair.inc_repair import IncRepair
 
 #: patterns differing only in a constant's type: "1" matches b=1, not b=1.0
@@ -95,6 +97,64 @@ class TestCFDDetection:
         mutate(relation, data)
         assert cfd_fingerprint(detector.detect()) == \
             Counter(oracle.cfd_violations(relation, cfds))
+
+
+#: values no generated cell holds, two per type so written tuples can meet
+FRESH = {AttributeType.STRING: ("new", "newer"), AttributeType.INTEGER: (7, 8),
+         AttributeType.FLOAT: (7.5, 8.5)}
+
+
+def _coerces(value, kind):
+    try:
+        coerce_value(value, kind)
+    except TypeMismatchError:
+        return False
+    return True
+
+
+def tracked_writes(detector, relation, cfds, data):
+    """Random writes through the detector, as a repair pass makes them:
+    RHS values, pattern constants (new to the dictionary, often) on
+    either side, and fresh LHS values."""
+    types = {a.name.lower(): a.type for a in relation.schema.attributes}
+    constants = [cell for cfd in cfds for pattern in cfd.tableau
+                 for cell in oracle.pattern_cells(pattern).values() if cell is not UNDERSCORE]
+    for _ in range(data.draw(st.integers(1, 4))):
+        cfd = data.draw(st.sampled_from(cfds))
+        kind = data.draw(st.sampled_from(["rhs", "constant", "fresh"]))
+        if kind == "rhs":
+            attribute = data.draw(st.sampled_from(list(cfd.rhs)))
+            pool = list(CELLS[types[attribute]])
+        elif kind == "constant":
+            attribute = data.draw(st.sampled_from(list(cfd.lhs + cfd.rhs)))
+            pool = [c for c in constants if _coerces(c, types[attribute])]
+        else:
+            attribute = data.draw(st.sampled_from(list(cfd.lhs)))
+            pool = list(FRESH[types[attribute]])
+        if pool:
+            detector.update(data.draw(st.sampled_from(relation.tids())), attribute,
+                            data.draw(st.sampled_from(pool)))
+
+
+class TestBatchRecheck:
+    """A re-check after tracked writes reports exactly what a full detection
+    reports, in the same order — the order decides a repair pass."""
+
+    @given(relations_with_cfds(), st.data())
+    @oracle_settings(40)
+    def test_recheck_equals_full_detection(self, engine, case, data):
+        relation, cfds = case
+        assume(len(relation))
+        detector = BatchCFDDetector(relation, cfds, **engine)
+        detector.detect()
+        for _ in range(data.draw(st.integers(2, 3))):
+            tracked_writes(detector, relation, cfds, data)
+            report = detector.recheck()
+            # a copy's indexes are fresh: buckets in first-occurrence order
+            fresh = BatchCFDDetector(relation.copy(), cfds).detect()
+            assert [(v.cfd, v.pattern, v.tids) for v in report] == \
+                [(v.cfd, v.pattern, v.tids) for v in fresh]
+            assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
 
 
 class TestIncrementalDetection:

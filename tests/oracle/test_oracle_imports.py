@@ -7,13 +7,14 @@ import oracle.definitions
 
 #: modules and names whose logic the definitions restate instead of reusing
 FORBIDDEN_MODULES = ("repro.cqa", "repro.detection", "repro.discovery", "repro.repair",
-                     "repro.relational.index", "repro.relational.predicates",
-                     "repro.relational.sql.executor", "repro.relational.sql.columnar",
-                     "repro.relational.sql.explain", "repro.engine")
+                     "repro.matching", "repro.relational.index",
+                     "repro.relational.predicates", "repro.relational.sql.executor",
+                     "repro.relational.sql.columnar", "repro.relational.sql.explain",
+                     "repro.engine")
 FORBIDDEN_NAMES = {"matches", "matches_values", "constants_equal", "is_null",
                    "is_wildcard", "HashIndex", "partition_of", "PartitionProvider",
                    "evaluate", "truth", "sort_key", "rewrite_aggregates",
-                   "expanded_items", "flatten_conjuncts"}
+                   "expanded_items", "flatten_conjuncts", "change_cost", "code_distance"}
 
 
 def test_definitions_import_no_engine_helpers():

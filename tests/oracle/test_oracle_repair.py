@@ -4,7 +4,9 @@ Repairs may oscillate between interacting CFDs (the repair module
 documents this), so convergence is not asserted: a run that stops at
 ``max_passes`` must only say so.  Relations use STRING attributes —
 repairs write pattern constants and fresh ``__repair_fresh_*`` markers,
-which typed columns would refuse.
+which typed columns would refuse.  The cost a repair reports is priced
+with the definitions' own edit distance, which the bit-parallel kernel
+must equal.
 """
 
 from hypothesis import assume, given
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracle import definitions as oracle
 from oracle.strategies import CELLS, oracle_settings, relations_with_cfds
+from repro.matching.similarity import levenshtein_distance
 from repro.relational.types import AttributeType
 from repro.repair.batch_repair import BatchRepair
 from repro.repair.cost import CostModel
@@ -60,3 +63,23 @@ class TestIncRepair:
         result = IncRepair(relation, cfds, cost_model=model, **engine).repair_delta(delta)
         oracle.assert_inc_repair_postconditions(before, relation, cfds, delta, result,
                                                 model)
+
+
+#: a few letters, a non-ASCII one and an astral one; up to 150 characters,
+#: so the kernel's bit vectors cross 64 bits
+TEXTS = st.text(alphabet=st.sampled_from("abcé\U0001F600"), max_size=150)
+
+
+@st.composite
+def text_pairs(draw):
+    left = draw(TEXTS)
+    return left, draw(st.one_of(TEXTS, st.just(left), st.just("")))
+
+
+class TestEditDistance:
+    @given(text_pairs())
+    @oracle_settings(300)
+    def test_bit_parallel_kernel_equals_the_dynamic_program(self, pair):
+        left, right = pair
+        assert levenshtein_distance(left, right) == oracle.edit_distance(left, right)
+        assert levenshtein_distance(right, left) == oracle.edit_distance(left, right)

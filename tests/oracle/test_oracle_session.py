@@ -6,6 +6,10 @@ engine.  Both must report exactly the violations the definitions give,
 on typed relations too — in particular a NULL RHS cell disagrees with
 every value in its group, and a pattern constant matches a cell of any
 type exactly when ``≍`` says so.
+
+Nor may an applied repair depend on what the session computed before:
+proposing first fills the cost model's distance memo that the applied
+repair then reads.
 """
 
 import math
@@ -100,3 +104,31 @@ def test_typed_constant_matches_like_the_definition(side, kind, cell, constant, 
     assert bool(expected) == (matches if side == "lhs" else not matches)
     assert detected(relation, cfds) == expected
     assert detected(relation, cfds, **engine) == expected
+
+
+def _fingerprint(repair, relation):
+    changes = [(c.tid, c.attribute, repr(c.old_value), repr(c.new_value))
+               for c in repair.changes]
+    return changes, repr(repair.cost), repair.passes, repair.converged, oracle.rows(relation)
+
+
+@given(relations_with_cfds(typed=False))
+@oracle_settings(20)
+def test_apply_after_propose_equals_apply_alone(engine, case):
+    relation, cfds = case
+    alone = relation.copy()
+    first = SemandaqSession(relation, **engine)
+    first.register_cfds(cfds)
+    proposal = first.propose_repair("r")
+    confirmed = None
+    if proposal.changes:
+        confirmed = (proposal.changes[0].tid, proposal.changes[0].attribute)
+        first.confirm_cell(*confirmed, "r")
+    after_propose = first.apply_repair("r")
+
+    second = SemandaqSession(alone, **engine)
+    second.register_cfds(cfds)
+    if confirmed is not None:
+        second.confirm_cell(*confirmed, "r")
+    applied_alone = second.apply_repair("r")
+    assert _fingerprint(after_propose, relation) == _fingerprint(applied_alone, alone)

@@ -84,6 +84,17 @@ def test_dropped_relation_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_dropped_indexes_stop_following_and_rebuild_on_request():
+    relation = small_relation()
+    index = relation.columns.index(["a"])
+    relation.columns.drop_indexes()
+    relation.update(0, "a", "y")
+    assert index.bucket_view(index.encode_key(["y"])) == {1}  # no longer refiled
+    fresh = relation.columns.index(["a"])
+    assert fresh is not index
+    assert dict(fresh.groups()) == value_groups(relation, ["a"])
+
+
 def test_store_and_index_outliving_their_relation_raise():
     relation = small_relation()
     store = relation.columns

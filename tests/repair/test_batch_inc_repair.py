@@ -50,6 +50,13 @@ class TestBatchRepair:
         assert result.converged
         assert detect_cfd_violations(result.relation, CFDS).is_clean()
 
+    def test_repaired_copy_carries_no_index(self, customer):
+        # the passes group on the copy's maintained indexes; the copy
+        # handed back keeps none, like any other copy
+        result = BatchRepair(customer, CFDS).repair()
+        assert result.passes > 1
+        assert "0 maintained indexes" in repr(result.relation.columns)
+
     def test_original_relation_untouched(self, customer):
         before = [t.as_dict() for t in customer]
         BatchRepair(customer, CFDS).repair()

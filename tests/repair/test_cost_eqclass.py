@@ -55,7 +55,7 @@ class TestCodeLevelCost:
         assert model.code_distance(column, NULL_CODE, NULL_CODE) == 0.0
         assert model.code_distance(column, a, NULL_CODE) == model.distance("edi", NULL)
 
-    def test_code_distance_is_memoised_per_column(self):
+    def test_code_distance_is_memoised_per_model(self):
         calls = []
 
         def counting(left, right):
@@ -67,7 +67,31 @@ class TestCodeLevelCost:
         a, b = column.code_of("a"), column.code_of("b")
         assert model.code_distance(column, a, b) == 0.5
         assert model.code_distance(column, a, b) == 0.5
-        assert len(calls) == 1  # second call hits the column's memo
+        # another column (say, a repair's working copy) decodes to the same
+        # values and shares the model's memo; so does change_cost
+        copy = _column(["b", "a"])
+        assert model.code_distance(copy, copy.code_of("a"), copy.code_of("b")) == 0.5
+        assert model.change_cost(0, "x", "a", "b") == 0.5
+        assert len(calls) == 1  # every later call hits the model's memo
+
+    def test_equal_codes_of_two_columns_keep_apart(self):
+        model = CostModel()
+        cities, streets = _column(["edi", "ldn"]), _column(["abc", "abd"])
+        # both columns give their values codes 1 and 2: the memo keys values
+        assert model.code_distance(cities, 1, 2) == pytest.approx(2 / 3)
+        assert model.code_distance(streets, 1, 2) == pytest.approx(1 / 3)
+
+    def test_integer_and_float_keep_apart(self):
+        model = CostModel()
+        # == values of different types print differently: 1/1 vs 1/3 edits
+        assert model.distance(1, 2) == 1.0
+        assert model.distance(1.0, 2.0) == pytest.approx(1 / 3)
+        assert model.distance(1, 2) == 1.0
+        # a FLOAT -0.0 prints with its sign: 2 edits of 4 vs 1 of 3
+        assert model.distance(-0.0, 1.0) == 0.5
+        assert model.distance(0.0, 1.0) == pytest.approx(1 / 3)
+        assert model.distance(1, 1) == 0.0
+        assert model.distance(True, 1) == 1.0  # "True" vs "1"
 
     def test_custom_distances_do_not_share_memos(self):
         column = _column(["a", "b"])
@@ -76,20 +100,6 @@ class TestCodeLevelCost:
         second = CostModel(distance=lambda left, right: 0.75)
         assert first.code_distance(column, a, b) == 0.25
         assert second.code_distance(column, a, b) == 0.75
-
-    def test_same_function_shares_one_memo(self):
-        calls = []
-
-        def shared(left, right):
-            calls.append((left, right))
-            return 0.5
-
-        column = _column(["a", "b"])
-        a, b = column.code_of("a"), column.code_of("b")
-        assert CostModel(distance=shared).code_distance(column, a, b) == 0.5
-        assert CostModel(distance=shared).code_distance(column, a, b) == 0.5
-        assert len(calls) == 1  # second model reuses the first model's memo
-        assert len(column._distances) == 1  # throwaway models do not grow the column
 
     def test_subclass_override_does_not_poison_default_memo(self):
         class Overridden(CostModel):
