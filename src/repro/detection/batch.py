@@ -5,25 +5,17 @@ their pattern tuples), Fan et al. detect them together: the pattern
 tableaux are merged and the relation is grouped on ``X`` **once**, instead
 of once per CFD.  The per-group work then checks every pattern against the
 group.  :class:`BatchCFDDetector` implements this on the columnar
-substrate (grouping by integer code tuples in the relation's maintained
-LHS indexes, patterns compiled once to code tests); the naive alternative
-(one full detection pass per CFD) is available via
+substrate (grouping by integer code tuples, patterns compiled once to code
+tests); the naive alternative (one full detection pass per CFD) is available via
 :meth:`BatchCFDDetector.detect_naive` so that benchmarks can compare the
-two (experiment E3).  ``engine=``/``workers=`` run the full pass on the
-chunked execution engine (:mod:`repro.engine`) with byte-identical
-reports.
-
-A detector that writes through :meth:`BatchCFDDetector.update` can
-:meth:`~BatchCFDDetector.recheck` instead of detecting again: it re-checks
-only the tuples and groups those writes could have changed, plus the
-violations it reported last, and returns exactly what a full detection
-would, in the same order.  BatchRepair's passes after the first run on it.
+two (experiment E3).  ``engine=``/``workers=`` run the batch pass on the chunked execution engine (:mod:`repro.engine`) with
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.violations import CFDViolation, ViolationReport
@@ -31,6 +23,7 @@ from repro.detection.cfd_detect import CFDDetector
 from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
 from repro.engine.detect import ChunkedCFDEngine
 from repro.engine.executor import resolve_pool
+from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 
 
@@ -52,14 +45,6 @@ class BatchCFDDetector:
                                   task_retries=task_retries)
         self._chunked: "ChunkedCFDEngine | None" = None
         self._compiled: list[list[CompiledPattern]] | None = None
-        #: per merged CFD, the code arrays of its LHS (live, read-only)
-        self._key_arrays = [
-            relation.columns.code_arrays(relation.schema.positions(list(cfd.lhs)))
-            for cfd in self._merged]
-        #: per merged CFD, the violations of the last detect() or recheck()
-        self._previous: list[list[CFDViolation]] | None = None
-        #: tid -> its LHS key per merged CFD before its first update() since
-        self._written: dict[int, list[tuple[int, ...]]] = {}
 
     @property
     def merged_cfds(self) -> list[CFD]:
@@ -70,79 +55,20 @@ class BatchCFDDetector:
 
     def detect(self) -> ViolationReport:
         """One grouping pass per embedded FD, all patterns checked per group."""
+        report = ViolationReport(self._relation.name, tuples_checked=len(self._relation))
         compiled = self._compile()
         if self._pool is not None:
             if self._chunked is None:
                 self._chunked = ChunkedCFDEngine(self._relation,
                                                  list(zip(self._merged, compiled)),
                                                  self._pool, kind="batch")
-            return self._report(self._chunked.detect())
-        relation = self._relation
-        found = []
-        for cfd, patterns in zip(self._merged, compiled):
-            buckets: Iterable[tuple[Any, Any]] = ()
-            if any(cp.variable_rhs for cp in patterns):
-                buckets = relation.columns.index(cfd.lhs).bucket_items()
-            found.append(self._violations(cfd, patterns, relation.tids(), buckets))
-        return self._report(found)
-
-    def update(self, tid: int, attribute: str, value: Any) -> Any:
-        """Write one cell of the relation and track it for :meth:`recheck`.
-
-        The tuple's LHS keys are recorded before its first write since
-        the last report; returns the old value, as
-        :meth:`Relation.update` does.
-        """
-        if tid not in self._written:
-            self._written[tid] = [tuple([codes[tid] for codes in arrays])
-                                  for arrays in self._key_arrays]
-        return self._relation.update(tid, attribute, value)
-
-    def recheck(self) -> ViolationReport:
-        """What :meth:`detect` would report now, re-checking only what changed.
-
-        Valid when every write since the last :meth:`detect` or
-        :meth:`recheck` went through :meth:`update` (no inserts or
-        deletes); without a previous report it detects in full.  Re-checked:
-
-        * for the constant patterns, the written tuples and the tuples of
-          the last report's single-tuple violations: an unwritten tuple
-          keeps its codes, and matcher sets grow only with codes that
-          written cells carry;
-        * for the variable patterns, every bucket that held a written
-          tuple before its first write or holds it now, and the buckets of
-          the last report's group violations: a group can stay violating
-          although no write touched it.
-
-        It runs in-process on every engine.
-        """
-        if self._previous is None:
-            return self.detect()
-        relation = self._relation
-        written = self._written
-        found = []
-        for position, (cfd, patterns, previous) in enumerate(
-                zip(self._merged, self._compile(), self._previous)):
-            tids = set(written)
-            keys = set()
-            arrays = self._key_arrays[position]
-            for tid, before in written.items():
-                keys.add(before[position])
-                keys.add(tuple([codes[tid] for codes in arrays]))
-            for violation in previous:
-                tid = violation.tids[0]
-                if violation.is_single_tuple:
-                    tids.add(tid)
-                elif tid in relation:
-                    keys.add(tuple([codes[tid] for codes in arrays]))
-            buckets: list[tuple[Any, Any]] = []
-            if any(cp.variable_rhs for cp in patterns):
-                index = relation.columns.index(cfd.lhs)
-                buckets = [(key, index.bucket_view(key)) for key in keys]
-            found.append(self._violations(cfd, patterns,
-                                          sorted(tid for tid in tids if tid in relation),
-                                          buckets))
-        return self._report(found)
+            found = self._chunked.detect()
+        else:
+            found = [self._detect_merged(cfd, patterns)
+                     for cfd, patterns in zip(self._merged, compiled)]
+        for violations in found:
+            report.extend(violations)
+        return report
 
     def _compile(self) -> list[list[CompiledPattern]]:
         # compiled plans read live code arrays and matcher sets, so one
@@ -151,37 +77,35 @@ class BatchCFDDetector:
             self._compiled = [compile_tableau(cfd, self._relation) for cfd in self._merged]
         return self._compiled
 
-    def _report(self, found: Sequence[list[CFDViolation]]) -> ViolationReport:
-        self._previous = list(found)
-        self._written = {}
-        report = ViolationReport(self._relation.name, tuples_checked=len(self._relation))
-        for violations in found:
-            report.extend(violations)
-        return report
+    def _index(self, lhs: Sequence[str]) -> HashIndex:
+        """The index a group pass iterates: a fresh scan of the relation."""
+        return HashIndex(self._relation, list(lhs))
 
-    @staticmethod
-    def _violations(cfd: CFD, patterns: Sequence[CompiledPattern], tids: Iterable[int],
-                    buckets: Iterable[tuple[Any, Any]]) -> list[CFDViolation]:
-        """The violations of one merged CFD among *tids* and *buckets*.
+    def _detect_merged(self, cfd: CFD,
+                       patterns: Sequence[CompiledPattern]) -> list[CFDViolation]:
+        """Batch detection of one merged CFD.
 
-        *tids* (ascending) are checked against the patterns with RHS
-        constants, tid-major; the ``(code key, tids)`` *buckets* against
-        the patterns with wildcard RHS attributes.  Group violations come
-        after the single-tuple ones, ordered by their bucket's smallest
-        tid and then by pattern.  Live tids ascend, so that is a fresh
-        index's first-occurrence order, whatever order *buckets* come in.
+        Group violations come after the single-tuple ones, ordered by
+        their bucket's smallest tid and then by pattern.  Live tids
+        ascend, so that is a fresh index's first-occurrence order, in
+        whatever order :meth:`_index` iterates its buckets.
         """
         violations: list[CFDViolation] = []
+
+        # single-tuple violations: check every tuple against every pattern
+        # with RHS constants, in one scan over the code arrays.
         constant_patterns = [cp for cp in patterns if cp.rhs_tests]
         if constant_patterns:
-            for tid in tids:
+            for tid in self._relation.tids():
                 for cp in constant_patterns:
                     if cp.lhs_matches(tid) and not cp.rhs_constants_match(tid):
                         violations.append(CFDViolation(cfd, cp.pattern, (tid,)))
+
+        # group violations: one pass over the code-keyed buckets.
         variable_patterns = [cp for cp in patterns if cp.variable_rhs]
         if variable_patterns:
             groups: list[tuple[int, CFDViolation]] = []
-            for key, bucket in buckets:
+            for key, bucket in self._index(cfd.lhs).bucket_items():
                 if len(bucket) < 2 or NULL_CODE in key:
                     continue
                 ordered = sorted(bucket)

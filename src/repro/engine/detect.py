@@ -41,7 +41,7 @@ from repro.engine.merge import GroupMerger, split_batches
 
 #: kinds of CFD emission order: "cfd" replicates CFDDetector.detect_one
 #: (pattern-major singles, index-set group semantics), "batch" replicates
-#: BatchCFDDetector._violations (tid-major singles, sorted groups).
+#: BatchCFDDetector._detect_merged (tid-major singles, sorted groups).
 CFD_KINDS = ("cfd", "batch")
 
 

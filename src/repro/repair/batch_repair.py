@@ -30,15 +30,12 @@ code-level face over its distance memo (one per model, so repairs that
 share a model compute each distance once).  Values are decoded only at
 the write-back and :class:`CellChange` boundaries.
 
-Step 1 runs on one :class:`~repro.detection.batch.BatchCFDDetector` over
-the working copy, and every write of step 2 goes through it.  Pass 1
-detects in full, grouping on the copy's maintained LHS indexes, which
-then follow the repair's writes (and are dropped when the repair ends);
-every later pass only re-checks the tuples and groups the previous pass
-wrote or reported (:meth:`~repro.detection.batch.BatchCFDDetector.recheck`),
-with the same violations in the same order.  ``engine=``/``workers=``
-route the first pass through the chunked execution engine
-(:mod:`repro.engine`); the re-checks run in-process.
+Every pass detects with one :class:`~repro.detection.batch.BatchCFDDetector`
+over the working copy.  In-process it groups on the copy's maintained
+LHS indexes: pass 1 builds one per distinct LHS, the repair's writes
+refile them, so later passes regroup without a scan, and the finished
+repair drops them.  ``engine=``/``workers=`` route every detection pass
+through the chunked execution engine (:mod:`repro.engine`).
 
 The repair never touches the input relation: it works on a copy and
 returns a :class:`Repair` carrying the repaired relation, the list of cell
@@ -60,6 +57,7 @@ from repro.detection.batch import BatchCFDDetector
 from repro.detection.columnar import CompiledPattern
 from repro.errors import RepairError
 from repro.relational.columns import Column
+from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.repair.cost import CostModel
 from repro.repair.eqclass import CodeEquivalenceClasses
@@ -139,6 +137,17 @@ class RepairPlan:
         return tuple(codes[tid] for codes in self.key_arrays)
 
 
+class _WorkingCopyDetector(BatchCFDDetector):
+    """Groups the repair's working copy on its maintained LHS indexes.
+
+    The repair's writes refile them, so every pass after the first
+    regroups without a scan; a relation of the caller's never gets one.
+    """
+
+    def _index(self, lhs: Sequence[str]) -> HashIndex:
+        return self._relation.columns.index(lhs)
+
+
 class BatchRepair:
     """Repairs a whole relation against a set of CFDs."""
 
@@ -174,10 +183,10 @@ class BatchRepair:
     def repair(self) -> Repair:
         """Run the repair and return the result (the input relation is untouched)."""
         working = self._original.copy()
-        detector = BatchCFDDetector(working, self._cfds,
-                                    engine=self._engine_name, workers=self._workers,
-                                    task_timeout=self._task_timeout,
-                                    task_retries=self._task_retries)
+        detector = _WorkingCopyDetector(working, self._cfds,
+                                        engine=self._engine_name, workers=self._workers,
+                                        task_timeout=self._task_timeout,
+                                        task_retries=self._task_retries)
         plans: dict[tuple[CFD, PatternTuple], RepairPlan] = {}
         passes = 0
         converged = False
@@ -187,7 +196,7 @@ class BatchRepair:
                 passes += 1
                 if obs.enabled:
                     obs.inc("repair.passes")
-                report = detector.detect() if passes == 1 else detector.recheck()
+                report = detector.detect()
                 if report.is_clean():
                     converged = True
                     break
@@ -197,13 +206,13 @@ class BatchRepair:
                 pinned = CodeEquivalenceClasses()
                 for violation in violations:
                     if violation.is_single_tuple:
-                        self._resolve_constant(working, detector, violation, pinned, plans)
+                        self._resolve_constant(working, violation, pinned, plans)
                 for violation in violations:
                     if not violation.is_single_tuple:
-                        self._resolve_group(working, detector, violation, pinned, plans)
+                        self._resolve_group(working, violation, pinned, plans)
         else:
             # loop ended without break: check once more
-            converged = detector.recheck().is_clean()
+            converged = detector.detect().is_clean()
         # the copy is handed back like any other copy: with no index
         working.columns.drop_indexes()
 
@@ -233,8 +242,8 @@ class BatchRepair:
             plans[key] = plan
         return plan
 
-    def _resolve_constant(self, working: Relation, detector: BatchCFDDetector,
-                          violation: CFDViolation, pinned: CodeEquivalenceClasses,
+    def _resolve_constant(self, working: Relation, violation: CFDViolation,
+                          pinned: CodeEquivalenceClasses,
                           plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
         """Write the pattern's RHS constants into the offending tuple."""
         tid = violation.tids[0]
@@ -253,14 +262,14 @@ class BatchRepair:
                 # two constant CFDs demand different values for the same cell:
                 # the CFD set is inconsistent on this tuple; move it out of the
                 # second pattern's scope instead of flip-flopping.
-                self._break_lhs(detector, violation.cfd, tid)
+                self._break_lhs(working, violation.cfd, tid)
                 return
-            detector.update(tid, attribute, target)
+            working.update(tid, attribute, target)
             if existing is None:
                 pinned.pin(cell, target_code)
 
-    def _resolve_group(self, working: Relation, detector: BatchCFDDetector,
-                       violation: CFDViolation, pinned: CodeEquivalenceClasses,
+    def _resolve_group(self, working: Relation, violation: CFDViolation,
+                       pinned: CodeEquivalenceClasses,
                        plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> None:
         """Equalize the variable RHS attributes of a violating group."""
         tids = [tid for tid in violation.tids if tid in working]
@@ -288,7 +297,7 @@ class BatchRepair:
             if len(pins) > 1:
                 # irreconcilable constants: split the group on the LHS
                 for tid in live[1:]:
-                    self._break_lhs(detector, violation.cfd, tid)
+                    self._break_lhs(working, violation.cfd, tid)
                 return
             if pins:
                 # write the pinned constant's string form
@@ -301,13 +310,13 @@ class BatchRepair:
                 target_value = column.value_of(target_code)
             for tid, code in cells:
                 if strings[code] != target_str:
-                    detector.update(tid, attribute, target_value)
+                    working.update(tid, attribute, target_value)
 
-    def _break_lhs(self, detector: BatchCFDDetector, cfd: CFD, tid: int) -> None:
+    def _break_lhs(self, working: Relation, cfd: CFD, tid: int) -> None:
         """Move a tuple out of a pattern's scope by refreshing one LHS attribute."""
         attribute = cfd.lhs[-1]
         fresh = f"__repair_fresh_{next(self._fresh_counter)}"
-        detector.update(tid, attribute, fresh)
+        working.update(tid, attribute, fresh)
 
     # -- bookkeeping -------------------------------------------------------------------
 

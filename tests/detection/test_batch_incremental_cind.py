@@ -61,6 +61,11 @@ class TestBatchDetection:
         clean_cfd = parse_cfd("customer([cc='86', zip] -> [street])")
         assert BatchCFDDetector(customer, [clean_cfd]).detect().is_clean()
 
+    def test_detection_registers_no_index_on_the_relation(self, customer):
+        # later writes to the caller's relation pay no index upkeep for it
+        assert not BatchCFDDetector(customer, CFDS).detect().is_clean()
+        assert "0 maintained indexes" in repr(customer.columns)
+
     values = st.sampled_from(["a", "b"])
     rows = st.lists(st.tuples(values, values, values), max_size=30)
 

@@ -31,6 +31,7 @@ from repro.errors import TypeMismatchError
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType, coerce_value
+from repro.repair.batch_repair import _WorkingCopyDetector
 from repro.repair.inc_repair import IncRepair
 
 #: patterns differing only in a constant's type: "1" matches b=1, not b=1.0
@@ -112,10 +113,10 @@ def _coerces(value, kind):
     return True
 
 
-def tracked_writes(detector, relation, cfds, data):
-    """Random writes through the detector, as a repair pass makes them:
-    RHS values, pattern constants (new to the dictionary, often) on
-    either side, and fresh LHS values."""
+def repair_writes(relation, cfds, data):
+    """Random writes as a repair pass makes them: RHS values, pattern
+    constants (new to the dictionary, often) on either side, and fresh
+    LHS values."""
     types = {a.name.lower(): a.type for a in relation.schema.attributes}
     constants = [cell for cfd in cfds for pattern in cfd.tableau
                  for cell in oracle.pattern_cells(pattern).values() if cell is not UNDERSCORE]
@@ -132,26 +133,26 @@ def tracked_writes(detector, relation, cfds, data):
             attribute = data.draw(st.sampled_from(list(cfd.lhs)))
             pool = list(FRESH[types[attribute]])
         if pool:
-            detector.update(data.draw(st.sampled_from(relation.tids())), attribute,
+            relation.update(data.draw(st.sampled_from(relation.tids())), attribute,
                             data.draw(st.sampled_from(pool)))
 
 
-class TestBatchRecheck:
-    """A re-check after tracked writes reports exactly what a full detection
-    reports, in the same order — the order decides a repair pass."""
+class TestWorkingCopyDetection:
+    """The repair's detector groups on maintained LHS indexes, whose buckets
+    come in insertion order after writes; it still reports exactly what a
+    fresh scan reports, in the same order — the order decides a repair pass."""
 
     @given(relations_with_cfds(), st.data())
     @oracle_settings(40)
-    def test_recheck_equals_full_detection(self, engine, case, data):
+    def test_detection_after_writes_equals_fresh_detection(self, engine, case, data):
         relation, cfds = case
         assume(len(relation))
-        detector = BatchCFDDetector(relation, cfds, **engine)
+        detector = _WorkingCopyDetector(relation, cfds, **engine)
         detector.detect()
         for _ in range(data.draw(st.integers(2, 3))):
-            tracked_writes(detector, relation, cfds, data)
-            report = detector.recheck()
-            # a copy's indexes are fresh: buckets in first-occurrence order
-            fresh = BatchCFDDetector(relation.copy(), cfds).detect()
+            repair_writes(relation, cfds, data)
+            report = detector.detect()
+            fresh = BatchCFDDetector(relation, cfds).detect()
             assert [(v.cfd, v.pattern, v.tids) for v in report] == \
                 [(v.cfd, v.pattern, v.tids) for v in fresh]
             assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
