@@ -14,7 +14,6 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
@@ -101,21 +100,21 @@ class BatchCFDDetector:
                     if cp.lhs_matches(tid) and not cp.rhs_constants_match(tid):
                         violations.append(CFDViolation(cfd, cp.pattern, (tid,)))
 
-        # group violations: one pass over the code-keyed buckets.
+        # group violations: one pass over the code-keyed buckets, one test
+        # per bucket and pattern; only a violating bucket is sorted (by the
+        # violation, which sorts its tids)
         variable_patterns = [cp for cp in patterns if cp.variable_rhs]
         if variable_patterns:
-            groups: list[tuple[int, CFDViolation]] = []
+            groups: list[CFDViolation] = []
             for key, bucket in self._index(cfd.lhs).bucket_items():
                 if len(bucket) < 2 or NULL_CODE in key:
                     continue
-                ordered = sorted(bucket)
                 for cp in variable_patterns:
-                    matching = cp.group_matching(ordered)
-                    if matching is not None and cp.rhs_disagrees(matching):
-                        groups.append((ordered[0],
-                                       CFDViolation(cfd, cp.pattern, tuple(matching))))
-            groups.sort(key=itemgetter(0))  # stable: pattern order within a bucket
-            violations.extend(violation for _, violation in groups)
+                    if cp.group_violates(bucket):
+                        groups.append(CFDViolation(cfd, cp.pattern, tuple(bucket)))
+            # by smallest tid; stable, so pattern order within a bucket
+            groups.sort(key=lambda violation: violation.tids[0])
+            violations.extend(groups)
         return violations
 
     # -- naive path -----------------------------------------------------------------

@@ -129,27 +129,21 @@ class CFDDetector:
         index = self._index_for(cfd.lhs)
         violations: list[CFDViolation] = []
         for key, tids in index.bucket_items():
-            if len(tids) < 2 or NULL_CODE in key:
+            if NULL_CODE in key or not compiled.group_violates(tids):
                 continue
-            matching = compiled.group_matching(tids)
-            if matching is None:
+            if not self._enumerate_pairs:
+                violations.append(CFDViolation(cfd, compiled.pattern, tuple(tids)))
                 continue
             by_rhs: dict[Any, list[int]] = defaultdict(list)
-            for tid in matching:
+            for tid in tids:
                 by_rhs[compiled.rhs_key(tid)].append(tid)
-            if len(by_rhs) <= 1:
-                continue
-            if self._enumerate_pairs:
-                buckets = list(by_rhs.values())
-                for i, bucket in enumerate(buckets):
-                    for other in buckets[i + 1:]:
-                        for tid_a in bucket:
-                            for tid_b in other:
-                                violations.append(
-                                    CFDViolation(cfd, compiled.pattern, (tid_a, tid_b)))
-            else:
-                violations.append(
-                    CFDViolation(cfd, compiled.pattern, tuple(sorted(matching))))
+            buckets = list(by_rhs.values())
+            for i, bucket in enumerate(buckets):
+                for other in buckets[i + 1:]:
+                    for tid_a in bucket:
+                        for tid_b in other:
+                            violations.append(
+                                CFDViolation(cfd, compiled.pattern, (tid_a, tid_b)))
         return violations
 
     def _index_for(self, attributes: tuple[str, ...]) -> HashIndex:
@@ -381,13 +375,13 @@ class SQLCFDDetector:
         """Map group query rows back to tuple ids through the LHS index.
 
         The store's maintained index is probed, never iterated, and each
-        bucket is sorted, so its insertion order cannot reach the report.
+        bucket is re-checked as one group; a violation sorts its tids, so
+        the bucket's insertion order cannot reach the report.
         """
         index = relation.columns.index(cfd.lhs)
         violations = []
         for row in result:
-            tids = sorted(index.lookup_view([row[a] for a in cfd.lhs]))
-            matching = compiled.group_matching(tids)
-            if matching is not None and len(matching) > 1 and compiled.rhs_disagrees(matching):
-                violations.append(CFDViolation(cfd, compiled.pattern, tuple(matching)))
+            bucket = index.lookup_view([row[a] for a in cfd.lhs])
+            if compiled.group_violates(bucket):
+                violations.append(CFDViolation(cfd, compiled.pattern, tuple(bucket)))
         return violations

@@ -6,11 +6,16 @@ values tuple-by-tuple (``pattern.matches(row, ...)``), a pattern is
 pattern is pre-encoded into the set of dictionary codes it matches (via
 :meth:`~repro.relational.columns.Column.matcher`, honouring the
 int/str-tolerant ``≍`` equality of ``PatternTuple.matches``), and every
-wildcard RHS attribute is bound to its code array.  Per-tuple tests then
-reduce to integer array reads and small-set membership:
+wildcard RHS attribute is bound to its code array.  Tests then reduce to
+integer array reads and small-set membership:
 
 * ``t ≍ tp`` on the LHS  →  ``codes[tid] in allowed`` per constant;
 * ``t[Y] = t'[Y]``       →  equality of code tuples.
+
+A group is one bucket of an index on the CFD's LHS, so its tuples share
+their LHS codes: :meth:`CompiledPattern.group_violates` tests the LHS
+constants on one tid and counts the distinct wildcard-RHS codes of the
+whole bucket in one builtin pass, instead of testing tuple by tuple.
 
 Code tuples agree with value tuples under Python equality (the dictionary
 maps ``==``-equal values to one code and NULL to code 0), so a compiled
@@ -26,7 +31,7 @@ for its whole lifetime.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Collection
 
 from repro.constraints.cfd import CFD
 from repro.constraints.tableau import PatternTuple
@@ -87,30 +92,30 @@ class CompiledPattern:
             return arrays[0][tid]
         return tuple(codes[tid] for codes in arrays)
 
-    # -- per-group tests ---------------------------------------------------
+    # -- per-group test ----------------------------------------------------
     #
-    # Shared by all three detectors (full, batch, incremental) so the group
-    # semantics cannot drift between them; input order is preserved so each
-    # caller controls the order violations are reported in.
+    # Shared by all detectors (full, batch, incremental, SQL match-back) so
+    # the group semantics cannot drift between them.
 
-    def group_matching(self, tids: "Sequence[int] | set[int] | frozenset[int]") -> list[int] | None:
-        """The tids of one LHS group matching this pattern, in input order.
+    def group_violates(self, bucket: "Collection[int]") -> bool:
+        """Whether one LHS group violates this pattern's wildcard RHS.
 
-        Returns ``None`` when fewer than two tuples match (no group
-        violation possible).
+        *bucket* must be one bucket of an index on this pattern's CFD LHS:
+        its tids all carry the same LHS codes, so the LHS constants hold
+        for all of them or for none, and one tid decides.  A group of two
+        or more matching tuples violates when its wildcard-RHS codes take
+        more than one value (NULL is one code, so it disagrees with every
+        value, as in the definitions).  The caller checks the group key
+        for NULL.
         """
-        if self.lhs_tests:
-            matching = [tid for tid in tids if self.lhs_matches(tid)]
-            if len(matching) < 2:
-                return None
-            return matching
-        return list(tids)
-
-    def rhs_disagrees(self, matching: Sequence[int]) -> bool:
-        """Whether the matching tuples carry more than one wildcard-RHS value."""
-        rhs_key = self.rhs_key
-        first = rhs_key(matching[0])
-        return any(rhs_key(tid) != first for tid in matching[1:])
+        if len(bucket) < 2:
+            return False
+        if self.lhs_tests and not self.lhs_matches(next(iter(bucket))):
+            return False
+        arrays = self.variable_arrays
+        if len(arrays) == 1:
+            return len(set(map(arrays[0].__getitem__, bucket))) > 1
+        return len(set(zip(*[map(codes.__getitem__, bucket) for codes in arrays]))) > 1
 
 
 def compile_tableau(cfd: CFD, relation: Relation) -> list[CompiledPattern]:

@@ -17,7 +17,11 @@ an index itself, and :class:`~repro.repair.inc_repair.IncRepair` probes
 the same indexes.  Pattern tableaux are compiled to code-level tests once
 at construction and stay valid as the column store grows.
 :meth:`insert_tuple`, :meth:`delete_tuple` and :meth:`update_cell`
-re-check only the affected groups and return the violation delta.  The
+re-check only the affected groups and return the violation delta.  A
+re-check is one :meth:`~repro.detection.columnar.CompiledPattern.group_violates`
+per pattern: the LHS constants are tested on one tuple of the group and
+its wildcard-RHS codes are counted in one builtin pass, and only a
+violating group has its tids sorted (into the violation).  The
 global report is always available via :meth:`current_report` and is kept
 equal, as a multiset, to what full re-detection would produce (verified by
 tests and by experiment E4).
@@ -95,15 +99,10 @@ class IncrementalCFDDetector:
                      tids: set[int] | frozenset[int]) -> list[CFDViolation]:
         if len(tids) < 2 or NULL_CODE in key:
             return []
-        ordered = sorted(tids)
-        violations = []
-        for compiled in self._compiled[position]:
-            if not compiled.variable_rhs:
-                continue
-            matching = compiled.group_matching(ordered)
-            if matching is not None and compiled.rhs_disagrees(matching):
-                violations.append(CFDViolation(cfd, compiled.pattern, tuple(matching)))
-        return violations
+        # one test per pattern for the whole bucket; a violation sorts its tids
+        return [CFDViolation(cfd, compiled.pattern, tuple(tids))
+                for compiled in self._compiled[position]
+                if compiled.variable_rhs and compiled.group_violates(tids)]
 
     # -- updates ------------------------------------------------------------------------
 

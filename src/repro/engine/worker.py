@@ -35,6 +35,7 @@ import random
 import time
 from bisect import bisect_left
 from itertools import product
+from operator import itemgetter
 from time import perf_counter
 from typing import Any
 
@@ -424,22 +425,85 @@ def _partition_scan(state: dict[str, Any],
 
 # -- SQL scan phase ----------------------------------------------------------
 
-#: aggregate kind -> integer op code driving the scan loop (shared with
-#: the parent-side finalizers, so partial-state shapes cannot drift).
-AGGREGATE_OPS = {"count_star": 0, "count": 1, "count_distinct": 2,
-                 "sum": 3, "avg": 3, "min": 4, "max": 5}
-
 
 def initial_aggregate_state(kind: str) -> Any:
     """The partial-aggregate state before any tuple is folded in."""
-    op = AGGREGATE_OPS[kind]
-    if op <= 1:          # count_star | count
+    if kind in ("count_star", "count"):
         return 0
-    if op == 2:          # count_distinct
+    if kind == "count_distinct":
         return set()
-    if op == 3:          # sum | avg
+    if kind in ("sum", "avg"):
         return []
     return None          # min | max
+
+
+def _codes_of(codes: list[int], pick: Any, members: list) -> list[int]:
+    """One column's codes of *members*: tids, or tid tuples *pick* reads."""
+    return list(map(codes.__getitem__, members if pick is None else map(pick, members)))
+
+
+def fold_groups(members: list, key_columns: list[tuple[list[int], Any]],
+                folds: list[tuple[str, Any, Any, Any]]) -> dict[Any, list]:
+    """Group *members* by key, then fold each aggregate a column at a time.
+
+    *members* are tids, or tid tuples of a join (pairs, multiway combos)
+    in their scan order.  ``key_columns`` are ``(code array, pick)``
+    pairs and ``folds`` are ``(kind, code array, pick, ranks)``, where
+    *pick* reads a member's tid of that column (``None`` for bare tids).
+    The result maps each code key (a bare code for one key column, a code
+    tuple otherwise, ``()`` for none) to ``[first member, state, ...]``,
+    keys in first-occurrence order, with the partial states
+    :func:`_sql_scan` documents.  Every fold is a builtin pass over one
+    group's codes: NULL is code 0, the only falsy code, so
+    ``filter(None, ...)`` drops exactly the NULLs; ``min``/``max`` return
+    the first extremal code, so rank ties keep the first occurrence.
+    """
+    if not members:
+        return {}
+    if not key_columns:
+        groups: dict[Any, list] = {(): members}
+    else:
+        if len(key_columns) == 1:
+            keys: Any = _codes_of(*key_columns[0], members)
+        else:
+            keys = zip(*[_codes_of(codes, pick, members) for codes, pick in key_columns])
+        groups = {}
+        for key, member in zip(keys, members):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [member]
+            else:
+                group.append(member)
+    entries = [[group[0]] for group in groups.values()]
+    for kind, codes, pick, ranks in folds:
+        if kind == "count_star":
+            states: list[Any] = [len(group) for group in groups.values()]
+        else:
+            columns = [_codes_of(codes, pick, group) for group in groups.values()]
+            if kind == "count":
+                states = [len(column) - column.count(NULL_CODE) for column in columns]
+            elif kind == "count_distinct":
+                states = [set(filter(None, column)) for column in columns]
+            elif kind in ("sum", "avg"):
+                states = [list(filter(None, column)) for column in columns]
+            else:
+                extreme = min if kind == "min" else max
+                states = []
+                for column in columns:
+                    best = extreme(filter(None, column), key=ranks.__getitem__, default=None)
+                    states.append(None if best is None else (ranks[best], best))
+        for entry, state in zip(entries, states):
+            entry.append(state)
+    return dict(zip(groups, entries))
+
+
+def _side_folds(tables: Any, aggs: list[tuple]) -> list[tuple[str, Any, Any, Any]]:
+    """:func:`fold_groups` folds of side-tagged join specs (``kind, side,
+    position[, ranks]``), reading each code through the member's side."""
+    return [(spec[0], None, None, None) if spec[0] == "count_star" else
+            (spec[0], tables[spec[1]][spec[2]], itemgetter(spec[1]),
+             spec[3] if spec[0] in ("min", "max") else None)
+            for spec in aggs]
 
 
 def _sql_scan(state: dict[str, Any],
@@ -453,8 +517,10 @@ def _sql_scan(state: dict[str, Any],
     one global group), and ``aggs`` are the aggregate specs of
     :func:`repro.relational.sql.columnar.query_payload`.
 
-    Grouped results map each code key to ``[first tid, state, ...]`` with
-    one partial-aggregate state per spec:
+    A grouped scan makes one pass that lists the surviving tids per key,
+    then folds each aggregate over each group's codes with builtins
+    (:func:`fold_groups`).  Grouped results map each code key to
+    ``[first tid, state, ...]`` with one partial-aggregate state per spec:
 
     * ``count_star`` / ``count`` — an int (``count`` skips NULL codes);
     * ``count_distinct`` — the set of non-NULL codes seen;
@@ -474,52 +540,11 @@ def _sql_scan(state: dict[str, Any],
     group = query["group"]
     if group is None:
         return survivors
-
-    # op codes keep the per-tuple loop on integer dispatch
-    steps: list[tuple[int, Any, Any]] = []
-    for spec in query["aggs"]:
-        kind = spec[0]
-        op = AGGREGATE_OPS[kind]
-        if kind == "count_star":
-            steps.append((op, None, None))
-        elif op >= 4:  # min | max carry their ranks array
-            steps.append((op, arrays[spec[1]], spec[2]))
-        else:
-            steps.append((op, arrays[spec[1]], None))
-    key_arrays = [arrays[position] for position in group]
-    single = len(key_arrays) == 1
-    groups: dict[Any, list] = {}
-    for tid in survivors:
-        if single:
-            key = key_arrays[0][tid]
-        elif key_arrays:
-            key = tuple(codes[tid] for codes in key_arrays)
-        else:
-            key = ()
-        entry = groups.get(key)
-        if entry is None:
-            entry = [tid] + [initial_aggregate_state(spec[0])
-                             for spec in query["aggs"]]
-            groups[key] = entry
-        for index, (op, codes, ranks) in enumerate(steps, start=1):
-            if op == 0:
-                entry[index] += 1
-                continue
-            code = codes[tid]
-            if code == NULL_CODE:
-                continue
-            if op == 1:
-                entry[index] += 1
-            elif op == 2:
-                entry[index].add(code)
-            elif op == 3:
-                entry[index].append(code)
-            else:
-                rank = ranks[code]
-                best = entry[index]
-                if best is None or (rank < best[0] if op == 4 else rank > best[0]):
-                    entry[index] = (rank, code)
-    return groups
+    folds = [(spec[0], None, None, None) if spec[0] == "count_star" else
+             (spec[0], arrays[spec[1]], None,
+              spec[2] if spec[0] in ("min", "max") else None)
+             for spec in query["aggs"]]
+    return fold_groups(survivors, [(arrays[position], None) for position in group], folds)
 
 
 # -- SQL join-probe phase -----------------------------------------------------
@@ -575,16 +600,7 @@ def _join_probe(state: dict[str, Any],
             key.append(partner)
         return buckets.get(tuple(key))
 
-    group = query["group"]
-    if group is None:
-        if probe_side == 0:
-            pairs: list[tuple[int, int]] = []
-            for tid in survivors:
-                bucket = bucket_of(tid)
-                if bucket:
-                    for build_tid in bucket:
-                        pairs.append((tid, build_tid))
-            return pairs
+    if probe_side == 1:  # plain only
         matches: dict[int, list[int]] = {}
         for tid in survivors:
             bucket = bucket_of(tid)
@@ -596,59 +612,20 @@ def _join_probe(state: dict[str, Any],
                     else:
                         seen.append(tid)
         return matches
-
-    # grouped: same op-code dispatch as _sql_scan, codes picked from the
-    # (left tid, right tid) pair by each spec's side
-    steps: list[tuple[int, int, Any, Any]] = []
-    for spec in query["aggs"]:
-        kind = spec[0]
-        op = AGGREGATE_OPS[kind]
-        if kind == "count_star":
-            steps.append((op, 0, None, None))
-        elif op >= 4:  # min | max carry their ranks array
-            steps.append((op, spec[1], sides[spec[1]][spec[2]], spec[3]))
-        else:
-            steps.append((op, spec[1], sides[spec[1]][spec[2]], None))
-    key_columns = [(side, sides[side][position]) for side, position in group]
-    single_key = len(key_columns) == 1
-    groups: dict[Any, list] = {}
+    pairs: list[tuple[int, int]] = []
     for tid in survivors:
         bucket = bucket_of(tid)
-        if not bucket:
-            continue
-        for build_tid in bucket:
-            pair = (tid, build_tid)
-            if single_key:
-                side, codes = key_columns[0]
-                key = codes[pair[side]]
-            elif key_columns:
-                key = tuple(codes[pair[side]] for side, codes in key_columns)
-            else:
-                key = ()
-            entry = groups.get(key)
-            if entry is None:
-                entry = [pair] + [initial_aggregate_state(spec[0])
-                                  for spec in query["aggs"]]
-                groups[key] = entry
-            for index, (op, side, codes, ranks) in enumerate(steps, start=1):
-                if op == 0:
-                    entry[index] += 1
-                    continue
-                code = codes[pair[side]]
-                if code == NULL_CODE:
-                    continue
-                if op == 1:
-                    entry[index] += 1
-                elif op == 2:
-                    entry[index].add(code)
-                elif op == 3:
-                    entry[index].append(code)
-                else:
-                    rank = ranks[code]
-                    best = entry[index]
-                    if best is None or (rank < best[0] if op == 4 else rank > best[0]):
-                        entry[index] = (rank, code)
-    return groups
+        if bucket:
+            for build_tid in bucket:
+                pairs.append((tid, build_tid))
+    group = query["group"]
+    if group is None:
+        return pairs
+    # grouped: the (left tid, right tid) pairs fold like _sql_scan's tids,
+    # each column read through its side
+    return fold_groups(pairs, [(sides[side][position], itemgetter(side))
+                               for side, position in group],
+                       _side_folds(sides, query["aggs"]))
 
 
 # -- SQL multiway-join phase --------------------------------------------------
@@ -809,58 +786,16 @@ def _multiway_fold(state: dict[str, Any],
     The slices arrive in global tuple order (the parent chunks the sorted
     enumeration of :func:`_multiway_probe`), so chunk-order merging by
     :class:`~repro.engine.sql.AggregateMerger` reproduces the row path's
-    group first-occurrence order and float fold order exactly.  Same
-    op-code dispatch as :func:`_join_probe`'s grouped branch, with each
-    spec's ``side`` indexing into the N broadcast tables instead of two.
+    group first-occurrence order and float fold order exactly.  Folds
+    through :func:`fold_groups` like :func:`_join_probe`'s grouped branch,
+    with each spec's ``side`` indexing into the N broadcast tables instead
+    of two.
     """
     spec_id, query, combos = payload
     tables = state[spec_id]["tables"]
-    steps: list[tuple[int, int, Any, Any]] = []
-    for spec in query["aggs"]:
-        kind = spec[0]
-        op = AGGREGATE_OPS[kind]
-        if kind == "count_star":
-            steps.append((op, 0, None, None))
-        elif op >= 4:  # min | max carry their ranks array
-            steps.append((op, spec[1], tables[spec[1]][spec[2]], spec[3]))
-        else:
-            steps.append((op, spec[1], tables[spec[1]][spec[2]], None))
-    key_columns = [(side, tables[side][position])
-                   for side, position in query["group"]]
-    single_key = len(key_columns) == 1
-    groups: dict[Any, list] = {}
-    for combo in combos:
-        if single_key:
-            side, codes = key_columns[0]
-            key = codes[combo[side]]
-        elif key_columns:
-            key = tuple(codes[combo[side]] for side, codes in key_columns)
-        else:
-            key = ()
-        entry = groups.get(key)
-        if entry is None:
-            entry = [combo] + [initial_aggregate_state(spec[0])
-                               for spec in query["aggs"]]
-            groups[key] = entry
-        for index, (op, side, codes, ranks) in enumerate(steps, start=1):
-            if op == 0:
-                entry[index] += 1
-                continue
-            code = codes[combo[side]]
-            if code == NULL_CODE:
-                continue
-            if op == 1:
-                entry[index] += 1
-            elif op == 2:
-                entry[index].add(code)
-            elif op == 3:
-                entry[index].append(code)
-            else:
-                rank = ranks[code]
-                best = entry[index]
-                if best is None or (rank < best[0] if op == 4 else rank > best[0]):
-                    entry[index] = (rank, code)
-    return groups
+    return fold_groups(combos, [(tables[side][position], itemgetter(side))
+                                for side, position in query["group"]],
+                       _side_folds(tables, query["aggs"]))
 
 
 # -- SQL factorised (semiring) aggregate phase --------------------------------

@@ -333,12 +333,19 @@ class SQLExecutor:
         if explain:
             self.last_explain = {"plan": "union", "selects": infos}
         first = parts[0]
-        schema = first.schema.renamed_relation(result_name)
-        result = Relation(schema)
+        if any(part.schema.arity != first.schema.arity for part in parts):
+            raise SQLExecutionError("UNION requires selects of equal arity")
+        attributes = []
+        for position, attribute in enumerate(first.schema.attributes):
+            kinds = {part.schema.attributes[position].type for part in parts}
+            # INTEGER and FLOAT parts widen to FLOAT; otherwise the first
+            # part's type holds
+            attributes.append(Attribute(attribute.name, AttributeType.FLOAT)
+                              if kinds == {AttributeType.INTEGER, AttributeType.FLOAT}
+                              else attribute)
+        result = Relation(RelationSchema(result_name, attributes))
         seen: set[tuple[Any, ...]] = set()
         for part in parts:
-            if part.schema.arity != schema.arity:
-                raise SQLExecutionError("UNION requires selects of equal arity")
             for row in part:
                 key = row.values
                 if statement.all or key not in seen:

@@ -128,9 +128,14 @@ class CostModel:
                 if key not in seen:
                     seen.add(key)
                     pool.append(code)
+        # each cell's weight once; the products and their order are those
+        # of code_target_cost, so every sum is bit-identical to it
+        weighted = [(self.weight(tid, attribute), code) for tid, code in cells]
+        code_distance = self.code_distance
         best_code, best_cost = NULL_CODE, float("inf")
         for candidate in pool:
-            cost = self.code_target_cost(attribute, column, cells, candidate)
+            cost = sum(weight * code_distance(column, code, candidate)
+                       for weight, code in weighted)
             if cost < best_cost:
                 best_code, best_cost = candidate, cost
         return best_code, best_cost

@@ -133,8 +133,7 @@ class IncRepair:
                     base_tid = base_of[key_codes]
                 else:
                     base_tid = base_of[key_codes] = min(
-                        (t for t in index.bucket_view(key_codes) if t not in delta_set),
-                        default=None)
+                        index.bucket_view(key_codes).difference(delta_set), default=None)
                 if base_tid is not None:
                     # the base is clean: adopt its RHS values
                     if not plan.lhs_matches(base_tid):

@@ -20,7 +20,7 @@ from oracle.strategies import (
     relations,
     relations_with_cfds,
 )
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.fd import FunctionalDependency
 from repro.constraints.tableau import UNDERSCORE
 from repro.detection.batch import BatchCFDDetector
@@ -167,6 +167,46 @@ class TestIncrementalDetection:
         mutate(relation, data, steps=12, incremental=incremental)
         assert merged_fingerprint(incremental.current_report()) == \
             definition_by_embedded_fd(relation, cfds)
+
+
+class TestIncrementalWriteDeltas:
+    """What each write returns: ``insert_tuple`` the violations the write
+    added to the definition's report, ``delete_tuple`` those it took away
+    (as multisets, on the merged CFDs the detector reports)."""
+
+    @given(relations_with_cfds(), st.data())
+    @oracle_settings(60)
+    def test_insert_and_delete_return_the_report_delta(self, case, data):
+        relation, cfds = case
+        merged = merge_cfds(cfds)
+        detector = IncrementalCFDDetector(relation, cfds)
+        constants = [cell for cfd in cfds for pattern in cfd.tableau
+                     for cell in oracle.pattern_cells(pattern).values()
+                     if cell is not UNDERSCORE]
+        # NULLs, cells already stored, values new to the dictionary and
+        # pattern constants
+        pools = {a.name: [c for c in CELLS[a.type] + FRESH[a.type] + tuple(constants)
+                          if _coerces(c, a.type)]
+                 for a in relation.schema.attributes}
+        for _ in range(data.draw(st.integers(1, 10))):
+            before = Counter(oracle.cfd_violations(relation, merged))
+            tids = relation.tids()
+            action = data.draw(st.sampled_from(["insert", "near-copy", "delete"]
+                                               if tids else ["insert"]))
+            if action == "delete":
+                returned = detector.delete_tuple(data.draw(st.sampled_from(tids)))
+                expected = before - Counter(oracle.cfd_violations(relation, merged))
+                assert cfd_fingerprint(returned) == expected
+                continue
+            row = {name: data.draw(st.sampled_from(pool)) for name, pool in pools.items()}
+            if action == "near-copy":  # joins a stored tuple's groups
+                changed = data.draw(st.sampled_from(sorted(pools)))
+                copied = relation.tuple(data.draw(st.sampled_from(tids)))
+                row = {name: row[name] if name == changed else copied[name]
+                       for name in pools}
+            returned = detector.insert_tuple(row)
+            expected = Counter(oracle.cfd_violations(relation, merged)) - before
+            assert cfd_fingerprint(returned) == expected
 
 
 def repair_summary(repair):

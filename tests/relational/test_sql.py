@@ -279,6 +279,22 @@ class TestExecutorJoinsAndGroups:
             "SELECT cc FROM customer UNION SELECT cc FROM customer")
         assert len(merged) == 2
 
+    @pytest.mark.parametrize("operator", ["UNION ALL", "UNION"])
+    def test_union_widens_integer_and_float_to_float(self, operator):
+        relation = Relation.from_rows(
+            RelationSchema("t", [Attribute("n", AttributeType.INTEGER),
+                                 Attribute("f", AttributeType.FLOAT)]),
+            [(1, 2.5), (2, 0.5)])
+        db = Database()
+        db.add(relation)
+        engine = SQLEngine(db)
+        for first, second, rows in (("n", "f", [(1.0,), (2.0,), (2.5,), (0.5,)]),
+                                    ("f", "n", [(2.5,), (0.5,), (1.0,), (2.0,)])):
+            result = engine.query(f"SELECT {first} FROM t {operator} SELECT {second} FROM t")
+            assert [a.type for a in result.schema.attributes] == [AttributeType.FLOAT]
+            assert [row.values for row in result] == rows
+            assert all(type(row.values[0]) is float for row in result)
+
     def test_group_by_expression_key(self, engine):
         result = engine.query(
             "SELECT UPPER(city) AS c, COUNT(*) AS n FROM customer GROUP BY UPPER(city)")

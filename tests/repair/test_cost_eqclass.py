@@ -154,6 +154,29 @@ class TestCodeLevelCost:
         for candidate in set(column.codes[:len(values)]):
             assert cost <= model.code_target_cost("x", column, cells, candidate) + 1e-9
 
+    @given(st.lists(st.tuples(st.sampled_from(["edi", "ldn", "nyc", "mh", NULL]),
+                              st.floats(0.0, 8.0)), min_size=1, max_size=20),
+           st.lists(st.integers(0, 19), max_size=6))
+    def test_cheapest_target_code_equals_per_candidate_sums(self, weighted, picks):
+        """Reading each cell's weight once picks the same (code, cost), to the
+        bit, as pricing every candidate with code_target_cost."""
+        model = CostModel()
+        column = _column([value for value, _ in weighted])
+        cells = [(tid, column.codes[tid]) for tid in range(len(weighted))]
+        for tid, (_, weight) in enumerate(weighted):
+            model.set_weight(tid, "x", weight)
+        first_seen = list(dict.fromkeys(code for _, code in cells))
+        explicit = [cells[pick % len(cells)][1] for pick in picks]
+        for candidates, pool in ((None, first_seen), (explicit, explicit)):
+            if not pool:
+                continue
+            expected = (NULL_CODE, float("inf"))
+            for candidate in pool:
+                cost = model.code_target_cost("x", column, cells, candidate)
+                if cost < expected[1]:
+                    expected = (candidate, cost)
+            assert model.cheapest_target_code("x", column, cells, candidates) == expected
+
 
 class TestCodeEquivalenceClasses:
     def test_cells_are_position_pairs(self):
