@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.constraints.cfd import CFD
 from repro.constraints.parse import parse_cfd
@@ -93,22 +94,17 @@ class CustomerGenerator:
 
     def generate(self, tuple_count: int, name: str = "customer") -> Relation:
         """A clean customer relation with *tuple_count* tuples."""
-        relation = Relation(CUSTOMER_SCHEMA.renamed_relation(name))
+        return Relation.from_rows(CUSTOMER_SCHEMA.renamed_relation(name),
+                                  self._rows(tuple_count))
+
+    def _rows(self, tuple_count: int) -> Iterator[tuple[str, ...]]:
+        """The tuples, in :data:`CUSTOMER_SCHEMA` order, drawn as they are read."""
+        choice = self._random.choice
         for index in range(tuple_count):
-            location = self._random.choice(self._locations)
-            person = (f"{self._random.choice(_FIRST_NAMES)} "
-                      f"{self._random.choice(_LAST_NAMES)}")
-            phone = f"{5550000 + index}"
-            relation.insert_dict({
-                "cc": location.cc,
-                "ac": location.ac,
-                "phn": phone,
-                "name": person,
-                "street": location.street,
-                "city": location.city,
-                "zip": location.zip,
-            })
-        return relation
+            location = choice(self._locations)
+            person = f"{choice(_FIRST_NAMES)} {choice(_LAST_NAMES)}"
+            yield (location.cc, location.ac, f"{5550000 + index}", person,
+                   location.street, location.city, location.zip)
 
     # -- constraints ------------------------------------------------------------------
 

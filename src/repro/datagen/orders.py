@@ -12,6 +12,8 @@ that detection workloads of a known size can be produced.
 from __future__ import annotations
 
 import random
+from itertools import islice
+from typing import Iterator
 
 from repro.constraints.cind import CIND
 from repro.constraints.parse import parse_cind
@@ -35,6 +37,8 @@ BOOK_SCHEMA = RelationSchema("book", [
 _GENRES = ["rock", "jazz", "classical", "pop", "folk"]
 _WORDS = ["winter", "river", "shadow", "light", "garden", "stone", "echo", "silver",
           "journey", "harbor", "meadow", "ember", "willow", "summit", "quiet"]
+#: CDs drawn before their rows are coded: bounds the rows held at once
+_CHUNK = 1024
 
 
 class OrdersGenerator:
@@ -60,38 +64,50 @@ class OrdersGenerator:
         cds = Relation(CD_SCHEMA)
 
         expected_violations = 0
-        covered_titles: set[str] = set()
-        for index in range(cd_count):
-            # titles are made unique per CD so the expected violation count is exact
-            title = f"{self._random.choice(self._catalog)} #{index}"
-            price = str(self._random.randrange(5, 40))
-            is_audio_book = self._random.random() < audio_fraction
-            if not is_audio_book:
-                cds.insert_dict({"album": title, "price": price,
-                                 "genre": self._random.choice(_GENRES)})
-                continue
-            cds.insert_dict({"album": title, "price": price, "genre": "a-book"})
-            violate = self._random.random() < violation_rate
-            if violate:
-                expected_violations += 1
-                # either omit the book entirely or give it the wrong format
-                if self._random.random() < 0.5 and title not in covered_titles:
-                    books.insert_dict({"title": title, "price": price, "format": "hardcover"})
-                continue
-            books.insert_dict({"title": title, "price": price, "format": "audio"})
-            covered_titles.add(title)
+        orders = self._orders(cd_count, violation_rate, audio_fraction)
+        while chunk := list(islice(orders, _CHUNK)):
+            cds.insert_many(cd for cd, _book, _violated in chunk)
+            books.insert_many(book for _cd, book, _violated in chunk if book is not None)
+            expected_violations += sum(violated for _cd, _book, violated in chunk)
 
         # add unrelated print books as background noise
-        for index in range(cd_count // 4):
-            books.insert_dict({
-                "title": self._random.choice(self._catalog),
-                "price": str(self._random.randrange(5, 40)),
-                "format": self._random.choice(["paperback", "hardcover"]),
-            })
+        books.insert_many(self._print_books(cd_count // 4))
 
         database.add(cds)
         database.add(books)
         return database, expected_violations
+
+    def _orders(self, cd_count: int, violation_rate: float, audio_fraction: float,
+                ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...] | None, bool]]:
+        """Per CD: its row, its book's row (or None) and whether it breaks the CIND."""
+        rng = self._random
+        covered_titles: set[str] = set()
+        for index in range(cd_count):
+            # titles are made unique per CD so the expected violation count is exact
+            title = f"{rng.choice(self._catalog)} #{index}"
+            price = str(rng.randrange(5, 40))
+            is_audio_book = rng.random() < audio_fraction
+            if not is_audio_book:
+                yield (title, price, rng.choice(_GENRES)), None, False
+                continue
+            cd = (title, price, "a-book")
+            violate = rng.random() < violation_rate
+            if violate:
+                # either omit the book entirely or give it the wrong format
+                if rng.random() < 0.5 and title not in covered_titles:
+                    yield cd, (title, price, "hardcover"), True
+                else:
+                    yield cd, None, True
+                continue
+            covered_titles.add(title)
+            yield cd, (title, price, "audio"), False
+
+    def _print_books(self, count: int) -> Iterator[tuple[str, ...]]:
+        """Book rows unrelated to any CD, drawn as they are read."""
+        rng = self._random
+        for _ in range(count):
+            yield (rng.choice(self._catalog), str(rng.randrange(5, 40)),
+                   rng.choice(["paperback", "hardcover"]))
 
     @staticmethod
     def canonical_cind() -> CIND:

@@ -506,7 +506,9 @@ class Column:
 
     def distinct_count(self) -> int:
         """Number of distinct non-NULL values among live tuples."""
-        return sum(1 for count in self.counts[1:] if count > 0)
+        # counts never go negative: the non-zero slots past NULL's, counted in C
+        counts = self.counts
+        return len(counts) - counts.count(0) - (counts[NULL_CODE] != 0)
 
     def most_common(self) -> tuple[Any, int]:
         """The most frequent live non-NULL value and its count.

@@ -52,20 +52,22 @@ def _lines(text: str) -> Iterator[str]:
 
 def _read_csv_stream(handle, relation_name: str, schema: RelationSchema | None,
                      delimiter: str) -> Relation:
-    rows = (row for row in csv.reader(handle, delimiter=delimiter) if row)
+    rows: Iterator[list[str]] = filter(None, csv.reader(handle, delimiter=delimiter))
     header = next(rows, None)
     if header is None:
         raise SchemaError("cannot read a relation from an empty CSV stream")
     header = [name.strip() for name in header]
 
     if schema is None:
-        # type inference needs every value of a column before the first insert
+        # type inference needs every value of a column before the first insert;
+        # its verdict depends only on the set of values, so each is tried once
         data = list(rows)
         columns = list(zip(*data)) if data else [[] for _ in header]
         attributes = [
-            Attribute(name, infer_type(list(column)))
+            Attribute(name, infer_type(list(dict.fromkeys(column))))
             for name, column in zip(header, columns)
         ]
+        del columns  # the transposed copy: only the rows are coded
         schema = RelationSchema(relation_name, attributes)
         rows = iter(data)
     elif len(header) != schema.arity:
@@ -73,14 +75,19 @@ def _read_csv_stream(handle, relation_name: str, schema: RelationSchema | None,
             f"CSV has {len(header)} columns but schema {schema.name!r} expects {schema.arity}"
         )
 
-    # each row is coerced and interned as it is read: no row outlives its insert
     relation = Relation(schema)
-    for row in rows:
+
+    def insert_row(row: list[str]) -> None:
+        # a batch with a bad row replays row by row, so the first bad row
+        # in file order raises, whether its fault is its arity or a value
         if len(row) != schema.arity:
             raise SchemaError(
                 f"CSV row {row!r} has {len(row)} fields, expected {schema.arity}"
             )
         relation.insert([NULL if field == "" else field for field in row])
+
+    # rows are coded as they are read, a bounded batch at a time
+    relation._insert_batches(rows, insert_row, blank_is_null=True)
     return relation
 
 

@@ -86,9 +86,10 @@ class HashIndex:
         store = relation.columns
         self._columns = [store.column_at(p) for p in self._positions]
         self._arrays = arrays = [column.codes for column in self._columns]
+        tids = relation.tids()
         if len(arrays) == 1:
             codes = arrays[0]
-            for tid in relation.tids():
+            for tid in tids:
                 key = (codes[tid],)
                 bucket = buckets.get(key)
                 if bucket is None:
@@ -96,8 +97,9 @@ class HashIndex:
                 else:
                     bucket.add(tid)
         else:
-            for tid in relation.tids():
-                key = tuple(codes[tid] for codes in arrays)
+            # the keys are read a column at a time, then zipped
+            keys = zip(*[map(codes.__getitem__, tids) for codes in arrays])
+            for tid, key in zip(tids, keys):
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = {tid}

@@ -12,18 +12,43 @@ indexed by tid and a dictionary of values.  The relation itself keeps
 only its live tids.  Reads decode on demand: :meth:`Relation.value` reads
 one cell, :meth:`Relation.tuple` one row, and iteration decodes one
 column at a time.  Mutations coerce, intern, write the code and refile
-the store's maintained indexes.  The :class:`Tuple` wrapper is a decoded
-snapshot with dict-like access by attribute name.
+the store's maintained indexes.  Writes come one row at a time
+(:meth:`Relation.insert`) or one batch at a time
+(:meth:`Relation.insert_many`, which every bulk constructor uses): a batch
+coerces each distinct value of a column once and leaves the relation
+exactly as inserting its rows one by one would.  The :class:`Tuple`
+wrapper is a decoded snapshot with dict-like access by attribute name.
 """
 
 from __future__ import annotations
 
+from itertools import filterfalse, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import RelationError, SchemaError
-from repro.relational.columns import NULL_CODE, TOMBSTONE, ColumnStore
+from repro.relational.columns import NULL_CODE, TOMBSTONE, Column, ColumnStore
 from repro.relational.schema import RelationSchema
-from repro.relational.types import NULL, coerce_value, value_repr
+from repro.relational.types import NULL, AttributeType, coerce_value, value_repr
+
+#: rows a bulk write codes at once: bounds what it holds beside the store
+_BATCH_ROWS = 1024
+
+#: the types whose cells a batch keys by value: no two of them hold
+#: ``==`` values that coerce differently, except the numbers among
+#: themselves (``1 == 1.0 == True``, yet a STRING column stores ``"1"``,
+#: ``"1"`` and ``"true"``), so a column holding two number types keys its
+#: cells by ``(type, value)``
+_BY_VALUE = frozenset((str, int, float, bool, type(None), type(NULL)))
+_NUMBERS = frozenset((int, float, bool))
+
+#: per type, the cell types :func:`coerce_value` returns unchanged (none for
+#: FLOAT: a float cell may be NaN or ``-0.0``)
+_COERCED: dict[AttributeType, frozenset[type]] = {
+    AttributeType.STRING: frozenset((str,)),
+    AttributeType.INTEGER: frozenset((int,)),
+    AttributeType.FLOAT: frozenset(),
+    AttributeType.BOOLEAN: frozenset((bool,)),
+}
 
 
 class Tuple:
@@ -113,16 +138,14 @@ class Relation:
     def from_dicts(cls, schema: RelationSchema, rows: Iterable[Mapping[str, Any]]) -> "Relation":
         """Build a relation from ``{attribute: value}`` mappings."""
         relation = cls(schema)
-        for row in rows:
-            relation.insert_dict(row)
+        relation.insert_many(map(relation._positional, rows))
         return relation
 
     @classmethod
     def from_rows(cls, schema: RelationSchema, rows: Iterable[Sequence[Any]]) -> "Relation":
         """Build a relation from positional value sequences."""
         relation = cls(schema)
-        for row in rows:
-            relation.insert(row)
+        relation.insert_many(rows)
         return relation
 
     @classmethod
@@ -131,8 +154,9 @@ class Relation:
         """Build a relation from one value sequence per attribute.
 
         Row ``i`` of the columns becomes tuple ``i``, exactly as
-        :meth:`from_rows` over the zipped rows would make it, but each
-        column is coerced and interned in one pass.
+        :meth:`from_rows` over the zipped rows would make it (and with the
+        same error), but each column is coded as it is given, once per
+        distinct value.
         """
         if len(columns) != schema.arity:
             raise RelationError(
@@ -142,15 +166,9 @@ class Relation:
         if any(len(values) != size for values in columns):
             raise RelationError(f"the columns of relation {schema.name!r} differ in length")
         relation = cls(schema)
-        for attribute, column, values in zip(schema.attributes, relation._store.columns(),
-                                             columns):
-            intern, counts = column.intern, column.counts
-            codes = [intern(coerce_value(value, attribute.type)) for value in values]
-            for code in codes:
-                counts[code] += 1
-            column.codes[:] = codes
-        relation._live = dict.fromkeys(range(size))
-        relation._next_tid = relation._version = size
+        if not relation._append_columns(columns, size):
+            for row in zip(*columns):
+                relation.insert(row)
         return relation
 
     # -- accessors -------------------------------------------------------
@@ -265,13 +283,86 @@ class Relation:
         Missing attributes become NULL; unknown attributes raise
         :class:`~repro.errors.SchemaError`.
         """
+        return self.insert(self._positional(row))
+
+    def _positional(self, row: Mapping[str, Any]) -> list[Any]:
+        """The positional row of a ``{attribute: value}`` mapping."""
         lowered = {key.lower(): value for key, value in row.items()}
         for key in lowered:
             self._schema.position(key)  # validates the attribute exists
-        positional = [
-            lowered.get(attr.name.lower(), NULL) for attr in self._schema.attributes
-        ]
-        return self.insert(positional)
+        return [lowered.get(attr.name.lower(), NULL) for attr in self._schema.attributes]
+
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Insert positional rows, a batch at a time.
+
+        The relation ends exactly as :meth:`insert` called on each row in
+        turn would leave it: the same tids, codes, dictionary order, counts,
+        version and maintained-index buckets.  Each batch is coded a column
+        at a time, coercing each distinct value once.  A batch that would
+        fail (a row of the wrong arity, a value that does not coerce) is
+        inserted row by row instead, so the same error surfaces with the
+        same rows committed before it.
+        """
+        self._insert_batches(rows, self.insert)
+
+    def _insert_batches(self, rows: Iterable[Sequence[Any]],
+                        insert_row: Callable[[Sequence[Any]], Any],
+                        blank_is_null: bool = False) -> None:
+        """Code *rows* a batch at a time; *insert_row* replays a failing batch.
+
+        With *blank_is_null* an empty string reads as NULL, as a CSV field
+        does.  When reading *rows* raises, the rows read before it are
+        written first, so an error in one of them still comes first.
+        """
+        rows = iter(rows)
+        while True:
+            batch: list[Sequence[Any]] = []
+            failure = None
+            try:
+                batch.extend(islice(rows, _BATCH_ROWS))
+            except Exception as error:  # keeps the rows read before it
+                failure = error
+            if batch and not self._insert_batch(batch, blank_is_null):
+                for row in batch:
+                    insert_row(row)
+            if failure is not None:
+                raise failure
+            if len(batch) < _BATCH_ROWS:
+                return
+
+    def _insert_batch(self, batch: list[Sequence[Any]], blank_is_null: bool) -> bool:
+        """Code one batch of rows; False, with nothing written, if a row would fail."""
+        try:
+            if set(map(len, batch)) != {self._schema.arity}:
+                return False
+        except TypeError:  # a row without a length
+            return False
+        return self._append_columns(list(zip(*batch)), len(batch), blank_is_null)
+
+    def _append_columns(self, columns: Sequence[Sequence[Any]], size: int,
+                        blank_is_null: bool = False) -> bool:
+        """Append *size* tuples given as one value sequence per attribute.
+
+        Every distinct value is coerced before anything is written; False,
+        with nothing written, when one fails to.
+        """
+        try:
+            plans = [_distinct_coerced(values, attribute.type, blank_is_null)
+                     for values, attribute in zip(columns, self._schema.attributes)]
+        except Exception:  # any failure: the row-by-row replay raises it again
+            return False
+        store = self._store
+        for column, plan in zip(store._columns, plans):
+            _append_codes(column, *plan)
+        start = self._next_tid
+        self._next_tid = start + size
+        self._live.update(dict.fromkeys(range(start, start + size)))
+        self._version += size
+        for index in store._indexes.values():
+            for tid in range(start, start + size):
+                index._file(tid)
+            index._built_version = self._version
+        return True
 
     def insert_tuple(self, source: Tuple) -> int:
         """Insert a copy of a tuple (possibly coming from another relation)."""
@@ -376,3 +467,58 @@ def _tombstone(store: ColumnStore, tid: int) -> None:
     for column in store._columns:
         column.counts[column.codes[tid]] -= 1
         column.codes[tid] = TOMBSTONE
+
+
+def _distinct_coerced(values: Sequence[Any], attr_type: AttributeType,
+                      blank_is_null: bool) -> tuple[Sequence[Any], list[Any], list[Any]]:
+    """Key the cells of one column and coerce each distinct key once.
+
+    Returns one key per cell, the distinct keys in first-occurrence
+    order and the coerced value of each; the coerced list *is* the
+    distinct list when every cell is its own key and coerces to itself.
+    Raises what :func:`~repro.relational.types.coerce_value` raises, or
+    ``TypeError`` for an unhashable value.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _BY_VALUE and len(kinds & _NUMBERS) <= 1:
+        keys: Sequence[Any] = values
+        distinct = raw = list(dict.fromkeys(values))
+    else:
+        keys = list(zip(map(type, values), values))
+        distinct = list(dict.fromkeys(keys))
+        raw = [value for _, value in distinct]
+    if blank_is_null and "" in raw:
+        raw = [NULL if value == "" else value for value in raw]
+    if kinds <= _COERCED[attr_type]:
+        return keys, distinct, raw
+    return keys, distinct, [coerce_value(value, attr_type) for value in raw]
+
+
+def _append_codes(column: Column, keys: Sequence[Any], distinct: list[Any],
+                  coerced: list[Any]) -> None:
+    """Append the codes of one column's cells, as interning each in turn would.
+
+    New values join the dictionary in first-occurrence order, in one
+    step; a column with live matchers or a string cache interns each
+    distinct value instead, which keeps them current.
+    """
+    lookup = column._code_by_value
+    if column._matchers or column._strings is not None:
+        for value in coerced:
+            column.intern(value)
+    else:
+        fresh = list(filterfalse(lookup.__contains__, dict.fromkeys(coerced)))
+        if fresh:
+            start = len(column.values)
+            lookup.update(zip(fresh, range(start, start + len(fresh))))
+            column.values += fresh
+            column.counts += [0] * len(fresh)
+    if coerced is distinct:  # each cell is its own coerced value
+        cells = list(map(lookup.__getitem__, keys))
+    else:
+        codes = map(lookup.__getitem__, coerced)
+        cells = list(map(dict(zip(distinct, codes)).__getitem__, keys))
+    counts = column.counts
+    for code in cells:
+        counts[code] += 1
+    column.codes += cells

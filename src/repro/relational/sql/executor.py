@@ -38,6 +38,7 @@ with the rest of the engine.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import defaultdict
 from typing import Any, Iterable
 
@@ -343,15 +344,10 @@ class SQLExecutor:
             attributes.append(Attribute(attribute.name, AttributeType.FLOAT)
                               if kinds == {AttributeType.INTEGER, AttributeType.FLOAT}
                               else attribute)
-        result = Relation(RelationSchema(result_name, attributes))
-        seen: set[tuple[Any, ...]] = set()
-        for part in parts:
-            for row in part:
-                key = row.values
-                if statement.all or key not in seen:
-                    seen.add(key)
-                    result.insert(list(key))
-        return result
+        rows: Iterable[tuple[Any, ...]] = (row.values for part in parts for row in part)
+        if not statement.all:
+            rows = dict.fromkeys(rows)  # the first of equal rows, in order
+        return Relation.from_rows(RelationSchema(result_name, attributes), rows)
 
     # -- SELECT ----------------------------------------------------------------
 
@@ -572,35 +568,32 @@ class SQLExecutor:
                     flags: list[bool], limit: int) -> list[int]:
         """``LIMIT k`` pushed into an ordered scan: partial top-k selection.
 
-        ``heapq.nsmallest(k, ..., key)`` is documented equivalent to
-        ``sorted(..., key)[:k]`` — a stable selection — so each direction
-        shape maps to a rank-tuple key that replays :meth:`_code_order`'s
-        full sort (then truncation) exactly:
+        Each surviving tid gets one entry: its rank per ORDER BY key (a
+        column of ranks built with ``map``), then a tie-break, and
+        ``heapq.nsmallest`` picks the *k* smallest entries.  The entries
+        replay :meth:`_code_order`'s full sort (then truncation) exactly:
 
-        * all ascending — the plain rank tuple (ties keep scan order,
-          like the stable full sort);
-        * all descending — negated ranks with a negated-tid tiebreak
-          (the full path reverses an ascending sort, which also reverses
-          tie order);
-        * mixed — per-key sign flips (a cascade of stable single-key
-          sorts, last key first, equals one lexicographic sort on the
-          signed ranks, ties in scan order).
+        * all ascending — the plain ranks, then the scan position (ties
+          keep scan order, like the stable full sort);
+        * all descending — negated ranks, then the negated tid (the full
+          path reverses an ascending sort, which also reverses tie order);
+        * mixed — per-key sign flips, then the scan position (a cascade
+          of stable single-key sorts, last key first, equals one
+          lexicographic sort on the signed ranks, ties in scan order).
 
-        Ranks are dense integers, so every negation is exact.
+        Ranks are dense integers, so every negation is exact, and the
+        tie-break makes every entry distinct.
         """
+        columns = []
+        for ranks, codes, descending in keys:
+            column = map(ranks.__getitem__, map(codes.__getitem__, tids))
+            columns.append(map(operator.neg, column) if descending else column)
         if all(flags):
-            def key(tid: int) -> tuple:
-                return tuple(-ranks[codes[tid]]
-                             for ranks, codes, _ in keys) + (-tid,)
-        elif any(flags):
-            def key(tid: int) -> tuple:
-                return tuple(-ranks[codes[tid]] if descending
-                             else ranks[codes[tid]]
-                             for ranks, codes, descending in keys)
+            entries = heapq.nsmallest(limit, zip(*columns, map(operator.neg, tids)))
+            selected = [-entry[-1] for entry in entries]
         else:
-            def key(tid: int) -> tuple:
-                return tuple(ranks[codes[tid]] for ranks, codes, _ in keys)
-        selected = heapq.nsmallest(limit, tids, key=key)
+            entries = heapq.nsmallest(limit, zip(*columns, range(len(tids))))
+            selected = [tids[entry[-1]] for entry in entries]
         info = self._explain
         if info is not None:
             info["order"] = {"top_k": limit, "rows_in": len(tids)}

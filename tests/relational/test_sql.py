@@ -1,7 +1,7 @@
 """Tests for the SQL tokenizer, parser and executor."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import definitions as oracle
@@ -10,6 +10,7 @@ from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.engine import SQLEngine
+from repro.relational.sql.executor import SQLExecutor
 from repro.relational.sql.parser import MAX_NESTING, parse_sql
 from repro.relational.sql.tokenizer import tokenize
 from repro.relational.types import NULL, AttributeType, is_null
@@ -312,6 +313,7 @@ class TestSQLAgainstAlgebraProperty:
                                 st.integers(0, 9)), min_size=0, max_size=50)
 
     @given(values)
+    @settings(deadline=None)
     def test_group_count_matches_python(self, rows):
         db = Database()
         schema = RelationSchema("t", [
@@ -325,6 +327,7 @@ class TestSQLAgainstAlgebraProperty:
         assert {(t["k"], t["n"]) for t in result} == set(expected.items())
 
     @given(values)
+    @settings(deadline=None)
     def test_where_filter_matches_python(self, rows):
         db = Database()
         schema = RelationSchema("t", [
@@ -334,6 +337,50 @@ class TestSQLAgainstAlgebraProperty:
         result = engine.query("SELECT k, v FROM t WHERE v >= 5")
         expected = [(k, v) for k, v in rows if v >= 5]
         assert sorted((t["k"], t["v"]) for t in result) == sorted(expected)
+
+
+class TestCodeTopK:
+    """``ORDER BY ... LIMIT k`` on rank columns selects exactly the first *k*
+    tids of the full sort: a stable ascending sort on the rank tuple,
+    reversed when every key descends, and a cascade of stable single-key
+    sorts (last key first) for mixed directions."""
+
+    @staticmethod
+    def full_sort(tids, keys, flags, k):
+        if any(flags) and not all(flags):
+            ordered = list(tids)
+            for ranks, codes, descending in reversed(keys):
+                ordered = sorted(ordered, key=lambda tid, r=ranks, c=codes: r[c[tid]],
+                                 reverse=descending)
+        else:
+            ordered = sorted(tids, key=lambda tid: tuple(ranks[codes[tid]]
+                                                         for ranks, codes, _ in keys))
+            if all(flags):
+                ordered.reverse()
+        return ordered[:k]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_equals_the_full_sort_cut(self, data):
+        bound = data.draw(st.integers(0, 30))
+        # scans yield live tids in ascending order; few codes and fewer ranks tie
+        tids = sorted(data.draw(st.sets(st.integers(0, bound), max_size=bound + 1)))
+        shape = data.draw(st.sampled_from(["ascending", "descending", "mixed"]))
+        width = data.draw(st.integers(2 if shape == "mixed" else 1, 3))
+        if shape == "mixed":
+            flags = data.draw(st.lists(st.booleans(), min_size=width, max_size=width)
+                              .filter(lambda f: any(f) and not all(f)))
+        else:
+            flags = [shape == "descending"] * width
+        keys = []
+        for descending in flags:
+            ranks = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+            codes = data.draw(st.lists(st.integers(0, 3), min_size=bound + 1,
+                                       max_size=bound + 1))
+            keys.append((ranks, codes, descending))
+        k = data.draw(st.sampled_from([0, 1, len(tids) // 2, len(tids), len(tids) + 3]))
+        top = SQLExecutor(Database())._code_top_k(tids, keys, flags, k)
+        assert top == self.full_sort(tids, keys, flags, k)
 
 
 class TestCodeSetFastPath:

@@ -8,11 +8,20 @@ counts and the maintained indexes after each step; a copy or filter and
 its source must never see each other's writes.  Cells compare by ``repr``, so ``0.0`` against ``-0.0``
 or ``1`` against ``1.0`` would show.
 
+The batch tests run every bulk constructor (``insert_many``, ``from_rows``,
+``from_dicts``, ``from_columns``, UNION results, CSV load with a declared
+and an inferred schema) against inserting the same rows one by one, on
+random typed rows with failing cells and arities: the state must be
+byte-identical and a failure must raise the same error after the same
+rows.
+
 The memory guard pins what loading a CSV costs per cell, retained and at
 the load's peak.
 """
 
+import csv
 import gc
+import io
 import tracemalloc
 from collections import Counter
 
@@ -22,14 +31,14 @@ from hypothesis import strategies as st
 
 from oracle.strategies import oracle_settings
 from repro.datagen.customer import CUSTOMER_SCHEMA, CustomerGenerator
-from repro.errors import RelationError, TypeMismatchError
+from repro.errors import RelationError, SchemaError, TypeMismatchError
 from repro.relational.csvio import relation_from_csv, relation_to_csv
 from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.engine import SQLEngine
-from repro.relational.types import NULL, AttributeType, coerce_value, is_null
+from repro.relational.types import NULL, AttributeType, coerce_value, infer_type, is_null
 
 SCHEMA = RelationSchema("r", [
     Attribute("s", AttributeType.STRING),
@@ -201,3 +210,259 @@ def test_csv_load_keeps_codes_not_rows():
     assert len(relation) == 5000
     assert retained / cells <= 50, f"{retained / cells:.1f} bytes per cell retained"
     assert peak / cells <= 70, f"{peak / cells:.1f} bytes per cell at the peak"
+
+
+# -- batches -----------------------------------------------------------------
+#
+# Every bulk constructor codes a batch a column at a time.  Each must leave
+# exactly the state inserting the same rows one by one leaves, down to the
+# dictionary order, the ``==``-lookup table, the maintained indexes' bucket
+# order and the live matcher sets, and fail as the row-by-row insert fails.
+
+NAN = float("nan")
+
+#: per column, what a batch cell may be: the pool, the column's bad value,
+#: the booleans (``True == 1 == 1.0``, yet a STRING column stores "true"),
+#: both zeros, NaN (a STRING "nan", a FLOAT NULL, an error otherwise) and an
+#: unhashable value that no type takes
+CELLS = [pool + (BAD[position], True, False, -0.0, NAN, ["x"])
+         for position, pool in enumerate(POOLS)]
+
+#: live matchers the ``insert_many`` test registers: the ``≍`` test of a
+#: pattern constant, as detection compiles one
+MATCHED = {"s": "1", "i": 1, "f": 1.0, "b": True}
+
+
+def with_matchers(relation):
+    for name, constant in MATCHED.items():
+        relation.columns.column(name).matcher(
+            ("eq", constant), lambda value, constant=constant: str(value) == str(constant))
+    return relation
+
+
+def state(relation):
+    """Everything a batch could get wrong, as one comparable value."""
+    store = relation.columns
+    columns = [(repr(column.values), column.codes, column.counts,
+                repr(list(column._code_by_value.items())),
+                {key: sorted(matcher.codes) for key, matcher in column._matchers.items()})
+               for column in store.columns()]
+    indexes = [(positions, [(key, list(bucket)) for key, bucket in index.bucket_items()],
+                index.is_stale())
+               for positions, index in store._indexes.items()]
+    return relation.tids(), relation.version, relation.tid_bound, columns, indexes
+
+
+def outcome(action):
+    """``None``, or the type and message of what *action* raised."""
+    try:
+        action()
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return type(error), str(error)
+    return None
+
+
+def valid(row):
+    return len(row) == len(POOLS) and outcome(lambda: coerced(row)) is None
+
+
+def one_by_one(relation, rows, insert=None):
+    insert = insert or relation.insert
+    return outcome(lambda: [insert(row) for row in rows])
+
+
+class SourceFailed(Exception):
+    pass
+
+
+def failing_after(rows, count):
+    """*rows*, then a failure after the first *count* of them (None: no failure)."""
+    yield from rows[:count]
+    if count is not None:
+        raise SourceFailed(f"no row after {count}")
+
+
+@st.composite
+def batch_rows(draw, max_size=12):
+    """Rows mostly from the pools, sometimes with a failing cell or arity."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_size))):
+        row = [draw(st.sampled_from(POOLS[p] if draw(st.integers(0, 9)) else CELLS[p]))
+               for p in range(len(POOLS))]
+        if not draw(st.integers(0, 19)):
+            row = row[:draw(st.integers(0, len(row) - 1))] or row + ["extra"]
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture(params=[1, 3, 1024], ids=["batch1", "batch3", "batch1024"])
+def batch_size(request, monkeypatch):
+    """Small batches make several per example and a failure in a later one."""
+    import repro.relational.relation as relation_module
+
+    monkeypatch.setattr(relation_module, "_BATCH_ROWS", request.param)
+    return request.param
+
+
+@given(st.data())
+@oracle_settings(120)
+def test_insert_many_matches_inserting_row_by_row(batch_size, data):
+    rows = data.draw(batch_rows())
+    prefix = [row for row in data.draw(batch_rows(4)) if valid(row)]
+    reference = with_matchers(with_indexes(Relation.from_rows(SCHEMA, [])))
+    batched = with_matchers(with_indexes(Relation.from_rows(SCHEMA, [])))
+    for relation in (reference, batched):
+        for row in prefix:
+            relation.insert(row)
+    # reading the rows may fail too: the rows read before still go in first
+    count = data.draw(st.one_of(st.none(), st.integers(0, len(rows))))
+    expected = one_by_one(reference, failing_after(rows, count))
+    assert outcome(lambda: batched.insert_many(failing_after(rows, count))) == expected
+    assert state(batched) == state(reference)
+
+
+@given(st.data())
+@oracle_settings(120)
+def test_bulk_constructors_match_inserting_row_by_row(batch_size, data):
+    rows = data.draw(batch_rows())
+    reference = Relation(SCHEMA)
+    expected = one_by_one(reference, rows)
+    built = []
+    assert outcome(lambda: built.append(Relation.from_rows(SCHEMA, rows))) == expected
+    if all(len(row) == len(POOLS) for row in rows):
+        columns = [[row[p] for row in rows] for p in range(len(POOLS))]
+        assert outcome(lambda: built.append(Relation.from_columns(SCHEMA, columns))) == expected
+    for relation in built:
+        assert state(relation) == state(reference)
+
+
+@given(st.data())
+@oracle_settings(80)
+def test_from_dicts_matches_insert_dict(batch_size, data):
+    dicts = []
+    for row in data.draw(batch_rows()):
+        # an unknown attribute fails the row: an earlier row's bad value must
+        # still win, as it does one row at a time
+        names = [name.upper() if data.draw(st.booleans()) else name
+                 for name in SCHEMA.attribute_names] + ["zz"]
+        row = (row + ["z"] * len(names))[:len(names)]
+        unknown = not data.draw(st.integers(0, 5))  # "zz" may be kept
+        positions = range(len(names) if unknown else len(names) - 1)
+        kept = data.draw(st.lists(st.sampled_from(positions), unique=True))
+        dicts.append({names[p]: row[p] for p in kept})
+    reference = Relation(SCHEMA)
+    expected = one_by_one(reference, dicts, reference.insert_dict)
+    built = []
+    assert outcome(lambda: built.append(Relation.from_dicts(SCHEMA, dicts))) == expected
+    for relation in built:
+        assert state(relation) == state(reference)
+
+
+@given(st.data())
+@oracle_settings(60)
+def test_union_result_matches_inserting_row_by_row(batch_size, data):
+    rows = [row for row in data.draw(batch_rows()) if valid(row)]
+    database = Database()
+    database.add(Relation.from_rows(SCHEMA, rows))
+    every = data.draw(st.booleans())
+    text = (f"SELECT s, i, f, b FROM r WHERE i IS NULL UNION {'ALL ' if every else ''}"
+            f"SELECT s, i, f, b FROM r")
+    result = SQLEngine(database).query(text)
+    parts = [[row for row in database.relation("r") if is_null(row["i"])],
+             list(database.relation("r"))]
+    union = [row.values for part in parts for row in part]
+    if not every:
+        union = [values for position, values in enumerate(union)
+                 if values not in union[:position]]
+    reference = Relation(result.schema)
+    for values in union:
+        reference.insert(values)
+    assert state(result) == state(reference)
+
+
+#: CSV fields: blanks, numbers, booleans and strings a type rejects
+FIELDS = ["", "1", "1.0", "-0.0", " 2 ", "true", "0", "no", "x", "nan", "a,b"]
+
+
+def csv_text(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def csv_one_by_one(text, schema):
+    """The row-at-a-time load, restated: infer from every value, then
+    insert each row, blanks as NULL, after its arity check."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    header, data = [name.strip() for name in rows[0]], rows[1:]
+    if schema is None:
+        columns = list(zip(*data)) if data else [[] for _ in header]
+        schema = RelationSchema("r", [Attribute(name, infer_type(list(column)))
+                                      for name, column in zip(header, columns)])
+    relation = Relation(schema)
+
+    def load():
+        for row in data:
+            if len(row) != schema.arity:
+                raise SchemaError(
+                    f"CSV row {row!r} has {len(row)} fields, expected {schema.arity}")
+            relation.insert([NULL if field == "" else field for field in row])
+    return relation, outcome(load)
+
+
+@given(st.data())
+@oracle_settings(120)
+def test_csv_load_matches_inserting_row_by_row(batch_size, data):
+    header = list(SCHEMA.attribute_names)
+    rows = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        row = [data.draw(st.sampled_from(FIELDS)) for _ in header]
+        if not data.draw(st.integers(0, 14)):
+            row = row[:-1] if data.draw(st.booleans()) else row + ["x"]
+        rows.append(row)
+    text = csv_text(header, rows)
+    for schema in (SCHEMA, None):
+        reference, expected = csv_one_by_one(text, schema)
+        loaded = []
+        assert outcome(lambda: loaded.append(
+            relation_from_csv(text, "r", schema=schema))) == expected
+        for relation in loaded:
+            assert relation.schema.attributes == reference.schema.attributes
+            assert state(relation) == state(reference)
+
+
+@pytest.mark.parametrize("first, second, error", [
+    (["a", "x", "1.5", "true"], ["a", "1"], TypeMismatchError),
+    (["a", "1"], ["a", "x", "1.5", "true"], SchemaError),
+], ids=["coercion-first", "arity-first"])
+def test_csv_reports_the_first_bad_row_of_a_batch(first, second, error):
+    """A bad value in an earlier row wins over a short row later in the
+    same batch, and the other way round."""
+    text = csv_text(SCHEMA.attribute_names, [["a", "1", "1.5", "true"], first, second])
+    reference, expected = csv_one_by_one(text, SCHEMA)
+    assert expected[0] is error
+    with pytest.raises(error) as raised:
+        relation_from_csv(text, "r", schema=SCHEMA)
+    assert str(raised.value) == expected[1]
+
+
+def test_distinct_count_follows_inserts_updates_and_deletes():
+    relation = Relation.from_rows(SCHEMA, [("a", 1, 1.0, True), ("b", 1, NULL, True),
+                                           (NULL, 2, 2.5, False)])
+    column = relation.columns.column("s")
+
+    def definition():
+        return len({value for value in relation.column("s") if not is_null(value)})
+
+    assert column.distinct_count() == definition() == 2
+    relation.update(1, "s", "a")          # "b" loses its last tuple
+    assert column.distinct_count() == definition() == 1
+    relation.insert(("c", 3, 3.0, False))
+    relation.delete(0)                    # "a" keeps tid 1
+    assert column.distinct_count() == definition() == 2
+    relation.delete(1)                    # "a" loses its last tuple
+    relation.update(2, "s", "c")          # NULL loses its last tuple
+    assert column.distinct_count() == definition() == 1
+    assert relation.columns.column("f").distinct_count() == 2
