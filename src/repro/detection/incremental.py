@@ -34,6 +34,7 @@ from typing import Any, Mapping, Sequence
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.violations import CFDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
+from repro.relational.columns import passing
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 
@@ -77,12 +78,29 @@ class IncrementalCFDDetector:
                 if found:
                     group_map[key] = found
             self._group_violations[position] = group_map
-            singles: dict[int, list[CFDViolation]] = {}
-            for tid in self._relation.tids():
-                found_singles = self._check_single(position, cfd, tid)
-                if found_singles:
-                    singles[tid] = found_singles
-            self._single_violations[position] = singles
+            self._single_violations[position] = self._build_singles(position, cfd)
+
+    def _build_singles(self, position: int, cfd: CFD) -> dict[int, list[CFDViolation]]:
+        """The single-tuple violations of one merged CFD, selected a column at a time.
+
+        Only a pattern with a constant RHS can be violated by one tuple:
+        its candidates are the tids passing the LHS constants, and those
+        failing one of its RHS constants violate it.  Each tid's list
+        keeps pattern order, and tids ascend, as a per-tid check would
+        leave them.
+        """
+        tids = self._relation.tids()
+        singles: dict[int, list[CFDViolation]] = {}
+        for compiled in self._compiled[position]:
+            if not compiled.rhs_tests:
+                continue
+            candidates = passing(tids, compiled.lhs_tests)
+            matched = set(passing(candidates, compiled.rhs_tests))
+            for tid in candidates:
+                if tid not in matched:
+                    singles.setdefault(tid, []).append(
+                        CFDViolation(cfd, compiled.pattern, (tid,)))
+        return dict(sorted(singles.items()))
 
     # -- checking helpers -----------------------------------------------------------
 

@@ -453,10 +453,7 @@ def fold_groups(members: list, key_columns: list[tuple[list[int], Any]],
     The result maps each code key (a bare code for one key column, a code
     tuple otherwise, ``()`` for none) to ``[first member, state, ...]``,
     keys in first-occurrence order, with the partial states
-    :func:`_sql_scan` documents.  Every fold is a builtin pass over one
-    group's codes: NULL is code 0, the only falsy code, so
-    ``filter(None, ...)`` drops exactly the NULLs; ``min``/``max`` return
-    the first extremal code, so rank ties keep the first occurrence.
+    :func:`_sql_scan` documents (see :func:`fold_codes`).
     """
     if not members:
         return {}
@@ -479,22 +476,40 @@ def fold_groups(members: list, key_columns: list[tuple[list[int], Any]],
         if kind == "count_star":
             states: list[Any] = [len(group) for group in groups.values()]
         else:
-            columns = [_codes_of(codes, pick, group) for group in groups.values()]
-            if kind == "count":
-                states = [len(column) - column.count(NULL_CODE) for column in columns]
-            elif kind == "count_distinct":
-                states = [set(filter(None, column)) for column in columns]
-            elif kind in ("sum", "avg"):
-                states = [list(filter(None, column)) for column in columns]
-            else:
-                extreme = min if kind == "min" else max
-                states = []
-                for column in columns:
-                    best = extreme(filter(None, column), key=ranks.__getitem__, default=None)
-                    states.append(None if best is None else (ranks[best], best))
+            states = fold_codes(kind, [_codes_of(codes, pick, group)
+                                       for group in groups.values()], ranks)
         for entry, state in zip(entries, states):
             entry.append(state)
     return dict(zip(groups, entries))
+
+
+#: aggregate kinds whose partial state depends on the order codes arrive in
+#: (the float fold order of SUM/AVG, the first extremal code of MIN/MAX).
+ORDERED_FOLDS = frozenset(("sum", "avg", "min", "max"))
+
+
+def fold_codes(kind: str, columns: list[list[int]], ranks: Any) -> list[Any]:
+    """One aggregate's partial state per group, from each group's codes.
+
+    *kind* is any spec kind but ``count_star`` (a group's size), and each
+    column lists one group's codes of the argument, in tuple order for
+    the :data:`ORDERED_FOLDS`.  Every fold is one builtin pass: NULL is
+    code 0, the only falsy code, so ``filter(None, ...)`` drops exactly
+    the NULLs; ``min``/``max`` return the first extremal code, so rank
+    ties keep the first occurrence.
+    """
+    if kind == "count":
+        return [len(column) - column.count(NULL_CODE) for column in columns]
+    if kind == "count_distinct":
+        return [set(filter(None, column)) for column in columns]
+    if kind in ("sum", "avg"):
+        return [list(filter(None, column)) for column in columns]
+    extreme = min if kind == "min" else max
+    states = []
+    for column in columns:
+        best = extreme(filter(None, column), key=ranks.__getitem__, default=None)
+        states.append(None if best is None else (ranks[best], best))
+    return states
 
 
 def _side_folds(tables: Any, aggs: list[tuple]) -> list[tuple[str, Any, Any, Any]]:

@@ -20,15 +20,18 @@ relation's dictionary code arrays end to end.
 * **Group** — GROUP BY columns become schema positions; groups are keyed
   by code tuples straight off the code arrays (codes are assigned by
   value equality, so code keys and value keys partition identically, in
-  the same first-occurrence order).
+  the same first-occurrence order).  A statement whose WHERE tests only
+  GROUP BY columns reads its groups off the relation's maintained index
+  on them instead (:func:`index_groups`).
 * **Aggregate** — COUNT / COUNT(DISTINCT) run as code counts,
   MIN / MAX compare dense dictionary-order ranks
   (:meth:`~repro.relational.columns.Column.order`), SUM / AVG fold the
   dictionary-decoded values in tuple order (decoding is one list index
   per value — the dictionary holds each distinct value decoded once).
 * **Decode boundaries** — values materialise only in the output rows:
-  per selected cell for plain scans, per group for representatives and
-  aggregate results.
+  per selected cell for plain scans, per group for group keys and
+  aggregate results, and for a group's first row only when an
+  expression reads a column outside the key.
 
 :func:`compile_plan` returns ``None`` whenever the statement needs more
 than this pipeline — joins, multiple tables, residual (expression-valued)
@@ -48,7 +51,8 @@ parent-side halves of that contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ReproError, SchemaError, SQLExecutionError
 from repro.relational.columns import NULL_CODE, passing
@@ -58,9 +62,12 @@ from repro.relational.expressions import (
     ColumnRef,
     Comparison,
     Expression,
+    FunctionCall,
     InList,
     IsNull,
+    Like,
     Literal,
+    Not,
     Or,
 )
 from repro.relational.predicates import (
@@ -70,7 +77,6 @@ from repro.relational.predicates import (
 )
 from repro.relational.sql.ast import (
     AggregateCall,
-    AggregateExpr,
     SelectStatement,
     TableRef,
     collect_aggregates,
@@ -79,6 +85,7 @@ from repro.relational.types import NULL, AttributeType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.database import Database
+    from repro.relational.index import HashIndex
     from repro.relational.relation import Relation
 
 #: aggregate functions the code-native pipeline computes on codes.
@@ -138,46 +145,42 @@ def expanded_items(database: "Database",
     return expanded
 
 
-def rewrite_aggregates(expression: Expression,
-                       aggregate_values: dict[AggregateCall, Any]) -> Expression:
-    """Replace embedded aggregate calls with their computed values."""
-    from repro.relational.expressions import (
-        Comparison as Cmp, FunctionCall, IsNull, Like, Not, Or,
-    )
+def substitute(expression: Expression,
+               replace: Callable[[Expression], Expression | None]) -> Expression:
+    """*expression* with every node that *replace* maps to a node swapped out.
 
-    if isinstance(expression, AggregateExpr):
-        return Literal(aggregate_values[expression.call])
+    *replace* sees each node before its children; a node it maps to
+    ``None`` is rebuilt around its substituted children (leaves come back
+    as they are).  The grouped outputs rewrite HAVING and computed items
+    once per statement this way.
+    """
+    found = replace(expression)
+    if found is not None:
+        return found
     if isinstance(expression, And):
-        return And(tuple(rewrite_aggregates(op, aggregate_values)
-                         for op in expression.operands))
+        return And(tuple(substitute(op, replace) for op in expression.operands))
     if isinstance(expression, Or):
-        return Or(tuple(rewrite_aggregates(op, aggregate_values)
-                        for op in expression.operands))
+        return Or(tuple(substitute(op, replace) for op in expression.operands))
     if isinstance(expression, Not):
-        return Not(rewrite_aggregates(expression.operand, aggregate_values))
-    if isinstance(expression, Cmp):
-        return Cmp(expression.operator,
-                   rewrite_aggregates(expression.left, aggregate_values),
-                   rewrite_aggregates(expression.right, aggregate_values))
+        return Not(substitute(expression.operand, replace))
+    if isinstance(expression, Comparison):
+        return Comparison(expression.operator, substitute(expression.left, replace),
+                          substitute(expression.right, replace))
     if isinstance(expression, Arithmetic):
-        return Arithmetic(expression.operator,
-                          rewrite_aggregates(expression.left, aggregate_values),
-                          rewrite_aggregates(expression.right, aggregate_values))
+        return Arithmetic(expression.operator, substitute(expression.left, replace),
+                          substitute(expression.right, replace))
     if isinstance(expression, IsNull):
-        return IsNull(rewrite_aggregates(expression.operand, aggregate_values),
-                      negated=expression.negated)
+        return IsNull(substitute(expression.operand, replace), negated=expression.negated)
     if isinstance(expression, Like):
-        return Like(rewrite_aggregates(expression.operand, aggregate_values),
-                    expression.pattern, negated=expression.negated)
+        return Like(substitute(expression.operand, replace), expression.pattern,
+                    negated=expression.negated)
     if isinstance(expression, InList):
-        return InList(rewrite_aggregates(expression.operand, aggregate_values),
-                      tuple(rewrite_aggregates(v, aggregate_values)
-                            for v in expression.values),
+        return InList(substitute(expression.operand, replace),
+                      tuple(substitute(v, replace) for v in expression.values),
                       negated=expression.negated)
     if isinstance(expression, FunctionCall):
         return FunctionCall(expression.name,
-                            tuple(rewrite_aggregates(a, aggregate_values)
-                                  for a in expression.arguments))
+                            tuple(substitute(a, replace) for a in expression.arguments))
     return expression
 
 
@@ -318,15 +321,17 @@ def compile_filter(relation: "Relation", table: TableRef, conjunct: Expression,
 class CodePlan:
     """A compiled code-native plan for one single-table SELECT."""
 
-    __slots__ = ("relation", "table", "filters", "grouped", "group_positions",
-                 "agg_calls", "agg_specs", "items", "names", "having",
-                 "order_ranks", "limit")
+    __slots__ = ("relation", "table", "filters", "conjuncts", "grouped",
+                 "group_positions", "agg_calls", "agg_specs", "items", "names",
+                 "having", "order_ranks", "limit")
 
     def __init__(self, relation: "Relation", table: TableRef) -> None:
         self.relation = relation
         self.table = table
         #: ``(schema position, allowed codes)`` per WHERE conjunct.
         self.filters: list[tuple[int, set[int]]] = []
+        #: the WHERE conjuncts, aligned with ``filters``.
+        self.conjuncts: list[Expression] = []
         #: whether the grouped (aggregate) pipeline runs.
         self.grouped = False
         #: GROUP BY schema positions (empty = one global group).
@@ -412,6 +417,7 @@ def compile_plan(database: "Database", statement: SelectStatement,
             return _note(reasons,
                          f"WHERE conjunct {conjunct} is not a code-set test")
         plan.filters.append(compiled)
+        plan.conjuncts.append(conjunct)
 
     try:
         items = expanded_items(database, statement)
@@ -848,6 +854,110 @@ def finalize_aggregate(spec: tuple, state: Any, relation: "Relation") -> Any:
     if state is None:  # min | max over an empty / all-NULL group
         return NULL
     return column.values[state[1]]
+
+
+def index_grouping(plan: CodePlan) -> str | None:
+    """Why grouped *plan* scans, or ``None`` when it reads an index instead.
+
+    A statement whose every WHERE conjunct tests a GROUP BY column reads
+    its groups from the relation's maintained index on those columns
+    (:func:`index_groups`): such a test holds for a whole bucket or for
+    none of it, so it runs once per bucket key.  A conjunct on any other
+    column still has to test every tuple, which is the scan's whole cost,
+    so there the index cannot win and the statement scans.
+    """
+    if not plan.group_positions:
+        return "no GROUP BY"
+    names = plan.relation.schema.attribute_names
+    for (position, _), conjunct in zip(plan.filters, plan.conjuncts):
+        if position not in plan.group_positions:
+            return (f"WHERE conjunct {conjunct} tests {names[position]}, "
+                    "not a GROUP BY column")
+    return None
+
+
+def index_groups(plan: CodePlan) -> tuple[dict[Any, list], "HashIndex"]:
+    """A grouped scan's result, read off the maintained GROUP BY index.
+
+    For a plan :func:`index_grouping` admits.  The index is fetched on
+    the GROUP BY columns in schema order, so ``GROUP BY a, b`` and
+    ``GROUP BY b, a`` share one (and so does a CFD LHS index listed in
+    schema order); it stays registered for the relation's lifetime and
+    every later write refiles it.  Each filter tests its column's
+    component of the bucket keys, and the kept buckets are ordered by
+    their smallest tid: live tids ascend, so that is the scan's
+    first-occurrence order whatever order the writes left the buckets
+    in.  COUNT(*) is a bucket's size and COUNT / COUNT(DISTINCT) read its
+    codes in any order; the :data:`~repro.engine.worker.ORDERED_FOLDS`
+    fold ``sorted(bucket)``, the scan's tuple order, which keeps the
+    float fold order and the first-extremal rank tie of
+    :func:`~repro.engine.worker.fold_codes`.
+
+    Returns the groups in the ``sql_scan`` shape — each key a bare code
+    for one GROUP BY column and a code tuple in GROUP BY order otherwise,
+    mapped to ``[first tid, state, ...]`` — and the index.
+    """
+    from repro.engine.worker import ORDERED_FOLDS, fold_codes
+
+    relation = plan.relation
+    store = relation.columns
+    positions = sorted(set(plan.group_positions))
+    names = relation.schema.attribute_names
+    index = store.index([names[position] for position in positions])
+    component = {position: slot for slot, position in enumerate(positions)}
+    buckets = list(index.bucket_items())
+    for position, allowed in plan.filters:
+        slot = component[position]
+        buckets = [bucket for bucket in buckets if bucket[0][slot] in allowed]
+    # first tids differ between buckets, so the key and set never compare
+    ordered = sorted([(min(tids), key, tids) for key, tids in buckets])
+    members = [tids for _, _, tids in ordered]
+    in_order: list[list[int]] | None = None
+    entries = [[first] for first, _, _ in ordered]
+    for spec in plan.agg_specs:
+        kind = spec[0]
+        if kind == "count_star":
+            states: list[Any] = list(map(len, members))
+        else:
+            column = store.column_at(spec[1])
+            if kind in ORDERED_FOLDS and in_order is None:
+                in_order = [sorted(tids) for tids in members]
+            groups = in_order if kind in ORDERED_FOLDS else members
+            codes = column.codes
+            states = fold_codes(kind, [list(map(codes.__getitem__, tids)) for tids in groups],
+                                column.order().ranks if kind in ("min", "max") else None)
+        for entry, state in zip(entries, states):
+            entry.append(state)
+    # itemgetter of one slot returns the bare code, of several a tuple
+    regroup = itemgetter(*[component[position] for position in plan.group_positions])
+    return {regroup(key): entry for (_, key, _), entry in zip(ordered, entries)}, index
+
+
+def group_component(plan: "CodePlan | JoinPlan | MultiJoinPlan",
+                    ref: ColumnRef) -> int | None:
+    """The GROUP BY key *ref* reads under *plan*'s name resolution, or ``None``.
+
+    Every member of a group carries that key's code, so such a reference
+    decodes from the group key.  Any other reference (another column, an
+    unknown name) resolves against the group's representative, which
+    answers it, or raises, as it always has.
+    """
+    if isinstance(plan, CodePlan):
+        resolved: Any = _resolved_position(ref, plan.table, True, plan.relation)
+        keys: tuple = plan.group_positions
+    else:
+        resolved = _join_position(ref, tuple(zip(plan.tables, plan.relations)))
+        keys = plan.group_keys
+    return keys.index(resolved) if resolved in keys else None
+
+
+def group_values(plan: "CodePlan | JoinPlan | MultiJoinPlan") -> list[list[Any]]:
+    """Per GROUP BY key, the dictionary its codes decode through."""
+    if isinstance(plan, CodePlan):
+        store = plan.relation.columns
+        return [store.column_at(position).values for position in plan.group_positions]
+    return [plan.relations[side].columns.column_at(position).values
+            for side, position in plan.group_keys]
 
 
 def side_filters(plan: "JoinPlan | MultiJoinPlan",

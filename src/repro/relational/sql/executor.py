@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import defaultdict
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.errors import SQLExecutionError
@@ -57,6 +57,7 @@ from repro.relational.relation import Relation, Tuple
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.sql.ast import (
     AggregateCall,
+    AggregateExpr,
     SelectStatement,
     Statement,
     TableRef,
@@ -84,12 +85,16 @@ from repro.relational.sql.columnar import (
     finalize_factorised,
     finalize_join_aggregate,
     flatten_conjuncts,
+    group_component,
+    group_values,
+    index_grouping,
+    index_groups,
     join_query_payload,
     multiway_fold_payload,
     multiway_query_payload,
     output_positions,
     query_payload,
-    rewrite_aggregates,
+    substitute,
 )
 from repro.relational.types import NULL, AttributeType, is_null, sort_key
 
@@ -113,6 +118,121 @@ class _ExecRow:
             if "." in key or key not in bindings:
                 bindings[key] = value
         return _ExecRow(bindings, self.sources + other.sources)
+
+
+class _AggregateSlot(Expression):
+    """An aggregate call, rewritten once per statement: the current
+    group's finalized value."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def evaluate(self, context: "_GroupFrame") -> Any:
+        return context.aggregates[self.index]
+
+
+class _KeySlot(Expression):
+    """A GROUP BY column, rewritten once per statement: decoded from the
+    current group's code key (a bare code when *component* is None)."""
+
+    __slots__ = ("values", "component")
+
+    def __init__(self, values: list[Any], component: int | None) -> None:
+        self.values = values
+        self.component = component
+
+    def evaluate(self, context: "_GroupFrame") -> Any:
+        key = context.key
+        return self.values[key if self.component is None else key[self.component]]
+
+
+class _GroupFrame(EvaluationContext):
+    """The evaluation context of the group being finished, one per statement.
+
+    Slots read its finalized aggregates and code key.  Any other column
+    reference decodes the group's representative through *decode* (to a
+    binding dict, ``{}`` for none) — once per group, and only when an
+    expression reads one — then resolves exactly as an
+    :class:`EvaluationContext` over those bindings would.
+    """
+
+    __slots__ = ("aggregates", "key", "representative", "_decode")
+
+    def __init__(self, decode: Callable[[Any], dict[str, Any]]) -> None:
+        self._decode = decode
+        self.enter([], (), None)
+
+    def enter(self, aggregates: list[Any], key: Any, representative: Any) -> None:
+        """Move to the next group."""
+        self.aggregates = aggregates
+        self.key = key
+        self.representative = representative
+        self._bindings = None
+
+    def lookup(self, name: str, qualifier: str | None = None) -> Any:
+        if self._bindings is None:
+            self._bindings = self._decode(self.representative)
+        return EvaluationContext.lookup(self, name, qualifier)
+
+
+def _slot_rewriter(calls: list[AggregateCall],
+                   plan: CodePlan | JoinPlan | MultiJoinPlan | None = None,
+                   values: list[list[Any]] | None = None
+                   ) -> Callable[[Expression], Expression]:
+    """The once-per-statement rewrite of HAVING and computed items.
+
+    Each aggregate call becomes a slot reading the group's finalized
+    value (*calls* give the slot order).  Given a code *plan* and its
+    GROUP BY dictionaries *values*, each column reference that resolves
+    to a GROUP BY column becomes a slot decoding the group key.
+    """
+    slots = {call: index for index, call in enumerate(calls)}
+    single = values is not None and len(values) == 1
+
+    def replace(node: Expression) -> Expression | None:
+        if isinstance(node, AggregateExpr):
+            return _AggregateSlot(slots[node.call])
+        if plan is not None and isinstance(node, ColumnRef):
+            component = group_component(plan, node)
+            if component is not None:
+                return _KeySlot(values[component], None if single else component)
+        return None
+
+    return lambda expression: substitute(expression, replace)
+
+
+def _group_bindings(relations: tuple, tables: tuple
+                    ) -> Callable[[Any], dict[str, Any]]:
+    """Decodes a group's representative into its bindings (``{}`` for none).
+
+    The representative is a tid for one table and a tid tuple for a
+    join.  Bindings mirror :meth:`_ExecRow.merged`: earlier tables'
+    unqualified names are set first and later tables never shadow them;
+    qualified names always bind to their own table.
+    """
+    sides = []
+    for relation, table in zip(relations, tables):
+        binding = table.binding_name.lower()
+        sides.append([(name.lower(), f"{binding}.{name.lower()}",
+                       relation.columns.column_at(position))
+                      for position, name in enumerate(relation.schema.attribute_names)])
+    single = len(sides) == 1
+
+    def bindings(representative: Any) -> dict[str, Any]:
+        bound: dict[str, Any] = {}
+        if representative is not None:
+            tids = (representative,) if single else representative
+            for side, (columns, tid) in enumerate(zip(sides, tids)):
+                for name, qualified, column in columns:
+                    value = column.values[column.codes[tid]]
+                    if side == 0 or name not in bound:
+                        bound[name] = value
+                    bound[qualified] = value
+        return bound
+
+    return bindings
 
 
 def _rows_for_table(database: Database, table: TableRef,
@@ -361,7 +481,7 @@ class SQLExecutor:
             info = {"plan": "row", "why_not_code": [], "why_not_join": [],
                     "why_not_multiway": [], "why_not_factorised": [],
                     "filters": [], "join": None, "multiway": None,
-                    "factorised": None}
+                    "factorised": None, "grouping": None}
         self._explain = info
         plan = compile_plan(self._database, statement,
                             info["why_not_code"] if info is not None else None)
@@ -494,8 +614,26 @@ class SQLExecutor:
     # -- code-native execution ----------------------------------------------
 
     def _execute_code_plan(self, plan: CodePlan) -> tuple[list[list[Any]], list[str], bool]:
-        """Run a compiled code-native plan; returns (rows, names, pre-ordered)."""
+        """Run a compiled code-native plan; returns (rows, names, pre-ordered).
+
+        A grouped statement whose filters all test GROUP BY columns reads
+        its groups off the maintained index on them (in-process, whatever
+        the engine: there is no scan left to fan out); every other plan
+        scans, in-process or across the pool.
+        """
         relation = plan.relation
+        info = self._explain
+        if plan.grouped:
+            reason = index_grouping(plan)
+            if reason is None:
+                merged, index = index_groups(plan)
+                if info is not None:
+                    info["grouping"] = {"kind": "index",
+                                        "attributes": index.attribute_names,
+                                        "buckets": len(index), "kept": len(merged)}
+                return self._grouped_rows(plan, merged), list(plan.names), False
+            if info is not None:
+                info["grouping"] = {"kind": "scan", "reason": reason}
         query = query_payload(plan)
         if self._pool is None:
             from repro.engine import worker
@@ -511,7 +649,7 @@ class SQLExecutor:
             result = engine.scan_grouped(query) if plan.grouped else engine.scan(query)
 
         if plan.grouped:
-            return self._code_grouped_output(plan, result), list(plan.names), False
+            return self._grouped_rows(plan, result), list(plan.names), False
         tids, pre_ordered = self._code_order(plan, result)
         store = relation.columns
         columns = [store.column_at(position) for _, position in plan.items]
@@ -599,62 +737,6 @@ class SQLExecutor:
             info["order"] = {"top_k": limit, "rows_in": len(tids)}
         return selected
 
-    def _code_grouped_output(self, plan: CodePlan,
-                             merged: dict[Any, list]) -> list[list[Any]]:
-        """Assemble grouped output rows from merged partial-aggregate states."""
-        relation = plan.relation
-        if not merged and not plan.group_positions:
-            # aggregates without GROUP BY over no rows still emit one row
-            merged = {(): None}
-        output: list[list[Any]] = []
-        for entry in merged.values():
-            if entry is None:
-                representative = None
-                states = [empty_aggregate_state(spec) for spec in plan.agg_specs]
-            else:
-                representative = entry[0]
-                states = entry[1:]
-            finalized = [finalize_aggregate(spec, state, relation)
-                         for spec, state in zip(plan.agg_specs, states)]
-            aggregate_values = dict(zip(plan.agg_calls, finalized))
-            context: list[EvaluationContext] = []
-
-            def group_context() -> EvaluationContext:
-                if not context:
-                    context.append(self._representative_context(plan, representative))
-                return context[0]
-
-            if plan.having is not None:
-                having_value = rewrite_aggregates(
-                    plan.having, aggregate_values).evaluate(group_context())
-                if not truth(having_value):
-                    continue
-            values = []
-            for kind, ref in plan.items:
-                if kind == "agg":
-                    values.append(finalized[ref])
-                else:
-                    values.append(rewrite_aggregates(
-                        ref, aggregate_values).evaluate(group_context()))
-            output.append(values)
-        return output
-
-    def _representative_context(self, plan: CodePlan,
-                                tid: int | None) -> EvaluationContext:
-        """The binding context of a group's first row (decoded once per group)."""
-        if tid is None:
-            return EvaluationContext({})
-        relation = plan.relation
-        store = relation.columns
-        binding = plan.table.binding_name.lower()
-        bindings: dict[str, Any] = {}
-        for position, name in enumerate(relation.schema.attribute_names):
-            column = store.column_at(position)
-            value = column.values[column.codes[tid]]
-            bindings[name.lower()] = value
-            bindings[f"{binding}.{name.lower()}"] = value
-        return EvaluationContext(bindings)
-
     # -- code-native join execution ------------------------------------------
 
     def _execute_join_plan(self, plan: JoinPlan) -> tuple[list[list[Any]], list[str], bool]:
@@ -704,7 +786,7 @@ class SQLExecutor:
                 result = engine.probe_matches(query)
 
         if plan.grouped:
-            return self._join_grouped_output(plan, result), list(plan.names), False
+            return self._grouped_rows(plan, result), list(plan.names), False
         if probe_side == 1:
             # matches are keyed by left (build) tid; left scan order is
             # ascending tids and each right-tid list is already ascending,
@@ -782,7 +864,7 @@ class SQLExecutor:
             merged, partials, tuples = engine.probe_factorised(query)
 
         self._note_factorised("join", merged, partials, tuples)
-        return (self._join_grouped_output(plan, merged, factorised=True),
+        return (self._grouped_rows(plan, merged, factorised=True),
                 list(plan.names), False)
 
     def _execute_factorised_multi(self, plan: MultiJoinPlan
@@ -841,7 +923,7 @@ class SQLExecutor:
                 "tuples": tuples,
             }
         self._note_factorised("multiway", merged, partials, tuples)
-        return (self._join_grouped_output(plan, merged, factorised=True),
+        return (self._grouped_rows(plan, merged, factorised=True),
                 list(plan.names), False)
 
     def _note_factorised(self, kind: str, merged: dict[Any, list],
@@ -926,7 +1008,7 @@ class SQLExecutor:
                     obs.observe("engine.task.multiway_fold.seconds", seconds)
             else:
                 result = engine.fold(fold_query, combos)
-            return self._join_grouped_output(plan, result), list(plan.names), False
+            return self._grouped_rows(plan, result), list(plan.names), False
 
         combos, pre_ordered = self._join_order(plan, combos)
         stores = [relation.columns for relation in relations]
@@ -981,79 +1063,53 @@ class SQLExecutor:
             ordered = list(reversed(ordered))
         return ordered, True
 
-    def _join_grouped_output(self, plan: JoinPlan | MultiJoinPlan,
-                             merged: dict[Any, list],
-                             factorised: bool = False) -> list[list[Any]]:
-        """Assemble grouped join output from merged partial-aggregate states.
+    def _grouped_rows(self, plan: CodePlan | JoinPlan | MultiJoinPlan,
+                      merged: dict[Any, list],
+                      factorised: bool = False) -> list[list[Any]]:
+        """Finish every group of a grouped code plan on codes.
 
-        ``factorised=True`` selects the semiring finalizers — the states
-        are :func:`empty_factorised_state`-shaped then — but the group
-        walk, HAVING, representatives and item evaluation are shared, so
-        the two paths cannot drift.
+        *merged* maps each group's code key to ``[representative, state,
+        ...]``; ``factorised=True`` selects the semiring finalizers (the
+        states are :func:`empty_factorised_state`-shaped then).  HAVING
+        and the computed items are rewritten once per statement
+        (:func:`_slot_rewriter`), so a group costs its finalizers, a
+        HAVING test and one read per item.
         """
-        relations = plan.relations
-        if not merged and not plan.group_keys:
-            # aggregates without GROUP BY over no joined rows still emit one
+        if isinstance(plan, CodePlan):
+            relations, tables = (plan.relation,), (plan.table,)
+            empty_state = empty_aggregate_state
+
+            def finalize(spec: tuple, state: Any) -> Any:
+                return finalize_aggregate(spec, state, plan.relation)
+        else:
+            relations, tables = plan.relations, plan.tables
+            empty_state = empty_factorised_state if factorised else empty_aggregate_state
+            finalizer = finalize_factorised if factorised else finalize_join_aggregate
+
+            def finalize(spec: tuple, state: Any) -> Any:
+                return finalizer(spec, state, relations)
+
+        values = group_values(plan)
+        if not merged and not values:
+            # aggregates without GROUP BY over no rows still emit one row
             merged = {(): None}
-        empty_state = empty_factorised_state if factorised else empty_aggregate_state
-        finalize = finalize_factorised if factorised else finalize_join_aggregate
+        rewrite = _slot_rewriter(plan.agg_calls, plan, values)
+        having = None if plan.having is None else rewrite(plan.having)
+        items = [_AggregateSlot(ref) if kind == "agg" else rewrite(ref)
+                 for kind, ref in plan.items]
+        specs = plan.agg_specs
+        frame = _GroupFrame(_group_bindings(relations, tables))
         output: list[list[Any]] = []
-        for entry in merged.values():
+        for key, entry in merged.items():
             if entry is None:
-                representative = None
-                states = [empty_state(spec) for spec in plan.agg_specs]
+                frame.enter([finalize(spec, empty_state(spec)) for spec in specs], key, None)
             else:
-                representative = entry[0]
-                states = entry[1:]
-            finalized = [finalize(spec, state, relations)
-                         for spec, state in zip(plan.agg_specs, states)]
-            aggregate_values = dict(zip(plan.agg_calls, finalized))
-            context: list[EvaluationContext] = []
-
-            def group_context() -> EvaluationContext:
-                if not context:
-                    context.append(self._join_representative_context(plan, representative))
-                return context[0]
-
-            if plan.having is not None:
-                having_value = rewrite_aggregates(
-                    plan.having, aggregate_values).evaluate(group_context())
-                if not truth(having_value):
-                    continue
-            values = []
-            for kind, ref in plan.items:
-                if kind == "agg":
-                    values.append(finalized[ref])
-                else:
-                    values.append(rewrite_aggregates(
-                        ref, aggregate_values).evaluate(group_context()))
-            output.append(values)
+                frame.enter([finalize(spec, state) for spec, state in zip(specs, entry[1:])],
+                            key, entry[0])
+            if having is not None and not truth(having.evaluate(frame)):
+                continue
+            output.append([item.evaluate(frame) for item in items])
         return output
-
-    def _join_representative_context(self, plan: JoinPlan | MultiJoinPlan,
-                                     pair: tuple[int, ...] | None) -> EvaluationContext:
-        """The binding context of a group's first joined tuple.
-
-        Bindings mirror :meth:`_ExecRow.merged`: earlier tables' unqualified
-        names are set first and later tables never shadow them; qualified
-        names always bind to their own table.
-        """
-        if pair is None:
-            return EvaluationContext({})
-        bindings: dict[str, Any] = {}
-        for side in range(len(plan.relations)):
-            relation = plan.relations[side]
-            store = relation.columns
-            binding = plan.tables[side].binding_name.lower()
-            tid = pair[side]
-            for position, name in enumerate(relation.schema.attribute_names):
-                column = store.column_at(position)
-                value = column.values[column.codes[tid]]
-                key = name.lower()
-                if side == 0 or key not in bindings:
-                    bindings[key] = value
-                bindings[f"{binding}.{key}"] = value
-        return EvaluationContext(bindings)
 
     # -- projection without aggregation ----------------------------------------
 
@@ -1104,31 +1160,23 @@ class SQLExecutor:
                 item_aggregates.extend(self._collect_aggregates(expr))
         all_aggregates = list({**{a: None for a in item_aggregates},
                                **{a: None for a in having_aggregates}}.keys())
+        rewrite = _slot_rewriter(all_aggregates)
+        having = None if statement.having is None else rewrite(statement.having)
+        slots = [_AggregateSlot(all_aggregates.index(expression))
+                 if isinstance(expression, AggregateCall) else rewrite(expression)
+                 for _, expression in items]
 
+        frame = _GroupFrame(lambda row: {} if row is None else row.bindings)
         output: list[list[Any]] = []
         for key, group_rows in groups.items():
             if not group_rows and group_exprs:
                 continue
-            aggregate_values = {
-                aggregate: self._compute_aggregate(aggregate, group_rows)
-                for aggregate in all_aggregates
-            }
-            representative = group_rows[0] if group_rows else None
-
-            if statement.having is not None:
-                having_value = self._evaluate_with_aggregates(
-                    statement.having, representative, aggregate_values)
-                if not truth(having_value):
-                    continue
-
-            values = []
-            for _, expression in items:
-                if isinstance(expression, AggregateCall):
-                    values.append(aggregate_values[expression])
-                else:
-                    values.append(self._evaluate_with_aggregates(
-                        expression, representative, aggregate_values))
-            output.append(values)
+            frame.enter([self._compute_aggregate(aggregate, group_rows)
+                         for aggregate in all_aggregates],
+                        key, group_rows[0] if group_rows else None)
+            if having is not None and not truth(having.evaluate(frame)):
+                continue
+            output.append([slot.evaluate(frame) for slot in slots])
         return output, names
 
     def _collect_aggregates(self, expression: Expression | None) -> list[AggregateCall]:
@@ -1164,12 +1212,6 @@ class SQLExecutor:
         if function == "max":
             return max(values, key=sort_key)
         raise SQLExecutionError(f"unsupported aggregate {function!r}")
-
-    def _evaluate_with_aggregates(self, expression: Expression, representative: _ExecRow | None,
-                                  aggregate_values: dict[AggregateCall, Any]) -> Any:
-        rewritten = rewrite_aggregates(expression, aggregate_values)
-        context = representative.context() if representative is not None else EvaluationContext({})
-        return rewritten.evaluate(context)
 
     # -- ordering -------------------------------------------------------------
 

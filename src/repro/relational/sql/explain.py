@@ -5,8 +5,10 @@ The executor collects a plain dict per statement when asked to explain
 ``explain=True``): the chosen plan (``code`` / ``join`` / ``multiway`` /
 ``factorised`` / ``row`` / ``union``), the reasons the faster paths were
 rejected,
-per-conjunct push-down pruning stats, and hash-join / multiway-join
-shape (variable order with per-level candidate counts).  :func:`format_explain`
+per-conjunct push-down pruning stats, how a grouped single-table
+statement grouped (the maintained index it read, or why it scanned), and
+hash-join / multiway-join shape (variable order with per-level candidate
+counts).  :func:`format_explain`
 turns that dict into the text the CLI ``--explain`` flag and
 ``SQLEngine.explain`` print.  The dict itself stays available for
 programmatic use (``SQLEngine.last_explain``).
@@ -56,6 +58,15 @@ def format_explain(info: dict[str, Any]) -> str:
         lines.extend("  - " + _format_filter(entry) for entry in filters)
     elif plan != "row":
         lines.append("push-down filters: none")
+
+    grouping = info.get("grouping")
+    if grouping:
+        if grouping["kind"] == "index":
+            lines.append(
+                f"grouping: maintained index on ({', '.join(grouping['attributes'])}), "
+                f"{grouping['buckets']} bucket(s), {grouping['kept']} kept")
+        else:
+            lines.append(f"grouping: scan ({grouping['reason']})")
 
     order = info.get("order")
     if order:

@@ -1,5 +1,7 @@
 """Tests for batch (merged-tableau) detection, incremental detection and CINDs."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,56 @@ class TestIncrementalDetection:
             incremental.insert_tuple({"x": x, "y": y})
         assert incremental.current_report().violating_tids() == \
             incremental.recompute_full().violating_tids()
+
+
+def _multiset(report):
+    return Counter(map(repr, report))
+
+
+class TestIncrementalBuild:
+    """The build's single-tuple pass selects candidates a column at a time."""
+
+    ROWS = [
+        ["01", "908", "1", "mh"],
+        ["01", "908", "2", "boston"],    # breaks city='mh'
+        [NULL, "908", "3", "boston"],    # NULL cc: no constant matches
+        ["01", NULL, "4", "boston"],     # NULL ac: only the cc='01' pattern
+        ["01", "908", NULL, "nyc"],      # NULL wildcard cell: still a candidate
+        ["44", "131", "6", "edi"],
+    ]
+
+    @pytest.fixture
+    def relation(self):
+        schema = RelationSchema("r", [Attribute("cc"), Attribute("ac"),
+                                      Attribute("phn"), Attribute("city")])
+        return Relation.from_rows(schema, self.ROWS)
+
+    def test_no_constant_rhs_builds_no_single_violation(self, relation):
+        cfds = [parse_cfd("r([cc, ac] -> [city])"),
+                parse_cfd("r([cc='01', phn] -> [city])")]
+        incremental = IncrementalCFDDetector(relation, cfds)
+        report = incremental.current_report()
+        assert not [v for v in report if v.is_single_tuple]
+        assert _multiset(report) == _multiset(incremental.recompute_full())
+
+    def test_constant_rhs_with_null_lhs_cells(self, relation):
+        cfds = [parse_cfd("r([cc='01', ac='908', phn] -> [city='mh'])")]
+        incremental = IncrementalCFDDetector(relation, cfds)
+        report = incremental.current_report()
+        assert sorted(v.tids for v in report if v.is_single_tuple) == [(1,), (4,)]
+        assert _multiset(report) == _multiset(incremental.recompute_full())
+
+    def test_tid_breaking_two_constant_patterns(self, relation):
+        # one merged CFD, two constant-RHS patterns
+        cfds = [parse_cfd("r([cc='01', ac='908'] -> [city='mh'])"),
+                parse_cfd("r([cc='01', ac] -> [city='nyc'])")]
+        incremental = IncrementalCFDDetector(relation, cfds)
+        report = incremental.current_report()
+        singles = [v for v in report if v.is_single_tuple]
+        assert [v.tids[0] for v in singles] == [0, 1, 1, 3, 4]  # tids ascend
+        mh, nyc = (v.pattern for v in singles if v.tids == (1,))
+        assert (mh.constant("city"), nyc.constant("city")) == ("mh", "nyc")
+        assert _multiset(report) == _multiset(incremental.recompute_full())
 
 
 class TestCINDDetection:

@@ -60,6 +60,38 @@ class TestCodePlanExplain:
         assert info["why_not_code"] == []
 
 
+class TestGroupingExplain:
+    def test_group_filter_reads_the_index(self, sql):
+        text = sql.explain("SELECT city, COUNT(*) AS n FROM customer "
+                           "WHERE city = 'nyc' GROUP BY city")
+        assert sql.last_explain["grouping"] == {
+            "kind": "index", "attributes": ["city"], "buckets": 2, "kept": 1}
+        assert "grouping: maintained index on (city), 2 bucket(s), 1 kept" in text
+
+    def test_index_attributes_are_in_schema_order(self, sql):
+        sql.explain("SELECT cc, city, COUNT(*) AS n FROM customer GROUP BY cc, city")
+        grouping = sql.last_explain["grouping"]
+        assert grouping["attributes"] == ["city", "cc"]
+        assert (grouping["buckets"], grouping["kept"]) == (2, 2)
+
+    def test_non_group_conjunct_scans(self, sql):
+        text = sql.explain("SELECT city, COUNT(*) AS n FROM customer "
+                           "WHERE cc = '01' GROUP BY city")
+        reason = "WHERE conjunct (cc = '01') tests cc, not a GROUP BY column"
+        assert sql.last_explain["grouping"] == {"kind": "scan", "reason": reason}
+        assert f"grouping: scan ({reason})" in text
+
+    def test_no_group_by_scans(self, sql):
+        text = sql.explain("SELECT COUNT(*) AS n FROM customer WHERE city = 'nyc'")
+        assert sql.last_explain["grouping"] == {"kind": "scan", "reason": "no GROUP BY"}
+        assert "grouping: scan (no GROUP BY)" in text
+
+    def test_plain_scan_has_no_grouping(self, sql):
+        text = sql.explain("SELECT name FROM customer WHERE city = 'nyc'")
+        assert sql.last_explain["grouping"] is None
+        assert "grouping:" not in text
+
+
 class TestJoinPlanExplain:
     QUERY = ("SELECT c.name FROM customer c JOIN orders o "
              "ON c.name = o.cust WHERE c.city = 'nyc'")
