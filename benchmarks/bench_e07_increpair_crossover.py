@@ -84,10 +84,12 @@ def test_e07_series(benchmark):
                  ["delta", "inserted", "increpair_s", "batch_s", "speedup"], rows)
     # shape: IncRepair beats BatchRepair at every delta.  A timed IncRepair
     # runs on a fresh copy, so it pays to encode the copy's column store and
-    # to register its maintained LHS indexes (one scan per distinct LHS),
-    # then work in proportion to the delta; its advantage is therefore
-    # largest at small deltas and narrows as the delta grows (4.7x at 1%
-    # down to 1.4x at 40% on a 2-CPU host).
+    # to register its maintained LHS indexes (one scan per distinct LHS)
+    # and their smallest tids (one min per bucket), then work in
+    # proportion to the delta, reading each group's base representative
+    # off the index; its advantage is therefore largest at small deltas
+    # and narrows as the delta grows (2.7x at 1% down to 1.7x at 40% on a
+    # 2-CPU host).
     # Millisecond timings are noisy, so only require that the advantage
     # does not *grow* beyond noise.
     assert all(row[4] > 1.0 for row in rows)

@@ -102,7 +102,11 @@ class BatchCFDDetector:
 
         # group violations: one pass over the code-keyed buckets, one test
         # per bucket and pattern; only a violating bucket is sorted (by the
-        # violation, which sorts its tids)
+        # violation, which sorts its tids).  The test counts each bucket's
+        # codes rather than reading a maintained tally: every bucket is
+        # checked once here, and a prototype that kept tallies for this
+        # detector too read clean-session 8.5% slower, mostly in tally
+        # upkeep under BatchRepair's writes to its working copy.
         variable_patterns = [cp for cp in patterns if cp.variable_rhs]
         if variable_patterns:
             groups: list[CFDViolation] = []

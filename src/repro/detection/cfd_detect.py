@@ -235,11 +235,11 @@ class SQLCFDDetector:
         value of the type does (:func:`_matching_cell`).  A STRING column
         compares with the quoted string, a BOOLEAN one tests the cell.  A
         numeric column takes a range, because the code plan compiles
-        ranges but not numeric ``=``.  Ranges compare in float order, so
-        the test may also select a cell that order cannot tell from the
-        value (an integer past 2**53, ``0.0`` for ``-0.0``); match-back
-        re-checks every tuple.  The negation is ``None`` (no condition)
-        past the largest float and wherever it could miss such a cell.
+        ranges but not numeric ``=``.  The negation is ``None`` (no
+        condition) past the largest float, and for an integer past 2**53
+        or a FLOAT zero; those cases date from when ranges compared in
+        float order, and ranges now compare numbers exactly, so they only
+        widen the query, and match-back re-checks every tuple.
         """
         column = f"t.{attribute}"
         kind = relation.schema.attribute(attribute).type

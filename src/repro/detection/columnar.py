@@ -14,8 +14,9 @@ integer array reads and small-set membership:
 
 A group is one bucket of an index on the CFD's LHS, so its tuples share
 their LHS codes: :meth:`CompiledPattern.group_violates` tests the LHS
-constants on one tid and counts the distinct wildcard-RHS codes of the
-whole bucket in one builtin pass, instead of testing tuple by tuple.
+constants on one tid and takes the number of distinct wildcard-RHS codes
+from the bucket's tally on a maintained index, or counts the whole
+bucket in one builtin pass, instead of testing tuple by tuple.
 
 Code tuples agree with value tuples under Python equality (the dictionary
 maps ``==``-equal values to one code and NULL to code 0), so a compiled
@@ -31,7 +32,7 @@ for its whole lifetime.
 
 from __future__ import annotations
 
-from typing import Any, Collection
+from typing import Any, Collection, Mapping
 
 from repro.constraints.cfd import CFD
 from repro.constraints.tableau import PatternTuple
@@ -97,7 +98,8 @@ class CompiledPattern:
     # Shared by all detectors (full, batch, incremental, SQL match-back) so
     # the group semantics cannot drift between them.
 
-    def group_violates(self, bucket: "Collection[int]") -> bool:
+    def group_violates(self, bucket: "Collection[int]",
+                       tally: "Mapping[Any, int] | None" = None) -> bool:
         """Whether one LHS group violates this pattern's wildcard RHS.
 
         *bucket* must be one bucket of an index on this pattern's CFD LHS:
@@ -107,11 +109,21 @@ class CompiledPattern:
         more than one value (NULL is one code, so it disagrees with every
         value, as in the definitions).  The caller checks the group key
         for NULL.
+
+        *tally* is the bucket's count of its wildcard-RHS codes (code
+        tuples for several attributes), as
+        :meth:`~repro.relational.index.HashIndex.tally` keeps it on a
+        maintained index: its size is the distinct count, so the check is
+        O(1).  Without one the bucket's codes are counted in one builtin
+        pass, which a caller that checks each bucket once (a one-pass
+        detector) pays anyway.
         """
         if len(bucket) < 2:
             return False
         if self.lhs_tests and not self.lhs_matches(next(iter(bucket))):
             return False
+        if tally is not None:
+            return len(tally) > 1
         arrays = self.variable_arrays
         if len(arrays) == 1:
             return len(set(map(arrays[0].__getitem__, bucket))) > 1

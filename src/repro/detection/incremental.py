@@ -19,21 +19,28 @@ at construction and stay valid as the column store grows.
 :meth:`insert_tuple`, :meth:`delete_tuple` and :meth:`update_cell`
 re-check only the affected groups and return the violation delta.  A
 re-check is one :meth:`~repro.detection.columnar.CompiledPattern.group_violates`
-per pattern: the LHS constants are tested on one tuple of the group and
-its wildcard-RHS codes are counted in one builtin pass, and only a
-violating group has its tids sorted (into the violation).  The
+per pattern, and it does not rescan the group: the LHS constants are
+tested on one tuple of the group, and the number of distinct
+wildcard-RHS codes is the size of the group's tally, a per-bucket count
+that the maintained index registers for the detector at build (the
+build's one count of every bucket) and keeps current under every write
+(see :meth:`~repro.relational.index.HashIndex.tally`).  A touched group
+thus costs O(patterns), not O(group), and only a violating group has its
+tids sorted (into the violation).  The
 global report is always available via :meth:`current_report` and is kept
 equal, as a multiset, to what full re-detection would produce (verified by
-tests and by experiment E4).
+tests and by experiment E4); :meth:`recompute_full` is that re-detection,
+on a fresh index that reads no tally.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Mapping, Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.violations import CFDViolation, ViolationReport
-from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
+from repro.detection.columnar import NULL_CODE, compile_tableau
 from repro.relational.columns import passing
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
@@ -55,7 +62,12 @@ class IncrementalCFDDetector:
             cfd.validate_against(relation)
         self._relation = relation
         self._merged = merge_cfds(cfds)
-        self._compiled: dict[int, list[CompiledPattern]] = {}
+        self._compiled = [compile_tableau(cfd, relation) for cfd in self._merged]
+        # per merged CFD and pattern: the tally of its wildcard RHS on the
+        # LHS index (None for a pattern without one), and the indexes the
+        # tallies were registered on
+        self._tallies: list[list[dict[tuple[Any, ...], Counter] | None]] = []
+        self._tallied_on: list[HashIndex] = []
         # per merged CFD: encoded group key -> list of violations in that group
         self._group_violations: dict[int, dict[tuple[Any, ...], list[CFDViolation]]] = {}
         # single-tuple violations per merged CFD, keyed by tid
@@ -65,13 +77,23 @@ class IncrementalCFDDetector:
     # -- initial build -----------------------------------------------------------
 
     def _indexes(self) -> list[HashIndex]:
-        """The maintained LHS index of each merged CFD, fresh (fetched per call)."""
+        """The maintained LHS index of each merged CFD, fetched per call.
+
+        Each pattern's wildcard-RHS tally is registered on its index; an
+        index the store built anew (after ``drop_indexes``) gets them
+        again.  Indexes compare by identity.
+        """
         store = self._relation.columns
-        return [store.index(cfd.lhs) for cfd in self._merged]
+        indexes = [store.index(cfd.lhs) for cfd in self._merged]
+        if indexes != self._tallied_on:
+            self._tallies = [[index.tally(compiled.variable_rhs) if compiled.variable_rhs
+                              else None for compiled in patterns]
+                             for index, patterns in zip(indexes, self._compiled)]
+            self._tallied_on = indexes
+        return indexes
 
     def _build(self) -> None:
         for position, (cfd, index) in enumerate(zip(self._merged, self._indexes())):
-            self._compiled[position] = compile_tableau(cfd, self._relation)
             group_map: dict[tuple[Any, ...], list[CFDViolation]] = {}
             for key, tids in index.bucket_items():
                 found = self._check_group(position, cfd, key, tids)
@@ -117,10 +139,11 @@ class IncrementalCFDDetector:
                      tids: set[int] | frozenset[int]) -> list[CFDViolation]:
         if len(tids) < 2 or NULL_CODE in key:
             return []
-        # one test per pattern for the whole bucket; a violation sorts its tids
+        # one test per pattern, read off the bucket's tally; a violation
+        # sorts its tids
         return [CFDViolation(cfd, compiled.pattern, tuple(tids))
-                for compiled in self._compiled[position]
-                if compiled.variable_rhs and compiled.group_violates(tids)]
+                for compiled, tally in zip(self._compiled[position], self._tallies[position])
+                if tally is not None and compiled.group_violates(tids, tally[key])]
 
     # -- updates ------------------------------------------------------------------------
 

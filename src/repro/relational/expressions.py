@@ -114,23 +114,10 @@ class Comparison(Expression):
             return NULL
         if self.operator not in _COMPARISONS:
             raise SQLExecutionError(f"unknown comparison operator {self.operator!r}")
-        if self.operator in ("=", "!=", "<>"):
-            result = _COMPARISONS[self.operator](_normalize(left), _normalize(right))
-        else:
-            result = _COMPARISONS[self.operator](left, right)
-        return result
+        return _COMPARISONS[self.operator](left, right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.operator} {self.right})"
-
-
-def _normalize(value: Any) -> Any:
-    """Make int/float comparisons symmetric (1 == 1.0)."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -223,7 +210,7 @@ class InList(Expression):
             if is_null(other):
                 saw_unknown = True
                 continue
-            if _normalize(other) == _normalize(value):
+            if other == value:
                 return False if self.negated else True
         if saw_unknown:
             return NULL

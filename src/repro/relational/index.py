@@ -31,6 +31,22 @@ An index comes in two kinds:
   ascend, so that is a fresh index's first-occurrence order), as
   :class:`~repro.detection.batch.BatchCFDDetector` orders its groups.
 
+A maintained index also keeps two per-bucket statistics current, each
+computed on its first request, so a snapshot that never asks pays
+nothing for them:
+
+* the bucket's *smallest tid* (:meth:`HashIndex.smallest_tids`), which
+  orders buckets into first-occurrence order and names a group's oldest
+  member.  Filing a tid lowers it; unfiling recomputes it with
+  ``min(bucket)`` only when the smallest tid itself leaves, which is
+  amortised O(1) under random deletes (a delete stream in tid order pays
+  O(bucket) a delete);
+* *tallies* (:meth:`HashIndex.tally`): per bucket, a count of each code
+  (or code tuple) of given columns.  Counts are a ring over the integers,
+  so a delete subtracts what an insert added and an update moves one
+  count, and a group's distinct-value count is the size of its tally
+  instead of a rescan of its bucket.
+
 Either kind refers to its relation weakly (the relation owns the store
 that owns a maintained index), so dropping a relation frees it at once;
 an index that outlives its relation raises
@@ -40,6 +56,7 @@ an index that outlives its relation raises
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from typing import Any, Iterator, Sequence
 
 from repro import obs
@@ -62,6 +79,12 @@ class HashIndex:
         self._columns: list[Column] = []
         self._arrays: list[list[int]] = []
         self._buckets: dict[tuple[Any, ...], set[int]] = {}
+        #: each bucket's smallest tid, once requested (see smallest_tids)
+        self._smallest: dict[tuple[Any, ...], int] | None = None
+        #: registered tallies, by the schema positions they count
+        self._tallies: dict[tuple[int, ...], _Tally] = {}
+        #: the positions some tally counts (a write to one moves a count)
+        self._tallied: frozenset[int] = frozenset()
         #: the relation version the buckets reflect; the relation's
         #: mutations stamp it on every change they apply to a maintained index
         self._built_version = -1
@@ -106,6 +129,9 @@ class HashIndex:
                 else:
                     bucket.add(tid)
         self._buckets = buckets
+        self._smallest = None
+        for tally in self._tallies.values():
+            tally.recount(buckets)
         self._built_version = relation.version
 
     def is_stale(self) -> bool:
@@ -124,14 +150,40 @@ class HashIndex:
             self._buckets[key] = {tid}
         else:
             bucket.add(tid)
+        smallest = self._smallest
+        if smallest is not None and (bucket is None or tid < smallest[key]):
+            smallest[key] = tid
+        for tally in self._tallies.values():
+            tally.add(key, tid)
 
     def _unfile(self, tid: int) -> None:
         """Take tuple *tid* out of the bucket of its current key."""
         key = self.key_at(tid)
         bucket = self._buckets[key]
         bucket.discard(tid)
+        smallest = self._smallest
         if not bucket:
             del self._buckets[key]
+            if smallest is not None:
+                del smallest[key]
+        elif smallest is not None and smallest[key] == tid:
+            smallest[key] = min(bucket)
+        for tally in self._tallies.values():
+            tally.remove(key, tid)
+
+    def _uncount(self, tid: int, position: int) -> None:
+        """Before a write to non-key *position* of *tid*: take its tally counts out."""
+        key = self.key_at(tid)
+        for tally in self._tallies.values():
+            if position in tally.positions:
+                tally.remove(key, tid)
+
+    def _count(self, tid: int, position: int) -> None:
+        """After a write to non-key *position* of *tid*: count its new codes."""
+        key = self.key_at(tid)
+        for tally in self._tallies.values():
+            if position in tally.positions:
+                tally.add(key, tid)
 
     # -- key encoding ------------------------------------------------------
 
@@ -159,6 +211,47 @@ class HashIndex:
     def decode_key(self, key: tuple[Any, ...]) -> tuple[Any, ...]:
         """Translate an internal bucket key back to attribute values."""
         return tuple(column.values[code] for column, code in zip(self._columns, key))
+
+    # -- per-bucket statistics -----------------------------------------------
+
+    def smallest_tids(self) -> dict[tuple[Any, ...], int]:
+        """Each internal bucket key's smallest tid, **read-only** and kept current.
+
+        Computed on the first request (one ``min`` per bucket), then
+        maintained by every write of a maintained index.  Live tids
+        ascend, so ordering buckets by it gives a fresh scan's
+        first-occurrence order.
+        """
+        smallest = self._smallest
+        if smallest is None:
+            smallest = self._smallest = {key: min(bucket)
+                                         for key, bucket in self._buckets.items()}
+        return smallest
+
+    def tally(self, attribute_names: Sequence[str]) -> dict[tuple[Any, ...], Counter]:
+        """Per internal bucket key, a count of each code of *attribute_names*.
+
+        One attribute counts bare codes, several count code tuples in the
+        given order; NULL is a code like any other.  The first request
+        counts every bucket and registers the tally with the index for
+        its lifetime; from then on every write of a maintained index
+        keeps it current (an insert adds the tuple's count, a delete
+        subtracts it, an update of a key column moves it with the tuple
+        and an update of a counted column moves it between entries), and
+        a later request returns the same mapping.  So
+        ``len(tally[key])`` is the number of distinct values in the
+        bucket, and a bucket's counts sum to its size.  The mapping and
+        its counters are live storage: read them, never write them.
+        """
+        positions = tuple(self.relation.schema.positions(attribute_names))
+        tally = self._tallies.get(positions)
+        if tally is None:
+            store = self.relation.columns
+            tally = _Tally(positions, store.code_arrays(positions))
+            tally.recount(self._buckets)
+            self._tallies[positions] = tally
+            self._tallied = self._tallied.union(positions)
+        return tally.counts
 
     # -- lookups -----------------------------------------------------------
 
@@ -227,3 +320,53 @@ class HashIndex:
             f"HashIndex({self.relation.name}[{', '.join(self._attribute_names)}], "
             f"{len(self._buckets)} keys)"
         )
+
+
+class _Tally:
+    """Per bucket key, the count of each code (tuple) of some columns."""
+
+    __slots__ = ("positions", "arrays", "counts")
+
+    def __init__(self, positions: tuple[int, ...], arrays: list[list[int]]) -> None:
+        self.positions = positions
+        self.arrays = arrays
+        self.counts: dict[tuple[Any, ...], Counter] = {}
+
+    def recount(self, buckets: dict[tuple[Any, ...], set[int]]) -> None:
+        """Count every bucket afresh, in place (holders keep the same mapping)."""
+        arrays = self.arrays
+        counts = self.counts
+        counts.clear()
+        if len(arrays) == 1:
+            codes = arrays[0]
+            for key, bucket in buckets.items():
+                counts[key] = Counter(map(codes.__getitem__, bucket))
+        else:
+            for key, bucket in buckets.items():
+                counts[key] = Counter(zip(*[map(codes.__getitem__, bucket)
+                                            for codes in arrays]))
+
+    def _item(self, tid: int) -> Any:
+        arrays = self.arrays
+        if len(arrays) == 1:
+            return arrays[0][tid]
+        return tuple([codes[tid] for codes in arrays])
+
+    def add(self, key: tuple[Any, ...], tid: int) -> None:
+        item = self._item(tid)
+        counts = self.counts.get(key)
+        if counts is None:
+            self.counts[key] = Counter((item,))
+        else:
+            counts[item] = counts.get(item, 0) + 1
+
+    def remove(self, key: tuple[Any, ...], tid: int) -> None:
+        item = self._item(tid)
+        counts = self.counts[key]
+        left = counts[item] - 1
+        if left:
+            counts[item] = left
+        elif len(counts) > 1:
+            del counts[item]
+        else:  # the bucket's last tuple
+            del self.counts[key]

@@ -386,10 +386,19 @@ class Relation:
         coerced = coerce_value(value, self._schema.attributes[position].type)
         self._version += 1
         store = self._store
-        covering = [index for positions, index in store._indexes.items()
-                    if position in positions]
+        # an index keyed on the column refiles the tid; one that only
+        # tallies it moves one count and leaves its buckets alone
+        covering = []
+        counting = []
+        for positions, index in store._indexes.items():
+            if position in positions:
+                covering.append(index)
+            elif position in index._tallied:
+                counting.append(index)
         for index in covering:
             index._unfile(tid)
+        for index in counting:
+            index._uncount(tid, position)
         column = store._columns[position]
         old = column.codes[tid]
         column.counts[old] -= 1
@@ -398,6 +407,8 @@ class Relation:
         column.counts[code] += 1
         for index in covering:
             index._file(tid)
+        for index in counting:
+            index._count(tid, position)
         for index in store._indexes.values():
             index._built_version = self._version
         return column.values[old]

@@ -885,7 +885,9 @@ def index_groups(plan: CodePlan) -> tuple[dict[Any, list], "HashIndex"]:
     schema order); it stays registered for the relation's lifetime and
     every later write refiles it.  Each filter tests its column's
     component of the bucket keys, and the kept buckets are ordered by
-    their smallest tid: live tids ascend, so that is the scan's
+    their smallest tid, which the index keeps current under every write
+    (:meth:`~repro.relational.index.HashIndex.smallest_tids`), so ordering
+    reads no bucket: live tids ascend, so that is the scan's
     first-occurrence order whatever order the writes left the buckets
     in.  COUNT(*) is a bucket's size and COUNT / COUNT(DISTINCT) read its
     codes in any order; the :data:`~repro.engine.worker.ORDERED_FOLDS`
@@ -910,7 +912,8 @@ def index_groups(plan: CodePlan) -> tuple[dict[Any, list], "HashIndex"]:
         slot = component[position]
         buckets = [bucket for bucket in buckets if bucket[0][slot] in allowed]
     # first tids differ between buckets, so the key and set never compare
-    ordered = sorted([(min(tids), key, tids) for key, tids in buckets])
+    smallest = index.smallest_tids()
+    ordered = sorted([(smallest[key], key, tids) for key, tids in buckets])
     members = [tids for _, _, tids in ordered]
     in_order: list[list[int]] | None = None
     entries = [[first] for first, _, _ in ordered]

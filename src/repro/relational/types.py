@@ -199,13 +199,18 @@ def infer_type(values: list[Any]) -> AttributeType:
 
 
 def sort_key(value: Any) -> tuple[int, Any]:
-    """Total-order key over heterogeneous values (NULLs first)."""
+    """Total-order key over heterogeneous values (NULLs first).
+
+    Numbers key by themselves: Python compares ``int`` with ``float``
+    exactly, so integers past 2**53 keep their order and ``1 == 1.0``
+    still ties.
+    """
     if is_null(value):
         return (0, "")
     if isinstance(value, bool):
         return (1, int(value))
     if isinstance(value, (int, float)):
-        return (2, float(value))
+        return (2, value)
     return (3, str(value))
 
 

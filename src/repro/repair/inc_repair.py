@@ -35,8 +35,12 @@ LHS index (:meth:`~repro.relational.columns.ColumnStore.index`), which the
 column store keeps current under every insert, delete and update, so a
 batch costs work in proportion to the delta rather than a scan of the
 relation per CFD per pass.  The group's representative, its smallest
-base tid, is looked up once per LHS key and CFD in each pass.  The first
-repair on a relation registers the index (one scan);
+base tid, is the bucket's smallest tid, which the index keeps current
+under every write (:meth:`~repro.relational.index.HashIndex.smallest_tids`),
+so a probe copies no bucket; only when that tid belongs to the delta is
+the bucket minus the delta searched, which normally means a group with
+no base tuple.  The first repair on a relation registers the index (one
+scan) and its smallest tids (one ``min`` per bucket);
 :meth:`Relation.copy` carries none.
 """
 
@@ -101,11 +105,10 @@ class IncRepair:
                     plans: dict[tuple[CFD, PatternTuple], RepairPlan]) -> bool:
         changed = False
         relation = self._relation
-        # the store's maintained index: this call writes only RHS attributes
-        # of cfd, never its LHS, so the buckets (and their smallest base
-        # tids) hold still while it runs
+        # the store's maintained index and its buckets' smallest tids,
+        # which every write keeps current
         index = relation.columns.index(cfd.lhs)
-        base_of: dict[tuple[int, ...], int | None] = {}
+        smallest = index.smallest_tids()
         for pattern in cfd.tableau:
             key = (cfd, pattern)
             plan = plans.get(key)
@@ -129,11 +132,10 @@ class IncRepair:
                 key_codes = plan.key_codes(tid)
                 if NULL_CODE in key_codes:
                     continue
-                if key_codes in base_of:
-                    base_tid = base_of[key_codes]
-                else:
-                    base_tid = base_of[key_codes] = min(
-                        index.bucket_view(key_codes).difference(delta_set), default=None)
+                base_tid: int | None = smallest[key_codes]
+                if base_tid in delta_set:  # the group may hold no base tuple
+                    base_tid = min(index.bucket_view(key_codes).difference(delta_set),
+                                   default=None)
                 if base_tid is not None:
                     # the base is clean: adopt its RHS values
                     if not plan.lhs_matches(base_tid):

@@ -130,6 +130,18 @@ class TestIncrementalDetection:
         assert incremental.current_report().violating_tids() == \
             incremental.recompute_full().violating_tids()
 
+    def test_dropped_indexes_get_their_tallies_again(self, customer):
+        # a dropped index stops following writes, tallies included; the
+        # detector registers its tallies on the rebuilt index
+        incremental = IncrementalCFDDetector(customer, CFDS)
+        customer.columns.drop_indexes()
+        incremental.update_cell(2, "street", "mayfield")  # cleans the EH8 group
+        incremental.insert_tuple(
+            {"cc": "44", "ac": "131", "phn": "7777", "city": "edi", "zip": "EH8",
+             "street": "mayfield"})
+        assert _multiset(incremental.current_report()) == \
+            _multiset(incremental.recompute_full())
+
     moves = st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                                st.sampled_from(["a", "b", "c"])), min_size=1, max_size=25)
 
