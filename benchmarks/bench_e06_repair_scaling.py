@@ -4,8 +4,7 @@ Source shape (Cong et al.): repair time grows superlinearly but stays
 practical at the sizes of the experiments; the number of changed cells
 tracks the number of injected errors.  ``BatchRepair`` runs on column
 codes (compiled pattern tests, per-code string caches, a memoised
-``(code, code)`` distance cache); the parity smoke checks the chunked
-engine reproduces the in-process repair exactly.
+``(code, code)`` distance cache).
 """
 
 from __future__ import annotations
@@ -31,30 +30,11 @@ def _workload(size: int):
     return noise.dirty, generator.canonical_cfds(), len(noise.errors)
 
 
-def _identical(left, right) -> bool:
-    return (left.changes == right.changes and left.cost == right.cost
-            and left.passes == right.passes and left.converged == right.converged)
-
-
 @pytest.mark.parametrize("size", [500, 2000])
 def test_e06_repair_scaling(benchmark, size):
     dirty, cfds, _ = _workload(size)
     benchmark.pedantic(lambda: BatchRepair(dirty.copy(), cfds).repair(),
                        rounds=1, iterations=1)
-
-
-def test_e06_parity(benchmark):
-    """Chunked-engine repairs are byte-identical to the in-process repair."""
-    dirty, cfds, _ = _workload(500)
-
-    def compute():
-        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
-        chunked = BatchRepair(dirty, cfds, engine="serial").repair()
-        assert _identical(chunked, sequential)
-        return sequential
-
-    result = benchmark.pedantic(compute, rounds=1, iterations=1)
-    assert result.changes and result.converged
 
 
 def test_e06_series(benchmark):

@@ -1,11 +1,10 @@
-"""E16 — code-native joins on dictionary bridges, and CIND anti-joins.
+"""E16 — code-native joins on dictionary bridges.
 
 The cross-relation half of the compressed-execution argument: an INNER
 JOIN with grouped aggregates runs as an integer hash join over
 dictionary-bridge translations.  The parity smoke asserts the in-process
-plan and the serial chunked engine return identical relations, and CIND
-detection (the bridged-code anti-join) identical reports across engines;
-the scaling benchmark times the join plan per size.
+plan and the serial chunked engine return identical relations; the
+scaling benchmark times the join plan per size.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import random
 
 import pytest
 
-from repro.constraints.cind import CIND
-from repro.constraints.tableau import PatternTuple
-from repro.detection.cind_detect import CINDDetector
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -42,10 +38,6 @@ JOIN_QUERY = ("SELECT z.region, COUNT(*) AS n, MIN(o.amount) AS lo, "
               "FROM orders o JOIN zips z ON o.zip = z.zip "
               "WHERE o.amount >= 100 AND o.amount < 900 "
               "GROUP BY z.region ORDER BY region")
-
-CIND_CONSTRAINT = CIND("orders", ["zip"], "zips", ["zip"],
-                       PatternTuple({}), PatternTuple({"region": "region_0"}))
-
 
 def _database(size: int) -> Database:
     rng = random.Random(1600 + size)
@@ -75,10 +67,6 @@ def _fingerprint(result):
             [t.values for t in result])
 
 
-def _violation_tids(report):
-    return [v.tid for v in report.violations]
-
-
 @pytest.mark.parametrize("size", SIZES)
 def test_e16_join_scaling(benchmark, size):
     database = _database(size)
@@ -87,9 +75,8 @@ def test_e16_join_scaling(benchmark, size):
     assert engine.last_plan == "join"
 
 
-def test_e16_join_and_cind_parity(benchmark):
-    """Smoke: identical joins from the in-process and chunked plans, and CIND
-    reports across engines."""
+def test_e16_join_parity(benchmark):
+    """Smoke: identical joins from the in-process and chunked plans."""
     def compute():
         database = _database(1000)
         code = SQLEngine(database)
@@ -105,11 +92,6 @@ def test_e16_join_and_cind_parity(benchmark):
             assert code.last_plan == "join"
             assert _fingerprint(serial.query(sql)) == expected
             assert serial.last_plan == "join"
-        expected_tids = _violation_tids(
-            CINDDetector(database, [CIND_CONSTRAINT], engine="sequential").detect())
-        assert expected_tids
-        report = CINDDetector(database, [CIND_CONSTRAINT], engine="serial").detect()
-        assert _violation_tids(report) == expected_tids
         return len(queries)
 
     assert benchmark.pedantic(compute, rounds=1, iterations=1) == 3

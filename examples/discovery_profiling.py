@@ -11,9 +11,10 @@ Run with::
     python examples/discovery_profiling.py
 """
 
+from repro.constraints.cfd import merge_cfds
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
-from repro.detection.batch import BatchCFDDetector
+from repro.detection.cfd_detect import CFDDetector
 from repro.discovery.cfd_discovery import CFDDiscovery
 from repro.discovery.fd_discovery import discover_fds
 
@@ -43,8 +44,8 @@ def main() -> None:
 
     # 3. use the discovered variable CFDs to find errors in a dirtied copy
     noise = inject_noise(sample, rate=NOISE_RATE, attributes=["street", "city"], seed=5)
-    detector = BatchCFDDetector(noise.dirty, variable_cfds)
-    report = detector.detect()
+    # (merged tableaux: one grouping pass per embedded FD)
+    report = CFDDetector(noise.dirty, merge_cfds(variable_cfds)).detect()
     caught = report.violating_tids()
     dirty_tids = {tid for tid, _ in noise.error_cells}
     coverage = len(caught & dirty_tids) / len(dirty_tids) if dirty_tids else 1.0

@@ -6,8 +6,11 @@ through this module, so a malformed value produces one clear
 ``resolve_pool``.  The recognised variables:
 
 ``REPRO_ENGINE``
-    Default execution engine (``sequential`` / ``serial`` / ``parallel``)
-    when a caller passes ``engine=None``.
+    Default execution engine of SQL's code-native plans (``sequential`` /
+    ``serial`` / ``parallel``) when a :class:`SQLEngine` or session gets
+    ``engine=None``; it also reaches the statements SQL-generated CFD
+    detection and CQA run.  Detection, discovery and repair otherwise
+    always run in-process.
 ``REPRO_WORKERS``
     Default worker count for the parallel engine.
 ``REPRO_PARALLEL_THRESHOLD``

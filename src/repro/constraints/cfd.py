@@ -129,28 +129,12 @@ class CFD:
 
     # -- semantics ------------------------------------------------------------------
 
-    def lhs_matches(self, row, pattern: PatternTuple) -> bool:
-        """Whether *row* matches *pattern* on the LHS attributes."""
-        return pattern.matches(row, self.lhs)
-
-    def rhs_matches(self, row, pattern: PatternTuple) -> bool:
-        """Whether *row* matches *pattern* on the RHS attributes."""
-        return pattern.matches(row, self.rhs)
-
     def holds_on(self, relation: Relation) -> bool:
         """Whether *relation* satisfies this CFD (delegates to the detector)."""
         from repro.detection.cfd_detect import CFDDetector
 
         report = CFDDetector(relation, [self]).detect()
         return report.is_clean()
-
-    def applicable_tids(self, relation: Relation) -> set[int]:
-        """Tuple ids matching at least one pattern on the LHS."""
-        result: set[int] = set()
-        for row in relation:
-            if any(self.lhs_matches(row, pattern) for pattern in self.tableau):
-                result.add(row.tid)
-        return result
 
     # -- dunder ------------------------------------------------------------------------
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.cind import CIND
 from repro.constraints.parse import parse_cfd
 from repro.constraints.violations import ViolationReport
-from repro.detection.batch import BatchCFDDetector
+from repro.detection.cfd_detect import CFDDetector
 from repro.detection.cind_detect import CINDDetector
 from repro.discovery.cfd_discovery import CFDDiscovery
 from repro.errors import ReproError
@@ -48,9 +48,10 @@ def detect_violations(data: Relation | Database,
             names = {cfd.relation_name.lower() for cfd in parsed}
             for name in names:
                 relevant = [c for c in parsed if c.relation_name.lower() == name]
-                reports.append(BatchCFDDetector(data.relation(name), relevant).detect())
+                reports.append(CFDDetector(data.relation(name),
+                                           merge_cfds(relevant)).detect())
         else:
-            reports.append(BatchCFDDetector(data, parsed).detect())
+            reports.append(CFDDetector(data, merge_cfds(parsed)).detect())
     if cinds:
         if not isinstance(data, Database):
             raise ReproError("CIND detection needs a Database (two relations)")
@@ -68,17 +69,9 @@ def repair(relation: Relation, cfds: Sequence[CFD | str],
 
 
 def discover_cfds(relation: Relation, min_support: int = 3,
-                  max_lhs_size: int = 2, constant_only: bool = False,
-                  engine: str | None = None,
-                  workers: int | None = None) -> list[CFD]:
-    """Discover CFDs from (reasonably clean) data.
-
-    ``engine=``/``workers=`` route partition computation through the
-    chunked execution engine (:mod:`repro.engine`); the output is
-    identical, only execution changes.
-    """
-    discovery = CFDDiscovery(relation, min_support=min_support, max_lhs_size=max_lhs_size,
-                             engine=engine, workers=workers)
+                  max_lhs_size: int = 2, constant_only: bool = False) -> list[CFD]:
+    """Discover CFDs from (reasonably clean) data."""
+    discovery = CFDDiscovery(relation, min_support=min_support, max_lhs_size=max_lhs_size)
     return discovery.discover_constant_cfds() if constant_only else discovery.discover()
 
 
@@ -126,7 +119,7 @@ class CleaningPipeline:
 
     def run(self, dirty: Relation, clean: Relation | None = None) -> PipelineResult:
         """Detect and repair *dirty*; evaluate against *clean* when provided."""
-        report = BatchCFDDetector(dirty, self._cfds).detect()
+        report = CFDDetector(dirty, merge_cfds(self._cfds)).detect()
         result = BatchRepair(dirty, self._cfds, cost_model=self._cost_model).repair()
         quality = None
         if clean is not None:

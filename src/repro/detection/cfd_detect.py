@@ -9,30 +9,27 @@ violations exist:
 * **group** violations: a set of tuples match a pattern on ``X``, agree on
   ``X`` but do not all agree on ``Y``.
 
-:class:`CFDDetector` finds both by hashing tuples on ``X``, *columnar*:
-patterns are compiled to code-level tests against the relation's
-dictionary-encoded column store (:mod:`repro.detection.columnar`) and
-grouping happens over integer code tuples — the hot path never
-materialises a :class:`Tuple`.
-
-Detection can additionally run on the chunked execution engine
-(:mod:`repro.engine`): ``engine="serial"`` splits the scan into chunks
-with boundary merging, ``engine="parallel"`` fans the chunks out to a
-process pool (``workers=`` sets the size).  Reports stay byte-identical
-to the sequential path; ``REPRO_ENGINE`` supplies a process-wide default
-so whole test runs can be forced through the engine.
+:class:`CFDDetector` finds both in-process, *columnar*: patterns are
+compiled to code-level tests against the relation's dictionary-encoded
+column store (:mod:`repro.detection.columnar`), single-tuple violations
+are selected a column at a time, and each CFD's tuples are grouped on
+``X`` once, over integer code tuples, with every pattern of its tableau
+checked per group — the hot path never materialises a :class:`Tuple`.
+To detect many CFDs sharing an embedded FD in one pass (the merged
+tableaux of Fan et al.), pass :func:`~repro.constraints.cfd.merge_cfds`
+of them.
 
 :class:`SQLCFDDetector` instead *generates SQL* — the approach of Fan et
 al.'s Semandaq system — executes it on the library's SQL engine and
-matches the result rows back to tuple ids on dictionary codes.  All paths
-return the same :class:`~repro.constraints.violations.ViolationReport`.
+matches the result rows back to tuple ids on dictionary codes.  Both
+return a :class:`~repro.constraints.violations.ViolationReport` with the
+same violations.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import defaultdict
 from decimal import Decimal
 from typing import Any, Sequence
 
@@ -41,8 +38,6 @@ from repro.constraints.cfd import CFD
 from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CFDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, CompiledPattern, compile_tableau
-from repro.engine.detect import ChunkedCFDEngine
-from repro.engine.executor import resolve_pool
 from repro.relational.database import Database
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
@@ -51,116 +46,87 @@ from repro.relational.types import AttributeType
 
 
 class CFDDetector:
-    """Direct (index-based) CFD violation detection on one relation."""
+    """Direct (index-based) CFD violation detection on one relation.
 
-    def __init__(self, relation: Relation, cfds: Sequence[CFD],
-                 enumerate_pairs: bool = False,
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+    Each CFD is checked in one pass: its single-tuple violations are
+    selected a column at a time, then its tuples are grouped on a fresh
+    :class:`~repro.relational.index.HashIndex` over its LHS and every
+    pattern of its tableau is checked per group.  A report lists, per CFD
+    in the order given, the single-tuple violations by tid and then by
+    pattern, then the group violations by their smallest tid and then by
+    pattern.  The detector does not merge tableaux: ``violation.cfd`` is
+    the CFD the caller passed.
+    """
+
+    def __init__(self, relation: Relation, cfds: Sequence[CFD]) -> None:
         for cfd in cfds:
             cfd.validate_against(relation)
         self._relation = relation
         self._cfds = list(cfds)
-        self._enumerate_pairs = enumerate_pairs
-        self._indexes: dict[tuple[str, ...], HashIndex] = {}
-        self._pool = resolve_pool(engine, workers, task_timeout=task_timeout,
-                                  task_retries=task_retries)
-        self._chunked: "ChunkedCFDEngine | None" = None
-
-    # -- public ----------------------------------------------------------------
+        self._compiled: list[list[CompiledPattern]] | None = None
 
     def detect(self) -> ViolationReport:
         """Detect all violations of all configured CFDs."""
         with obs.span("detect.cfd", relation=self._relation.name):
             report = ViolationReport(self._relation.name,
                                      tuples_checked=len(self._relation))
-            if self._pool is not None:
-                for violations in self._engine().detect():
-                    report.extend(violations)
-            else:
-                for cfd in self._cfds:
-                    report.extend(self.detect_one(cfd))
+            # compiled plans read live code arrays and matcher sets, so one
+            # compilation serves the detector's lifetime
+            if self._compiled is None:
+                self._compiled = [compile_tableau(cfd, self._relation)
+                                  for cfd in self._cfds]
+            for cfd, patterns in zip(self._cfds, self._compiled):
+                report.extend(self._detect_cfd(cfd, patterns))
             if obs.enabled:
                 obs.inc("detect.cfd.violations", len(report.violations))
             return report
 
-    def detect_one(self, cfd: CFD) -> list[CFDViolation]:
-        """Violations of a single CFD."""
-        if self._pool is not None:
-            for position, registered in enumerate(self._cfds):
-                if registered is cfd or registered == cfd:
-                    return self._engine().detect([position])[0]
-            ephemeral = ChunkedCFDEngine(
-                self._relation, [(cfd, compile_tableau(cfd, self._relation))],
-                self._pool, kind="cfd", enumerate_pairs=self._enumerate_pairs)
-            return ephemeral.detect()[0]
+    def _index(self, lhs: Sequence[str]) -> HashIndex:
+        """The index a group pass iterates: a fresh scan of the relation."""
+        return HashIndex(self._relation, list(lhs))
+
+    def _detect_cfd(self, cfd: CFD,
+                    patterns: Sequence[CompiledPattern]) -> list[CFDViolation]:
+        """The violations of one CFD, single-tuple ones first.
+
+        Group violations are ordered by their bucket's smallest tid and
+        then by pattern.  Live tids ascend, so that is a fresh index's
+        first-occurrence order, in whatever order :meth:`_index` iterates
+        its buckets.
+        """
         violations: list[CFDViolation] = []
-        for compiled in compile_tableau(cfd, self._relation):
-            violations.extend(self._single_tuple_violations(cfd, compiled))
-            violations.extend(self._group_violations(cfd, compiled))
+        if any(compiled.rhs_tests for compiled in patterns):
+            tids = self._relation.tids()
+            singles = sorted((tid, position) for position, compiled in enumerate(patterns)
+                             for tid in compiled.single_violators(tids))
+            violations = [CFDViolation(cfd, patterns[position].pattern, (tid,))
+                          for tid, position in singles]
+
+        # group violations: one pass over the code-keyed buckets, one test
+        # per bucket and pattern; only a violating bucket is sorted (by the
+        # violation, which sorts its tids).  The test counts each bucket's
+        # codes rather than reading a maintained tally: every bucket is
+        # checked once here, and a prototype that kept tallies for this
+        # detector too read clean-session 8.5% slower, mostly in tally
+        # upkeep under BatchRepair's writes to its working copy.
+        variable = [compiled for compiled in patterns if compiled.variable_rhs]
+        if variable:
+            groups: list[CFDViolation] = []
+            for key, bucket in self._index(cfd.lhs).bucket_items():
+                if len(bucket) < 2 or NULL_CODE in key:
+                    continue
+                for compiled in variable:
+                    if compiled.group_violates(bucket):
+                        groups.append(CFDViolation(cfd, compiled.pattern, tuple(bucket)))
+            # by smallest tid; stable, so pattern order within a bucket
+            groups.sort(key=lambda violation: violation.tids[0])
+            violations.extend(groups)
         return violations
 
-    def _engine(self) -> "ChunkedCFDEngine":
-        if self._chunked is None:
-            items = [(cfd, compile_tableau(cfd, self._relation)) for cfd in self._cfds]
-            self._chunked = ChunkedCFDEngine(self._relation, items, self._pool,
-                                             kind="cfd",
-                                             enumerate_pairs=self._enumerate_pairs)
-        return self._chunked
 
-    # -- sequential path ----------------------------------------------------------
-
-    def _single_tuple_violations(self, cfd: CFD,
-                                 compiled: CompiledPattern) -> list[CFDViolation]:
-        if not compiled.rhs_tests:
-            return []
-        pattern = compiled.pattern
-        violations = []
-        for tid in self._relation.tids():
-            if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid):
-                violations.append(CFDViolation(cfd, pattern, (tid,)))
-        return violations
-
-    def _group_violations(self, cfd: CFD,
-                          compiled: CompiledPattern) -> list[CFDViolation]:
-        if not compiled.variable_rhs:
-            return []
-        index = self._index_for(cfd.lhs)
-        violations: list[CFDViolation] = []
-        for key, tids in index.bucket_items():
-            if NULL_CODE in key or not compiled.group_violates(tids):
-                continue
-            if not self._enumerate_pairs:
-                violations.append(CFDViolation(cfd, compiled.pattern, tuple(tids)))
-                continue
-            by_rhs: dict[Any, list[int]] = defaultdict(list)
-            for tid in tids:
-                by_rhs[compiled.rhs_key(tid)].append(tid)
-            buckets = list(by_rhs.values())
-            for i, bucket in enumerate(buckets):
-                for other in buckets[i + 1:]:
-                    for tid_a in bucket:
-                        for tid_b in other:
-                            violations.append(
-                                CFDViolation(cfd, compiled.pattern, (tid_a, tid_b)))
-        return violations
-
-    def _index_for(self, attributes: tuple[str, ...]) -> HashIndex:
-        if attributes not in self._indexes or self._indexes[attributes].is_stale():
-            self._indexes[attributes] = HashIndex(self._relation, list(attributes))
-        elif obs.enabled:
-            obs.inc("cache.index.reuse")
-        return self._indexes[attributes]
-
-
-def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD],
-                          enumerate_pairs: bool = False,
-                          engine: str | None = None,
-                          workers: int | None = None) -> ViolationReport:
+def detect_cfd_violations(relation: Relation, cfds: Sequence[CFD]) -> ViolationReport:
     """Convenience wrapper around :class:`CFDDetector`."""
-    return CFDDetector(relation, cfds, enumerate_pairs=enumerate_pairs,
-                       engine=engine, workers=workers).detect()
+    return CFDDetector(relation, cfds).detect()
 
 
 def _matching_cell(kind: AttributeType, constant: Any) -> Any:
@@ -213,7 +179,7 @@ class SQLCFDDetector:
     (on its code-native plan) and their rows are matched back to tuple ids
     on dictionary codes, through the tableau compiled once per
     :meth:`detect` and the store's maintained LHS index, so the report
-    matches the direct detector's exactly.
+    holds exactly the direct detector's violations.
     """
 
     def __init__(self, database: Database, cfds: Sequence[CFD]) -> None:
@@ -359,15 +325,16 @@ class SQLCFDDetector:
                            result: Relation) -> list[CFDViolation]:
         """Map single-tuple query rows back to tuple ids.
 
-        The compiled code-set tests run first; only tids that pass them
-        have their values compared with the result rows.
+        The compiled code-set tests select the pattern's single-tuple
+        violators a column at a time; only those have their values
+        compared with the result rows.
         """
         wanted = {tuple(row.values) for row in result}
         if not wanted:
             return []
-        return [CFDViolation(cfd, compiled.pattern, (tid,)) for tid in relation.tids()
-                if compiled.lhs_matches(tid) and not compiled.rhs_constants_match(tid)
-                and relation.tuple(tid).values in wanted]
+        return [CFDViolation(cfd, compiled.pattern, (tid,))
+                for tid in compiled.single_violators(relation.tids())
+                if relation.tuple(tid).values in wanted]
 
     @staticmethod
     def _match_back_groups(relation: Relation, cfd: CFD, compiled: CompiledPattern,

@@ -12,10 +12,6 @@ and the cross-relation correspondence keys are *bridged codes* — string-mode
 :class:`~repro.relational.columns.DictionaryBridge` translations map both
 sides into one canonical code space, so the anti-join compares small
 integer tuples and never materialises a string per tuple.
-``engine=``/``workers=`` route the anti-join through the chunked
-execution engine (:mod:`repro.engine`): both sides are scanned
-chunk-by-chunk (optionally in a process pool) and the qualifying RHS keys
-are merged before the anti-join — still the same report, byte for byte.
 
 For reference (and for the SQL-generation tests) the detector can also
 emit the SQL the Semandaq system would issue; since the library's SQL
@@ -32,8 +28,6 @@ from repro.constraints.cind import CIND
 from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CINDViolation, ViolationReport
 from repro.detection.columnar import NULL_CODE, constant_code_set
-from repro.engine.detect import ChunkedCINDEngine
-from repro.engine.executor import resolve_pool
 from repro.relational.columns import passing
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -42,17 +36,11 @@ from repro.relational.relation import Relation
 class CINDDetector:
     """Detects violations of a set of CINDs on a database."""
 
-    def __init__(self, database: Database, cinds: Sequence[CIND],
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+    def __init__(self, database: Database, cinds: Sequence[CIND]) -> None:
         for cind in cinds:
             cind.validate_against(database)
         self._database = database
         self._cinds = list(cinds)
-        self._pool = resolve_pool(engine, workers, task_timeout=task_timeout,
-                                  task_retries=task_retries)
-        self._chunked: "ChunkedCINDEngine | None" = None
 
     def detect(self) -> ViolationReport:
         """Detect all violations of all configured CINDs."""
@@ -61,31 +49,17 @@ class CINDDetector:
             report_name = next(iter(names)) if len(names) == 1 else "multiple"
             total = sum(len(self._database.relation(name)) for name in names)
             report = ViolationReport(report_name, tuples_checked=total)
-            if self._pool is not None:
-                for violations in self._engine().detect():
-                    report.extend(violations)
-            else:
-                for cind in self._cinds:
-                    report.extend(self.detect_one(cind))
+            for cind in self._cinds:
+                report.extend(self.detect_one(cind))
             if obs.enabled:
                 obs.inc("detect.cind.violations", len(report.violations))
             return report
 
     def detect_one(self, cind: CIND) -> list[CINDViolation]:
         """Violations of a single CIND."""
-        if self._pool is not None:
-            for position, registered in enumerate(self._cinds):
-                if registered is cind or registered == cind:
-                    return self._engine().detect([position])[0]
-            return ChunkedCINDEngine(self._database, [cind], self._pool).detect()[0]
         left = self._database.relation(cind.lhs_relation)
         right = self._database.relation(cind.rhs_relation)
         return self._anti_join(cind, left, right)
-
-    def _engine(self) -> "ChunkedCINDEngine":
-        if self._chunked is None:
-            self._chunked = ChunkedCINDEngine(self._database, self._cinds, self._pool)
-        return self._chunked
 
     @staticmethod
     def _compile_pattern(relation: Relation,

@@ -36,7 +36,7 @@ from typing import Any, Collection, Mapping
 
 from repro.constraints.cfd import CFD
 from repro.constraints.tableau import PatternTuple
-from repro.relational.columns import NULL_CODE
+from repro.relational.columns import NULL_CODE, passing
 from repro.relational.predicates import constant_code_set
 from repro.relational.relation import Relation
 
@@ -86,17 +86,26 @@ class CompiledPattern:
                 return False
         return True
 
-    def rhs_key(self, tid: int) -> Any:
-        """Hashable encoding of the wildcard-RHS values of one tuple."""
-        arrays = self.variable_arrays
-        if len(arrays) == 1:
-            return arrays[0][tid]
-        return tuple(codes[tid] for codes in arrays)
+    # -- column-at-a-time tests ----------------------------------------------
+
+    def single_violators(self, tids: list[int]) -> list[int]:
+        """The *tids* that match the LHS constants but not the RHS constants.
+
+        The single-tuple violations of this pattern, selected a column
+        at a time with :func:`~repro.relational.columns.passing`: the
+        tids passing the LHS tests, minus those that also pass the RHS
+        tests.  Order is kept.  A pattern without RHS constants has none.
+        """
+        if not self.rhs_tests:
+            return []
+        candidates = passing(tids, self.lhs_tests)
+        matched = set(passing(candidates, self.rhs_tests))
+        return [tid for tid in candidates if tid not in matched]
 
     # -- per-group test ----------------------------------------------------
     #
-    # Shared by all detectors (full, batch, incremental, SQL match-back) so
-    # the group semantics cannot drift between them.
+    # Shared by all detectors (full, incremental, SQL match-back) so the
+    # group semantics cannot drift between them.
 
     def group_violates(self, bucket: "Collection[int]",
                        tally: "Mapping[Any, int] | None" = None) -> bool:

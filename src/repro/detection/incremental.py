@@ -40,8 +40,8 @@ from typing import Any, Mapping, Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.violations import CFDViolation, ViolationReport
+from repro.detection.cfd_detect import CFDDetector
 from repro.detection.columnar import NULL_CODE, compile_tableau
-from repro.relational.columns import passing
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
 
@@ -105,23 +105,15 @@ class IncrementalCFDDetector:
     def _build_singles(self, position: int, cfd: CFD) -> dict[int, list[CFDViolation]]:
         """The single-tuple violations of one merged CFD, selected a column at a time.
 
-        Only a pattern with a constant RHS can be violated by one tuple:
-        its candidates are the tids passing the LHS constants, and those
-        failing one of its RHS constants violate it.  Each tid's list
-        keeps pattern order, and tids ascend, as a per-tid check would
-        leave them.
+        Each tid's list keeps pattern order, and tids ascend, as a
+        per-tid check would leave them.
         """
         tids = self._relation.tids()
         singles: dict[int, list[CFDViolation]] = {}
         for compiled in self._compiled[position]:
-            if not compiled.rhs_tests:
-                continue
-            candidates = passing(tids, compiled.lhs_tests)
-            matched = set(passing(candidates, compiled.rhs_tests))
-            for tid in candidates:
-                if tid not in matched:
-                    singles.setdefault(tid, []).append(
-                        CFDViolation(cfd, compiled.pattern, (tid,)))
+            for tid in compiled.single_violators(tids):
+                singles.setdefault(tid, []).append(
+                    CFDViolation(cfd, compiled.pattern, (tid,)))
         return dict(sorted(singles.items()))
 
     # -- checking helpers -----------------------------------------------------------
@@ -231,6 +223,4 @@ class IncrementalCFDDetector:
 
     def recompute_full(self) -> ViolationReport:
         """Full re-detection from scratch (the baseline incremental detection beats)."""
-        from repro.detection.batch import BatchCFDDetector
-
-        return BatchCFDDetector(self._relation, list(self._merged)).detect()
+        return CFDDetector(self._relation, self._merged).detect()

@@ -25,8 +25,7 @@ the tutorial mentions (§2):
 
 Both procedures run on the columnar substrate: stripped partitions come
 from the cached
-:class:`~repro.discovery.partitions.PartitionProvider` (base scans
-optionally chunk-parallel via ``engine=``/``workers=``), and itemset
+:class:`~repro.discovery.partitions.PartitionProvider`, and itemset
 mining reads dictionary code arrays.
 """
 
@@ -49,10 +48,7 @@ class CFDDiscovery:
     """Discovers constant and variable CFDs from a relation."""
 
     def __init__(self, relation: Relation, min_support: int = 3,
-                 max_lhs_size: int = 2,
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+                 max_lhs_size: int = 2) -> None:
         if min_support < 1:
             raise DiscoveryError("min_support must be at least 1")
         if max_lhs_size < 1:
@@ -61,9 +57,7 @@ class CFDDiscovery:
         self._min_support = min_support
         self._max_lhs_size = max_lhs_size
         self._attributes = [a.lower() for a in relation.schema.attribute_names]
-        self._provider = PartitionProvider(relation, engine=engine, workers=workers,
-                                           task_timeout=task_timeout,
-                                           task_retries=task_retries)
+        self._provider = PartitionProvider(relation)
         # conditioning values per attribute, computed once per relation
         # version (refinement conditions every failed FD whose LHS
         # contains the attribute on the same values)
@@ -188,18 +182,12 @@ class CFDDiscovery:
 
 
 def discover_constant_cfds(relation: Relation, min_support: int = 3,
-                           max_lhs_size: int = 2,
-                           engine: str | None = None,
-                           workers: int | None = None) -> list[CFD]:
+                           max_lhs_size: int = 2) -> list[CFD]:
     """Convenience wrapper: constant CFDs only."""
-    return CFDDiscovery(relation, min_support, max_lhs_size,
-                        engine=engine, workers=workers).discover_constant_cfds()
+    return CFDDiscovery(relation, min_support, max_lhs_size).discover_constant_cfds()
 
 
 def discover_cfds(relation: Relation, min_support: int = 3,
-                  max_lhs_size: int = 2,
-                  engine: str | None = None,
-                  workers: int | None = None) -> list[CFD]:
+                  max_lhs_size: int = 2) -> list[CFD]:
     """Convenience wrapper: constant plus variable CFDs."""
-    return CFDDiscovery(relation, min_support, max_lhs_size,
-                        engine=engine, workers=workers).discover()
+    return CFDDiscovery(relation, min_support, max_lhs_size).discover()

@@ -10,12 +10,9 @@ once ``Y → A`` is emitted, no superset of ``Y`` is reported for the same
 RHS.
 
 Partitions come from a :class:`~repro.discovery.partitions.PartitionProvider`:
-base partitions are computed from dictionary code arrays, higher lattice
-levels are composed from
-cached lower ones via partition products, and ``engine=``/``workers=``
-route the base scans through the chunked execution engine
-(:mod:`repro.engine`) — the discovered FDs and keys are identical either
-way.
+base partitions are computed from dictionary code arrays, and higher
+lattice levels are composed from cached lower ones via partition
+products.
 
 An optional ``max_lhs_size`` bounds the level (the experiments only need
 small left-hand sides), and ``approximate_error`` allows *approximate* FDs
@@ -43,10 +40,7 @@ class FDDiscovery:
     """Discovers minimal FDs of a relation."""
 
     def __init__(self, relation: Relation, max_lhs_size: int = 3,
-                 approximate_error: float = 0.0,
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+                 approximate_error: float = 0.0) -> None:
         if max_lhs_size < 1:
             raise DiscoveryError("max_lhs_size must be at least 1")
         if not 0.0 <= approximate_error < 1.0:
@@ -55,9 +49,7 @@ class FDDiscovery:
         self._attributes = [a.lower() for a in relation.schema.attribute_names]
         self._max_lhs_size = min(max_lhs_size, len(self._attributes) - 1)
         self._approximate_error = approximate_error
-        self._provider = PartitionProvider(relation, engine=engine, workers=workers,
-                                           task_timeout=task_timeout,
-                                           task_retries=task_retries)
+        self._provider = PartitionProvider(relation)
 
     # -- partitions --------------------------------------------------------------
 
@@ -118,10 +110,7 @@ class FDDiscovery:
 
 
 def discover_fds(relation: Relation, max_lhs_size: int = 3,
-                 approximate_error: float = 0.0,
-                 engine: str | None = None,
-                 workers: int | None = None) -> list[FunctionalDependency]:
+                 approximate_error: float = 0.0) -> list[FunctionalDependency]:
     """Convenience wrapper around :class:`FDDiscovery`."""
     return FDDiscovery(relation, max_lhs_size=max_lhs_size,
-                       approximate_error=approximate_error,
-                       engine=engine, workers=workers).discover()
+                       approximate_error=approximate_error).discover()

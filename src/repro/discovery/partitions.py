@@ -26,21 +26,17 @@ stringification.
 caches partitions per relation *version* (one shared
 :class:`PartitionCache` per relation, so FD and CFD discovery over the
 same data reuse each other's work), composes higher lattice levels from
-cached lower ones via :meth:`Partition.product`, and — when an
-``engine=`` is requested — computes base partitions chunk-parallel on
-:class:`~repro.engine.discover.ChunkedPartitionEngine`.
+cached lower ones via :meth:`Partition.product`, and computes the rest
+with :func:`partition_of`.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.relational.relation import Relation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.discover import ChunkedPartitionEngine
 
 
 class Partition:
@@ -197,42 +193,23 @@ def partition_cache(relation: Relation) -> PartitionCache:
 
 
 class PartitionProvider:
-    """Caching, optionally chunk-parallel source of stripped partitions.
+    """Caching source of stripped partitions.
 
     The discovery algorithms request partitions by attribute *set*; the
     provider serves them from the shared per-relation cache, composes a
     multi-attribute partition from a cached subset pair via
     :meth:`Partition.product` when the lattice walk already produced one
-    (levelwise search always has, beyond level 1), and otherwise scans —
-    sequentially, or chunk-parallel on :mod:`repro.engine` when
-    ``engine=``/``workers=`` (or the ``REPRO_*`` environment defaults)
-    ask for it.
+    (levelwise search always has, beyond level 1), and otherwise scans
+    the code arrays (:func:`partition_of`).
     """
 
-    def __init__(self, relation: Relation,
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+    def __init__(self, relation: Relation) -> None:
         self._relation = relation
-        self._chunked: "ChunkedPartitionEngine | None" = None
         self._cache = partition_cache(relation)
-        from repro.engine.executor import resolve_pool
-
-        pool = resolve_pool(engine, workers, task_timeout=task_timeout,
-                            task_retries=task_retries)
-        if pool is not None:
-            from repro.engine.discover import ChunkedPartitionEngine
-
-            self._chunked = ChunkedPartitionEngine(relation, pool)
 
     @property
     def relation(self) -> Relation:
         return self._relation
-
-    @property
-    def chunked(self) -> "ChunkedPartitionEngine | None":
-        """The chunked engine serving this provider's base scans, if any."""
-        return self._chunked
 
     def partition(self, attributes: frozenset[str] | Iterable[str]) -> Partition:
         """The stripped partition by *attributes* (cached per relation version)."""
@@ -267,13 +244,7 @@ class PartitionProvider:
         return None
 
     def _scan(self, attributes: frozenset[str]) -> Partition:
-        ordered = sorted(attributes)
-        if self._chunked is not None:
-            groups = self._chunked.groups_of(ordered)
-            return Partition(groups, len(self._relation))
-        return partition_of(self._relation, ordered)
+        return partition_of(self._relation, sorted(attributes))
 
     def __repr__(self) -> str:
-        engine = "chunked" if self._chunked is not None else "sequential"
-        return (f"PartitionProvider({self._relation.name}, {engine}, "
-                f"{len(self._cache)} cached)")
+        return f"PartitionProvider({self._relation.name}, {len(self._cache)} cached)"

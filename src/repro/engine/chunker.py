@@ -3,8 +3,8 @@
 A :class:`Chunk` is a contiguous slice of a relation's *live* tuple ids in
 ascending order.  Because tids are assigned monotonically and never
 reused, ``Relation.tids()`` is always ascending, so concatenating chunks
-in index order replays exactly the scan order of the sequential detection
-paths — the property the merge step relies on to keep violation reports
+in index order replays exactly the scan order of the in-process SQL
+executor — the property the merge steps rely on to keep query results
 byte-identical.
 
 The :class:`Chunker` balances either by an explicit ``chunk_size`` (the
@@ -15,12 +15,29 @@ differ by at most one tuple).  Empty chunks are never produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
-
-from repro.engine.merge import split_batches
+from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relational.relation import Relation
+
+
+def split_batches(items: list[Any], parts: int) -> list[list[Any]]:
+    """Split *items* into at most *parts* contiguous, balanced batches.
+
+    Contiguity keeps concatenated per-batch results in the original
+    order; lengths differ by at most one.
+    """
+    if not items:
+        return []
+    parts = max(1, min(parts, len(items)))
+    base, extra = divmod(len(items), parts)
+    batches: list[list[Any]] = []
+    start = 0
+    for i in range(parts):
+        length = base + (1 if i < extra else 0)
+        batches.append(items[start:start + length])
+        start += length
+    return batches
 
 
 @dataclass(frozen=True)

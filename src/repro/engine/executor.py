@@ -1,4 +1,4 @@
-"""Execution backends for the chunked detection engine.
+"""Execution backends for the chunked SQL engine.
 
 An :class:`ExecutorPool` runs per-chunk worker tasks against a broadcast
 *state* (see :mod:`repro.engine.worker`).  Two backends exist:
@@ -10,11 +10,11 @@ An :class:`ExecutorPool` runs per-chunk worker tasks against a broadcast
   processes (codes and dictionaries travel once per broadcast
   generation, via the pool initializer) and runs tasks across them under
   **supervision**.  OS pools live in a small process-wide LRU registry
-  keyed by (workers, state token), so detectors with different broadcast
-  states can alternate without re-forking, and steady-state detection
-  pays no spawn cost; a plan that re-tokenises after a mutation retires
+  keyed by (workers, state token), so plans with different broadcast
+  states can alternate without re-forking, and steady-state queries
+  pay no spawn cost; a plan that re-tokenises after a mutation retires
   its stale pool explicitly.  Workloads smaller than ``min_rows`` fall
-  back to in-process execution — the report is byte-identical either
+  back to in-process execution — the result is byte-identical either
   way, so the cut-over is invisible.
 
 Supervision replaces the old blocking ``pool.map``/``imap``: every task
@@ -33,12 +33,13 @@ fault schedule; ``REPRO_TASK_FALLBACK=0`` turns that last resort into a
 raised :class:`~repro.errors.WorkerCrashError` /
 :class:`~repro.errors.TaskTimeoutError` instead.
 
-:func:`resolve_pool` turns the user-facing ``engine=``/``workers=`` (and
-``task_timeout=``/``task_retries=``) knobs — with the ``REPRO_ENGINE`` /
+:func:`resolve_pool` turns :class:`~repro.relational.sql.engine.SQLEngine`'s
+``engine=``/``workers=`` (and ``task_timeout=``/``task_retries=``) knobs
+— with the ``REPRO_ENGINE`` /
 ``REPRO_WORKERS`` / ``REPRO_PARALLEL_THRESHOLD`` / ``REPRO_TASK_TIMEOUT``
 / ``REPRO_TASK_RETRIES`` environment variables, parsed and validated by
 :mod:`repro.config`, as process-wide defaults — into a pool, or ``None``
-for the classic sequential path.
+for the unchunked in-process path.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.engine import worker
 from repro.engine.worker import TaskFailure
 from repro.errors import EngineError, TaskTimeoutError, WorkerCrashError
 
-#: engine names accepted by detectors, the session, the CLI and the env var.
+#: engine names accepted by SQLEngine, the session, the CLI and the env var.
 ENGINES = ("sequential", "serial", "parallel")
 
 #: below this many live tuples the parallel backend runs in-process.
@@ -82,7 +83,7 @@ _token_counter = itertools.count(1)
 class StateHandle:
     """A broadcastable state with an identity token.
 
-    Detection plans cache one handle per relation version; the
+    Chunked SQL engines cache one handle per relation version; the
     multiprocessing backend compares tokens to decide whether the worker
     processes already hold this state or a pool must be (re)started.
     When a plan re-tokenises after a relation mutation it passes the old
@@ -199,8 +200,8 @@ class SerialPool(ExecutorPool):
 
 # Process-wide registry of live OS pools, shared by every
 # MultiprocessingPool facade and keyed by (workers, state token).  Keeping
-# a small LRU of pools lets plans with different broadcast states (a CFD
-# and a CIND detector inside one session, say) alternate without
+# a small LRU of pools lets plans with different broadcast states (a scan
+# and a join inside one session, say) alternate without
 # terminating and re-forking on every switch; stale generations are
 # retired explicitly via StateHandle.supersedes or by LRU eviction.
 _pools: "dict[tuple[int, int], Any]" = {}
@@ -245,10 +246,10 @@ def _close_pool(key: tuple[int, int]) -> None:
 def shutdown_pools() -> None:
     """Terminate every shared worker pool now (also runs at exit).
 
-    One-shot callers (``detect_cfd_violations(..., engine="parallel")`` in
-    a loop, ephemeral ``detect_one`` plans) each broadcast a fresh state
-    and therefore fork a fresh pool; steady-state users should hold on to
-    a detector instead, but this releases the processes early either way.
+    One-shot callers (a fresh ``SQLEngine(..., engine="parallel")`` per
+    query, say) each broadcast a fresh state and therefore fork a fresh
+    pool; steady-state users should hold on to one engine instead, but
+    this releases the processes early either way.
     """
     for key in list(_pools):
         _close_pool(key)

@@ -23,8 +23,8 @@ the per-chunk results back together in chunk order.
 The broadcast state holds both relations' code arrays (live views, shipped
 once per *version pair* — a mutation of either relation re-tokenises the
 handle).  Build-side buckets and bridge translation arrays ride in each
-task payload instead: like the CIND engine's RHS key sets, they are
-query-scoped and usually far smaller than the relations, and keeping them
+task payload instead: they are query-scoped and usually far smaller
+than the relations, and keeping them
 out of the broadcast state means steady-state joins over unchanged
 relations never re-fork the pool.
 

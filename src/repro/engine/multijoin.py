@@ -35,8 +35,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
+from repro.engine.chunker import split_batches
 from repro.engine.executor import ExecutorPool, StateHandle
-from repro.engine.merge import split_batches
 from repro.engine.sql import AggregateMerger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

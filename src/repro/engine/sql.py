@@ -2,22 +2,20 @@
 
 The SQL executor's code-native plans (single-table scan → filter → group
 → aggregate on dictionary codes, see
-:mod:`repro.relational.sql.columnar`) run on the same chunk/merge
-machinery as detection and discovery: every chunk of live tids is scanned
-once by the ``sql_scan`` worker, and the parent stitches the per-chunk
-results back together in chunk order.
+:mod:`repro.relational.sql.columnar`) can fan out over a process pool:
+every chunk of live tids is scanned once by the ``sql_scan`` worker, and
+the parent stitches the per-chunk results back together in chunk order.
 
 * A **plain scan** returns surviving tids per chunk; concatenating them
-  in chunk order replays the sequential scan order exactly.
+  in chunk order replays the in-process scan order exactly.
 * A **grouped scan** returns partial aggregate states keyed by code
-  tuples; :class:`AggregateMerger` — the aggregate-aware sibling of
-  :class:`~repro.engine.merge.GroupMerger` — combines them so merged keys
-  appear in global first-occurrence order, counts add, distinct-code sets
+  tuples; :class:`AggregateMerger` combines them so merged keys appear
+  in global first-occurrence order, counts add, distinct-code sets
   union, MIN/MAX keep the best dictionary-order rank (ties keeping the
   earliest chunk, i.e. the first occurrence), and SUM/AVG concatenate
   their code lists so the parent folds values in global tuple order.
   Every combination is exact — grouped results (floats included) are
-  byte-identical to the sequential scan for every chunk size and worker
+  byte-identical to the in-process scan for every chunk size and worker
   count.
 
 The broadcast state is one spec holding every code array of the relation,
@@ -34,11 +32,14 @@ processes raise, hang or die mid-run.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.engine.broadcast import RelationBroadcastEngine
 from repro.engine.chunker import Chunker
+from repro.engine.executor import ExecutorPool, StateHandle
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational.relation import Relation
 
 #: the spec id of the ``sql_scan`` broadcast state (one relation per engine).
 SQL_SPEC = "sql"
@@ -130,13 +131,43 @@ class AggregateMerger:
         return f"AggregateMerger({len(self._groups)} groups)"
 
 
-class ChunkedSQLEngine(RelationBroadcastEngine):
+class ChunkedSQLEngine:
     """Chunk-parallel ``sql_scan`` execution over one relation."""
+
+    def __init__(self, relation: "Relation", pool: ExecutorPool) -> None:
+        self._relation = relation
+        self._pool = pool
+        self._handle: StateHandle | None = None
+        self._version = -1
+
+    @property
+    def relation(self) -> "Relation":
+        return self._relation
 
     # -- state broadcast ---------------------------------------------------
 
-    def _build_state(self) -> dict[str, Any]:
-        return broadcast_state(self._relation)
+    def _ensure_handle(self) -> StateHandle:
+        """The broadcast handle, re-tokenised when the relation changed.
+
+        The state references the column store's live arrays, so it is
+        built once and its contents are always current.  A fresh token
+        tells the multiprocessing backend that worker-side snapshots are
+        stale and the state must ship again, and *supersedes* lets it
+        retire the stale pool instead of waiting for LRU eviction.
+        """
+        if self._handle is None:
+            if obs.enabled:
+                obs.inc("engine.broadcast.build")
+            self._handle = StateHandle(broadcast_state(self._relation))
+        elif self._version != self._relation.version:
+            if obs.enabled:
+                obs.inc("engine.broadcast.retokenize")
+            self._handle = StateHandle(self._handle.state,
+                                       supersedes=self._handle.token)
+        elif obs.enabled:
+            obs.inc("engine.broadcast.reuse")
+        self._version = self._relation.version
+        return self._handle
 
     # -- execution ---------------------------------------------------------
 
@@ -170,3 +201,7 @@ class ChunkedSQLEngine(RelationBroadcastEngine):
             for partial in results:
                 merger.add_chunk(partial)
         return merger.groups
+
+    def __repr__(self) -> str:
+        return (f"ChunkedSQLEngine({self._relation.name}, "
+                f"pool={self._pool.name})")

@@ -1,21 +1,20 @@
-"""Per-chunk detection workers.
+"""Per-chunk SQL workers.
 
 Everything in this module is *plain data in, plain data out*: a worker
 receives a task ``(handler name, payload)`` and reads the broadcast
-*state* (code arrays, pre-encoded constant code sets, per-code string
-caches) that the parent shipped when the pool was (re)started.  Workers
-never see :class:`~repro.relational.relation.Relation`,
-:class:`~repro.constraints.cfd.CFD` or violation objects — they return
-tids, partial groups keyed by code tuples, and per-group verdicts, and
-the parent assembles the actual :class:`CFDViolation`/:class:`CINDViolation`
-objects.  That keeps the payloads small and picklable under both the
-``fork`` and ``spawn`` start methods.
+*state* (the code arrays of the relations a statement reads) that the
+parent shipped when the pool was (re)started.  Workers never see
+:class:`~repro.relational.relation.Relation` objects or decoded values:
+they return tids, join tuples and partial aggregates keyed by code
+tuples, and the SQL executor decodes the result.  That keeps the
+payloads small and picklable under both the ``fork`` and ``spawn`` start
+methods.  The handlers serve the SQL executor only: the scan, the join
+probe and the multiway and factorised folds; the in-process path calls
+the same handlers through :func:`run_local_timed`.
 
-Correctness contract: every handler replicates its sequential twin
-*operation by operation* (including rebuilding each tid group as a
-``set`` with the same insertion history the sequential
-:class:`~repro.relational.index.HashIndex` would have) so that the merged
-output is byte-identical to the sequential columnar path.
+Correctness contract: the parent merges the per-chunk results into
+exactly what one in-process run over every tid returns, so every result
+is byte-identical to the in-process path.
 
 Supervision contract: the pool dispatch target is
 :func:`dispatch_supervised`, which wraps every task in a structured
@@ -39,7 +38,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any
 
-from repro.relational.columns import NULL_CODE, passing, take
+from repro.relational.columns import NULL_CODE, passing
 
 #: broadcast state of the current pool generation (set by the initializer).
 _STATE: dict[str, Any] | None = None
@@ -262,165 +261,6 @@ def run_local_timed(state: dict[str, Any],
         result = _HANDLERS[name](state, payload)
         timed.append((perf_counter() - start, result))
     return timed
-
-
-# -- CFD scan phase ---------------------------------------------------------
-
-
-def _cfd_scan(state: dict[str, Any], payload: tuple[str, list[int]]) -> dict[str, Any]:
-    """Scan one chunk: single-tuple violations + partial LHS groups.
-
-    Returns ``singles`` as ``(pattern index, tid)`` pairs in tid-major
-    order (the batch detector's emission order; the per-CFD detector
-    re-partitions them by pattern) and ``groups`` as ``code key -> tids``
-    with tids in chunk scan order.
-    """
-    spec_id, tids = payload
-    spec = state[spec_id]
-    patterns = spec["patterns"]
-    single_pidxs = spec["single_pidxs"]
-
-    singles: list[tuple[int, int]] = []
-    if single_pidxs:
-        tests = [(pidx, patterns[pidx]["lhs_tests"], patterns[pidx]["rhs_tests"])
-                 for pidx in single_pidxs]
-        for tid in tids:
-            for pidx, lhs_tests, rhs_tests in tests:
-                for codes, allowed in lhs_tests:
-                    if codes[tid] not in allowed:
-                        break
-                else:
-                    for codes, allowed in rhs_tests:
-                        if codes[tid] not in allowed:
-                            singles.append((pidx, tid))
-                            break
-    groups: dict[tuple[int, ...], list[int]] = {}
-    if spec["group_pidxs"]:
-        key_arrays = spec["key_arrays"]
-        if len(key_arrays) == 1:
-            # chunk view: one C-speed gather, then a scalar-keyed loop
-            for tid, code in zip(tids, take(key_arrays[0], tids)):
-                key = (code,)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [tid]
-                else:
-                    bucket.append(tid)
-        else:
-            views = [take(codes, tids) for codes in key_arrays]
-            for i, tid in enumerate(tids):
-                key = tuple(view[i] for view in views)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [tid]
-                else:
-                    bucket.append(tid)
-    return {"singles": singles, "groups": groups}
-
-
-# -- CFD group-check phase --------------------------------------------------
-
-
-def _rhs_key(arrays: list[list[int]], tid: int) -> Any:
-    if len(arrays) == 1:
-        return arrays[0][tid]
-    return tuple(codes[tid] for codes in arrays)
-
-
-def _cfd_groups(state: dict[str, Any],
-                payload: tuple[str, list[list[int]]]) -> list[dict[int, tuple]]:
-    """Check merged groups against every variable-RHS pattern.
-
-    Each group arrives as its full (cross-chunk) tid list in ascending
-    order; the verdict per pattern is either a group-violation tid tuple
-    or, under ``enumerate_pairs``, the RHS equivalence buckets the parent
-    expands into pairs.
-    """
-    spec_id, groups = payload
-    spec = state[spec_id]
-    patterns = spec["patterns"]
-    group_pidxs = spec["group_pidxs"]
-    replicate_set = spec["kind"] == "cfd"
-    enumerate_pairs = spec["enumerate_pairs"]
-
-    results: list[dict[int, tuple]] = []
-    for tids in groups:
-        if replicate_set:
-            # Rebuild the bucket exactly as HashIndex.rebuild would (ascending
-            # insertion), so iteration order matches the sequential detector's.
-            members: Any = set()
-            for tid in tids:
-                members.add(tid)
-        else:
-            members = tids  # the batch path iterates the sorted bucket
-        verdicts: dict[int, tuple] = {}
-        for pidx in group_pidxs:
-            pattern = patterns[pidx]
-            lhs_tests = pattern["lhs_tests"]
-            if lhs_tests:
-                matching = passing(members, lhs_tests)
-                if len(matching) < 2:
-                    continue
-            else:
-                matching = list(members)
-            arrays = pattern["variable_arrays"]
-            if enumerate_pairs or replicate_set:
-                by_rhs: dict[Any, list[int]] = {}
-                for tid in matching:
-                    key = _rhs_key(arrays, tid)
-                    bucket = by_rhs.get(key)
-                    if bucket is None:
-                        by_rhs[key] = [tid]
-                    else:
-                        bucket.append(tid)
-                if len(by_rhs) <= 1:
-                    continue
-                if enumerate_pairs:
-                    verdicts[pidx] = ("p", list(by_rhs.values()))
-                else:
-                    verdicts[pidx] = ("g", tuple(sorted(matching)))
-            else:
-                first = _rhs_key(arrays, matching[0])
-                if any(_rhs_key(arrays, tid) != first for tid in matching[1:]):
-                    verdicts[pidx] = ("g", tuple(matching))
-        results.append(verdicts)
-    return results
-
-
-# -- discovery partition phase ----------------------------------------------
-
-
-def _partition_scan(state: dict[str, Any],
-                    payload: tuple[str, tuple[int, ...], list[int]]) -> dict[Any, list[int]]:
-    """Group one chunk's tids by their code key over the given positions.
-
-    The partial groups (bare code keys for one position, code tuples
-    otherwise; tids in chunk scan order) are stitched by the parent's
-    :class:`~repro.engine.merge.GroupMerger` into exactly the
-    first-occurrence-ordered groups a sequential
-    :meth:`~repro.relational.columns.ColumnStore.partition_groups` scan
-    produces.
-    """
-    spec_id, positions, tids = payload
-    arrays = state[spec_id]["arrays"]
-    groups: dict[Any, list[int]] = {}
-    if len(positions) == 1:
-        for tid, code in zip(tids, take(arrays[positions[0]], tids)):
-            bucket = groups.get(code)
-            if bucket is None:
-                groups[code] = [tid]
-            else:
-                bucket.append(tid)
-    else:
-        views = [take(arrays[p], tids) for p in positions]
-        for i, tid in enumerate(tids):
-            key = tuple(view[i] for view in views)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [tid]
-            else:
-                bucket.append(tid)
-    return groups
 
 
 # -- SQL scan phase ----------------------------------------------------------
@@ -1198,60 +1038,10 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
     return groups, partials, tuples, counts
 
 
-# -- CIND phases ------------------------------------------------------------
-
-
-def _cind_rhs(state: dict[str, Any], payload: tuple[str, list[int]]) -> set[tuple[int, ...]]:
-    """Collect the qualifying RHS correspondence keys (canonical code tuples)."""
-    spec_id, tids = payload
-    spec = state[spec_id]
-    tests = spec["tests"]
-    key_arrays = spec["key_arrays"]
-    key_bridges = spec["key_bridges"]
-    keys: set[tuple[int, ...]] = set()
-    for tid in passing(tids, tests):
-        key_codes = [codes[tid] for codes in key_arrays]
-        if NULL_CODE not in key_codes:
-            keys.add(tuple(bridge[code]
-                           for bridge, code in zip(key_bridges, key_codes)))
-    return keys
-
-
-def _cind_lhs(state: dict[str, Any],
-              payload: tuple[str, list[int], frozenset]) -> list[int]:
-    """Anti-join one LHS chunk against the canonical RHS key set.
-
-    The spec's bridges translate LHS codes into canonical RHS codes;
-    untranslatable codes come through as ``NO_PARTNER``, which can never
-    appear in the key set, so the plain membership test covers them.
-    """
-    spec_id, tids, right_keys = payload
-    spec = state[spec_id]
-    tests = spec["tests"]
-    key_arrays = spec["key_arrays"]
-    key_bridges = spec["key_bridges"]
-    violating: list[int] = []
-    for tid in passing(tids, tests):
-        key_codes = [codes[tid] for codes in key_arrays]
-        if NULL_CODE in key_codes:
-            violating.append(tid)
-            continue
-        key = tuple(bridge[code]
-                    for bridge, code in zip(key_bridges, key_codes))
-        if key not in right_keys:
-            violating.append(tid)
-    return violating
-
-
 _HANDLERS = {
-    "cfd_scan": _cfd_scan,
-    "cfd_groups": _cfd_groups,
-    "cind_rhs": _cind_rhs,
-    "cind_lhs": _cind_lhs,
     "factorised_fold": _factorised_fold,
     "join_probe": _join_probe,
     "multiway_fold": _multiway_fold,
     "multiway_probe": _multiway_probe,
-    "partition_scan": _partition_scan,
     "sql_scan": _sql_scan,
 }

@@ -59,16 +59,6 @@ NO_PARTNER = -1
 """The bridge translation of a code whose value the target dictionary lacks."""
 
 
-def take(codes: Sequence[int], tids: Sequence[int]) -> list[int]:
-    """A compact chunk view of a code array: ``codes[tid]`` per tid.
-
-    The chunked execution engine slices tid-indexed code arrays into
-    per-chunk views with this helper (workers receive the live arrays and
-    a tid slice; the view aligns codes with the slice positionally).
-    """
-    return [codes[tid] for tid in tids]
-
-
 def passing(tids: list[int], tests: Sequence[tuple[Sequence[int], Any]]) -> list[int]:
     """The *tids* whose code passes every ``(code array, allowed set)`` test.
 

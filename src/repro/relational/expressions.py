@@ -88,10 +88,20 @@ class ColumnRef(Expression):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
+def sql_equal(left: Any, right: Any) -> bool:
+    """SQL ``=`` on two non-NULL values.
+
+    Python's ``==``, except that a BOOLEAN equals only a BOOLEAN: Python
+    has ``True == 1``, SQL does not.  Numbers still compare by value
+    across INTEGER and FLOAT.
+    """
+    return left == right and isinstance(left, bool) == isinstance(right, bool)
+
+
 _COMPARISONS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<>": lambda a, b: a != b,
+    "=": sql_equal,
+    "!=": lambda a, b: not sql_equal(a, b),
+    "<>": lambda a, b: not sql_equal(a, b),
     "<": lambda a, b: sort_key(a) < sort_key(b),
     "<=": lambda a, b: sort_key(a) <= sort_key(b),
     ">": lambda a, b: sort_key(a) > sort_key(b),
@@ -210,7 +220,7 @@ class InList(Expression):
             if is_null(other):
                 saw_unknown = True
                 continue
-            if other == value:
+            if sql_equal(other, value):
                 return False if self.negated else True
         if saw_unknown:
             return NULL

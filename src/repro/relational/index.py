@@ -29,7 +29,7 @@ An index comes in two kinds:
   first-occurrence order.  Probe its buckets, or iterate them only where
   the output is then ordered by each bucket's smallest tid (live tids
   ascend, so that is a fresh index's first-occurrence order), as
-  :class:`~repro.detection.batch.BatchCFDDetector` orders its groups.
+  :class:`~repro.detection.cfd_detect.CFDDetector` orders its groups.
 
 A maintained index also keeps two per-bucket statistics current, each
 computed on its first request, so a snapshot that never asks pays

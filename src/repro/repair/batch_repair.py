@@ -30,12 +30,11 @@ code-level face over its distance memo (one per model, so repairs that
 share a model compute each distance once).  Values are decoded only at
 the write-back and :class:`CellChange` boundaries.
 
-Every pass detects with one :class:`~repro.detection.batch.BatchCFDDetector`
-over the working copy.  In-process it groups on the copy's maintained
-LHS indexes: pass 1 builds one per distinct LHS, the repair's writes
-refile them, so later passes regroup without a scan, and the finished
-repair drops them.  ``engine=``/``workers=`` route every detection pass
-through the chunked execution engine (:mod:`repro.engine`).
+Every pass detects with one :class:`~repro.detection.cfd_detect.CFDDetector`
+over the working copy and the merged CFDs.  It groups on the copy's
+maintained LHS indexes: pass 1 builds one per distinct LHS, the repair's
+writes refile them, so later passes regroup without a scan, and the
+finished repair drops them.
 
 The repair never touches the input relation: it works on a copy and
 returns a :class:`Repair` carrying the repaired relation, the list of cell
@@ -53,7 +52,7 @@ from repro import obs
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.tableau import PatternTuple
 from repro.constraints.violations import CFDViolation
-from repro.detection.batch import BatchCFDDetector
+from repro.detection.cfd_detect import CFDDetector
 from repro.detection.columnar import CompiledPattern
 from repro.errors import RepairError
 from repro.relational.columns import Column
@@ -137,7 +136,7 @@ class RepairPlan:
         return tuple(codes[tid] for codes in self.key_arrays)
 
 
-class _WorkingCopyDetector(BatchCFDDetector):
+class _WorkingCopyDetector(CFDDetector):
     """Groups the repair's working copy on its maintained LHS indexes.
 
     The repair's writes refile them, so every pass after the first
@@ -159,10 +158,7 @@ class BatchRepair:
     def __init__(self, relation: Relation, cfds: Sequence[CFD],
                  cost_model: CostModel | None = None,
                  ordering: str = "largest_first",
-                 max_passes: int = 25,
-                 engine: str | None = None, workers: int | None = None,
-                 task_timeout: float | None = None,
-                 task_retries: int | None = None) -> None:
+                 max_passes: int = 25) -> None:
         if ordering not in self.ORDERINGS:
             raise RepairError(f"unknown ordering {ordering!r}; known: {self.ORDERINGS}")
         for cfd in cfds:
@@ -172,10 +168,6 @@ class BatchRepair:
         self._cost_model = cost_model or CostModel()
         self._ordering = ordering
         self._max_passes = max_passes
-        self._engine_name = engine
-        self._workers = workers
-        self._task_timeout = task_timeout
-        self._task_retries = task_retries
         self._fresh_counter = itertools.count()
 
     # -- public ----------------------------------------------------------------
@@ -183,10 +175,7 @@ class BatchRepair:
     def repair(self) -> Repair:
         """Run the repair and return the result (the input relation is untouched)."""
         working = self._original.copy()
-        detector = _WorkingCopyDetector(working, self._cfds,
-                                        engine=self._engine_name, workers=self._workers,
-                                        task_timeout=self._task_timeout,
-                                        task_retries=self._task_retries)
+        detector = _WorkingCopyDetector(working, self._cfds)
         plans: dict[tuple[CFD, PatternTuple], RepairPlan] = {}
         passes = 0
         converged = False

@@ -26,9 +26,7 @@ with pattern constants and base-group values is decided through the
 per-code string caches, delta-group equalization uses the cost model's
 code-level face (and its distance memo, which the final cost sum reads
 too), and the changes are collected by comparing each delta tuple's
-codes with a snapshot taken before the first pass.  ``engine=``/
-``workers=`` route the final delta-cleanliness detection through the
-chunked execution engine.
+codes with a snapshot taken before the first pass.
 
 A delta tuple finds its base group by probing the relation's maintained
 LHS index (:meth:`~repro.relational.columns.ColumnStore.index`), which the
@@ -50,7 +48,7 @@ from typing import Iterable, Sequence
 
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.tableau import PatternTuple
-from repro.detection.batch import BatchCFDDetector
+from repro.detection.cfd_detect import CFDDetector
 from repro.relational.columns import NULL_CODE
 from repro.relational.relation import Relation
 from repro.repair.batch_repair import CellChange, Repair, RepairPlan
@@ -61,16 +59,13 @@ class IncRepair:
     """Repairs a batch of new tuples against a clean base relation."""
 
     def __init__(self, relation: Relation, cfds: Sequence[CFD],
-                 cost_model: CostModel | None = None, max_passes: int = 5,
-                 engine: str | None = None, workers: int | None = None) -> None:
+                 cost_model: CostModel | None = None, max_passes: int = 5) -> None:
         for cfd in cfds:
             cfd.validate_against(relation)
         self._relation = relation
         self._cfds = merge_cfds(cfds)
         self._cost_model = cost_model or CostModel()
         self._max_passes = max_passes
-        self._engine_name = engine
-        self._workers = workers
 
     def repair_delta(self, delta_tids: Iterable[int]) -> Repair:
         """Repair the tuples *delta_tids* in place (only those may change)."""
@@ -191,7 +186,5 @@ class IncRepair:
         return changes
 
     def _delta_clean(self, delta_set: set[int]) -> bool:
-        report = BatchCFDDetector(self._relation, self._cfds,
-                                  engine=self._engine_name,
-                                  workers=self._workers).detect()
+        report = CFDDetector(self._relation, self._cfds).detect()
         return not (report.violating_tids() & delta_set)

@@ -20,12 +20,12 @@ alongside any file-provided constraints before detection runs.  With
 against the loaded relation through the session's SQL engine and the
 result table is printed (detection/repair still run when constraints are
 given or discovered).
-``--engine`` / ``--workers`` route detection, discovery partitions,
-every repair pass's inner detection loop, and ``--sql``'s code-native
-scans through the chunked execution engine (:mod:`repro.engine`);
-reports, discovered CFDs, repairs and query results are identical, only
-execution changes.  The ``REPRO_ENGINE`` / ``REPRO_WORKERS`` environment
-variables provide the same defaults process-wide.
+``--engine`` / ``--workers`` route ``--sql``'s code-native scans, joins
+and folds through the chunked execution engine (:mod:`repro.engine`);
+query results are identical, only execution changes.  Detection,
+discovery and repair always run in-process.  The ``REPRO_ENGINE`` /
+``REPRO_WORKERS`` environment variables provide the same defaults
+process-wide (and reach the statements detection generates).
 ``--task-timeout`` / ``--task-retries`` tune the parallel engine's
 supervision: how long one dispatched task may run before the worker is
 declared hung and the pool rebuilt, and how often a failed task is
@@ -107,12 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "write the metrics snapshot as JSON to OUT after "
                              "the run ('-' prints to stdout)")
     parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine for detection, discovery and repair: "
+                        help="execution engine for --sql: "
                              "'sequential' (one pass, the default), "
                              "'serial' (chunked, in-process) or 'parallel' "
-                             "(chunked, multiprocessing); results are identical")
+                             "(chunked, multiprocessing); results are identical "
+                             "(detection, discovery and repair always run "
+                             "in-process)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for the parallel engine "
+                        help="worker processes for --sql's parallel engine "
                              "(default: the CPU count; implies --engine parallel "
                              "when N > 1)")
     parser.add_argument("--task-timeout", type=float, default=None,

@@ -27,7 +27,7 @@ from repro.constraints.cind import CIND
 from repro.constraints.parse import parse_cfd, parse_cfds, parse_cind
 from repro.constraints.reasoning import is_satisfiable, pairwise_conflicts
 from repro.constraints.violations import ViolationReport
-from repro.detection.cfd_detect import CFDDetector, SQLCFDDetector
+from repro.detection.cfd_detect import SQLCFDDetector
 from repro.detection.cind_detect import CINDDetector
 from repro.discovery.cfd_discovery import CFDDiscovery
 from repro.errors import ReproError
@@ -45,16 +45,13 @@ LOCKED_WEIGHT = 10_000.0
 class SemandaqSession:
     """An interactive constraint-based cleaning session over a database.
 
-    ``engine=``/``workers=`` select the chunked execution engine for
-    detection *and* repair (see :mod:`repro.engine`): when either is
-    given, CFD detection switches from the SQL-generation path to the
-    direct columnar detector running on the engine, CIND detection runs
-    its chunked anti-join, :meth:`propose_repair` / :meth:`apply_repair`
-    route every repair pass's inner detection loop through the same
-    engine, and :meth:`sql` fans its code-native scans across it.
-    Without them everything behaves as before
-    (the ``REPRO_ENGINE`` environment variable still reaches the
-    underlying detectors and repairs as a process-wide default).
+    Detection, discovery and repair run in-process.  ``engine=`` /
+    ``workers=`` go to the session's SQL engine only (see
+    :mod:`repro.engine`): :meth:`sql` fans its code-native scans, joins
+    and folds across the chunked engine, with results identical to the
+    in-process plans.  Without them, and for the statements
+    :meth:`detect` generates, the ``REPRO_ENGINE`` environment variable
+    supplies the default.
 
     ``task_timeout=``/``task_retries=`` tune the parallel engine's
     supervision (per-task timeout in seconds and retry budget; see
@@ -76,9 +73,7 @@ class SemandaqSession:
         self._task_timeout = task_timeout
         self._task_retries = task_retries
         self._database = database
-        # detector caches (so engine plans and worker pools survive across
-        # detect() calls); invalidated when constraints are registered.
-        self._cfd_detectors: dict[str, CFDDetector] | None = None
+        # invalidated when CINDs are registered
         self._cind_detector: CINDDetector | None = None
         self._cfds: list[CFD] = []
         self._cinds: list[CIND] = []
@@ -115,7 +110,6 @@ class SemandaqSession:
         for cfd in added:
             cfd.validate_against(self._database.relation(cfd.relation_name))
         self._cfds.extend(added)
-        self._cfd_detectors = None
         # new CFDs may sharpen multiway-join variable ordering (FD hints);
         # rebuild the SQL engine lazily on the next query
         self._sql_engine = None
@@ -146,26 +140,17 @@ class SemandaqSession:
     def detect(self) -> ViolationReport:
         """Detect all violations of the registered constraints.
 
-        CFD detection is SQL-based (the demo paper's approach) unless the
-        session was created with an explicit ``engine``/``workers``, in
-        which case the direct columnar detector runs on the chunked
-        engine.
+        CFD detection is SQL-based (the demo paper's approach); CIND
+        detection is the in-process anti-join.
         """
         if not self._cfds and not self._cinds:
             raise ReproError("register constraints before calling detect()")
         reports: list[ViolationReport] = []
         if self._cfds:
-            if self._engine is not None or self._workers is not None:
-                reports.append(self._detect_cfds_direct())
-            else:
-                reports.append(SQLCFDDetector(self._database, self._cfds).detect())
+            reports.append(SQLCFDDetector(self._database, self._cfds).detect())
         if self._cinds:
             if self._cind_detector is None:
-                self._cind_detector = CINDDetector(self._database, self._cinds,
-                                                   engine=self._engine,
-                                                   workers=self._workers,
-                                                   task_timeout=self._task_timeout,
-                                                   task_retries=self._task_retries)
+                self._cind_detector = CINDDetector(self._database, self._cinds)
             reports.append(self._cind_detector.detect())
         merged = reports[0]
         for report in reports[1:]:
@@ -173,42 +158,18 @@ class SemandaqSession:
         self._last_report = merged
         return merged
 
-    def _detect_cfds_direct(self) -> ViolationReport:
-        """Direct columnar CFD detection on the chunked engine (per relation)."""
-        relation_names = {cfd.relation_name for cfd in self._cfds}
-        report_name = next(iter(relation_names)) if len(relation_names) == 1 else "multiple"
-        total = sum(len(self._database.relation(name)) for name in relation_names)
-        report = ViolationReport(report_name, tuples_checked=total)
-        if self._cfd_detectors is None:
-            self._cfd_detectors = {}
-            for cfd in self._cfds:
-                key = cfd.relation_name.lower()
-                if key not in self._cfd_detectors:
-                    relevant = [c for c in self._cfds
-                                if c.relation_name.lower() == key]
-                    self._cfd_detectors[key] = CFDDetector(
-                        self._database.relation(cfd.relation_name), relevant,
-                        engine=self._engine, workers=self._workers,
-                        task_timeout=self._task_timeout,
-                        task_retries=self._task_retries)
-        for cfd in self._cfds:
-            detector = self._cfd_detectors[cfd.relation_name.lower()]
-            report.extend(detector.detect_one(cfd))
-        return report
-
     # -- ad-hoc queries --------------------------------------------------------------
 
     def sql(self, query: str, result_name: str = "result",
             explain: bool = False) -> Relation | tuple[Relation, str]:
         """Run a SQL query against the session's database.
 
-        The session's ``engine=``/``workers=`` apply: single-table
-        scan/filter/group/aggregate plans execute code-natively on the
-        chunked engine (see :mod:`repro.relational.sql.columnar`), like
-        :meth:`detect` / :meth:`propose_repair` / :meth:`discover_cfds`
-        do.  The SQL engine (and with it the per-relation broadcast
-        state) is kept for the session's lifetime, so repeated queries
-        over unchanged relations pay no re-broadcast.
+        The session's ``engine=``/``workers=`` apply: code-native scans,
+        joins and folds run on the chunked engine (see
+        :mod:`repro.relational.sql.columnar`).  The SQL engine (and with
+        it the per-relation broadcast state) is kept until CFDs are
+        registered, so repeated queries over unchanged relations pay no
+        re-broadcast.
 
         With ``explain=True`` the return value is ``(result, report)``
         where *report* is the EXPLAIN text: chosen plan (code-native
@@ -240,19 +201,12 @@ class SemandaqSession:
                       register: bool = False) -> list[CFD]:
         """Profile one relation for CFDs (constant plus variable by default).
 
-        The session's ``engine=``/``workers=`` apply: candidate-FD
-        partitions are computed chunk-parallel on :mod:`repro.engine`
-        when either knob (or ``REPRO_ENGINE``) asks for it — the
-        discovered CFDs are identical either way.  With ``register=True``
-        the discovered CFDs are registered on the session, ready for
-        :meth:`detect` / :meth:`propose_repair`.
+        With ``register=True`` the discovered CFDs are registered on the
+        session, ready for :meth:`detect` / :meth:`propose_repair`.
         """
         relation = self._resolve_relation(relation_name)
         discovery = CFDDiscovery(relation, min_support=min_support,
-                                 max_lhs_size=max_lhs_size,
-                                 engine=self._engine, workers=self._workers,
-                                 task_timeout=self._task_timeout,
-                                 task_retries=self._task_retries)
+                                 max_lhs_size=max_lhs_size)
         discovered = (discovery.discover_constant_cfds() if constant_only
                       else discovery.discover())
         if register:
@@ -268,10 +222,8 @@ class SemandaqSession:
                 if cfd.relation_name.lower() == relation.name.lower()]
         if not cfds:
             raise ReproError(f"no CFDs registered for relation {relation.name!r}")
-        repair = BatchRepair(relation, cfds, cost_model=self._cost_model(relation),
-                             engine=self._engine, workers=self._workers,
-                             task_timeout=self._task_timeout,
-                             task_retries=self._task_retries).repair()
+        repair = BatchRepair(relation, cfds,
+                             cost_model=self._cost_model(relation)).repair()
         self._last_repair[relation.name.lower()] = repair
         return repair
 

@@ -80,10 +80,6 @@ class TestCFDStructure:
         assert sizes == [1, 2]
         assert len(group_by_embedded_fd([a, b, c])) == 2
 
-    def test_applicable_tids(self, customer):
-        cfd = CFD.single("customer", ["cc", "zip"], ["street"], {"cc": "44"})
-        assert cfd.applicable_tids(customer) == {0, 1, 2}
-
     def test_repr_mentions_constants(self):
         cfd = CFD.single("customer", ["cc", "zip"], ["street"], {"cc": "44"}, name="phi1")
         text = repr(cfd)

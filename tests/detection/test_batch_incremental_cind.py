@@ -1,4 +1,7 @@
-"""Tests for batch (merged-tableau) detection, incremental detection and CINDs."""
+"""Tests for batch (merged-tableau) detection, incremental detection and CINDs.
+
+Batch detection is :class:`CFDDetector` over the merged CFDs.
+"""
 
 from collections import Counter
 
@@ -6,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.cind import CIND
 from repro.constraints.parse import parse_cfd, parse_cind
-from repro.detection.batch import BatchCFDDetector
 from repro.detection.cfd_detect import CFDDetector
 from repro.detection.cind_detect import CINDDetector, detect_cind_violations
 from repro.detection.incremental import IncrementalCFDDetector
@@ -45,27 +47,37 @@ CFDS = [
 ]
 
 
+def batch(relation, cfds):
+    """Merged-tableau detection: one pass per embedded FD."""
+    return CFDDetector(relation, merge_cfds(cfds)).detect()
+
+
+def naive_violating_tids(relation, cfds):
+    """The tuples one detection pass per CFD implicates."""
+    return set().union(*(CFDDetector(relation, [cfd]).detect().violating_tids()
+                         for cfd in cfds))
+
+
 class TestBatchDetection:
     def test_merging_reduces_cfd_count(self, customer):
-        detector = BatchCFDDetector(customer, CFDS)
-        assert len(detector.merged_cfds) == 2
+        merged = merge_cfds(CFDS)
+        assert len(merged) == 2
+        assert {v.cfd for v in batch(customer, CFDS)} <= set(merged)
 
     def test_batch_equals_naive_on_violating_tuples(self, customer):
-        detector = BatchCFDDetector(customer, CFDS)
-        assert detector.violating_tids_agree()
+        assert batch(customer, CFDS).violating_tids() == naive_violating_tids(customer, CFDS)
 
     def test_batch_equals_plain_detector(self, customer):
-        batch = BatchCFDDetector(customer, CFDS).detect()
         plain = CFDDetector(customer, CFDS).detect()
-        assert batch.violating_tids() == plain.violating_tids()
+        assert batch(customer, CFDS).violating_tids() == plain.violating_tids()
 
     def test_batch_on_clean_relation(self, customer):
         clean_cfd = parse_cfd("customer([cc='86', zip] -> [street])")
-        assert BatchCFDDetector(customer, [clean_cfd]).detect().is_clean()
+        assert batch(customer, [clean_cfd]).is_clean()
 
     def test_detection_registers_no_index_on_the_relation(self, customer):
         # later writes to the caller's relation pay no index upkeep for it
-        assert not BatchCFDDetector(customer, CFDS).detect().is_clean()
+        assert not batch(customer, CFDS).is_clean()
         assert "0 maintained indexes" in repr(customer.columns)
 
     values = st.sampled_from(["a", "b"])
@@ -81,8 +93,7 @@ class TestBatchDetection:
             CFD.single("r", ["x"], ["y"], {"x": "b"}),
             CFD.single("r", ["x"], ["z"]),
         ]
-        detector = BatchCFDDetector(relation, cfds)
-        assert detector.detect().violating_tids() == detector.detect_naive().violating_tids()
+        assert batch(relation, cfds).violating_tids() == naive_violating_tids(relation, cfds)
 
 
 class TestIncrementalDetection:

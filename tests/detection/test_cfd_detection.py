@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.parse import parse_cfd
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
@@ -89,11 +89,6 @@ class TestDirectDetection:
         report = detect_cfd_violations(customer, [UK_CFD])
         assert any(tid in v.tids for v in report)
 
-    def test_enumerate_pairs_mode(self, customer):
-        report = detect_cfd_violations(customer, [UK_CFD], enumerate_pairs=True)
-        # group {0,1} vs {2}: pairs (0,2) and (1,2)
-        assert {v.tids for v in report} == {(0, 2), (1, 2)}
-
     def test_multiple_cfds_accumulate(self, customer):
         report = detect_cfd_violations(customer, [UK_CFD, US_CFD])
         assert len(report) == 2
@@ -109,6 +104,20 @@ class TestDirectDetection:
         bad = CFD.single("customer", ["country"], ["city"])
         with pytest.raises(Exception):
             CFDDetector(customer, [bad])
+
+    def test_report_order_singles_by_tid_then_groups_by_smallest_tid(self):
+        relation = Relation.from_rows(RelationSchema("r", [Attribute("x"), Attribute("y")]),
+                                      [("a", "q"), ("b", "q"), ("a", "r"), ("b", "p")])
+        [cfd] = merge_cfds([CFD.single("r", ["x"], ["y"], {"x": "b", "y": "p"}),
+                            CFD.single("r", ["x"], ["y"], {"x": "a", "y": "p"}),
+                            CFD.single("r", ["x"], ["y"], {"x": "b"}),
+                            CFD.single("r", ["x"], ["y"])])
+        b_is_p, a_is_p, b_group, any_group = cfd.tableau
+        report = CFDDetector(relation, [cfd]).detect()
+        assert [(v.pattern, v.tids) for v in report] == [
+            (a_is_p, (0,)), (b_is_p, (1,)), (a_is_p, (2,)),
+            (any_group, (0, 2)), (b_group, (1, 3)), (any_group, (1, 3))]
+        assert all(v.cfd is cfd for v in report)
 
     def test_detector_reuses_index_across_patterns(self, customer):
         merged = UK_CFD.merge_with(parse_cfd("customer([cc='01', zip] -> [street])"))

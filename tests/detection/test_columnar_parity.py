@@ -4,8 +4,7 @@ Two families:
 
 * **definition** — on the seed datagen datasets, CFD/CIND/batch detection
   must report exactly the violations :mod:`oracle.definitions` derives
-  from the rows (compared as multisets; the engine parity suites pin the
-  report order);
+  from the rows (compared as multisets);
 * **randomized equivalence** — under a random stream of inserts, deletes
   and cell updates, :class:`IncrementalCFDDetector` must maintain exactly
   the report a full re-detection would produce.
@@ -18,11 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import definitions as oracle
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
 from repro.datagen.orders import OrdersGenerator
-from repro.detection.batch import BatchCFDDetector
 from repro.detection.cfd_detect import CFDDetector
 from repro.detection.cind_detect import CINDDetector
 from repro.detection.incremental import IncrementalCFDDetector
@@ -43,9 +41,8 @@ def noisy_customer(size, seed=101, rate=0.08):
     return dirty, generator.canonical_cfds()
 
 
-def matches_definition(report, relation, cfds, enumerate_pairs=False):
-    return Counter(report_fingerprint(report)) == \
-        Counter(oracle.cfd_violations(relation, cfds, enumerate_pairs))
+def matches_definition(report, relation, cfds):
+    return Counter(report_fingerprint(report)) == Counter(oracle.cfd_violations(relation, cfds))
 
 
 class TestCFDDetectionDefinition:
@@ -56,17 +53,11 @@ class TestCFDDetectionDefinition:
         assert matches_definition(report, relation, cfds)
         assert not report.is_clean()
 
-    def test_enumerate_pairs_match_definition(self):
-        relation, cfds = noisy_customer(150)
-        report = CFDDetector(relation, cfds, enumerate_pairs=True).detect()
-        assert matches_definition(report, relation, cfds, enumerate_pairs=True)
-
     def test_batch_detector_matches_definition(self):
         relation, cfds = noisy_customer(300)
-        report = BatchCFDDetector(relation, cfds).detect()
+        report = CFDDetector(relation, merge_cfds(cfds)).detect()
         assert {(v.cfd.lhs, v.cfd.rhs, v.pattern, v.tids) for v in report} == \
             {(c.lhs, c.rhs, p, t) for c, p, t in oracle.cfd_violations(relation, cfds)}
-        assert BatchCFDDetector(relation, cfds).violating_tids_agree()
 
     def test_nulls_and_numeric_patterns_match_definition(self):
         schema = RelationSchema("r", [
@@ -147,7 +138,7 @@ class TestIncrementalEquivalence:
         maintained = Counter(report_fingerprint(incremental.current_report()))
         # full detection over the merged CFDs (what the detector maintains)
         full = Counter(report_fingerprint(
-            BatchCFDDetector(relation, incremental._merged).detect()))
+            CFDDetector(relation, incremental._merged).detect()))
         assert maintained == full
 
     def test_stream_on_seed_dataset(self):
@@ -161,5 +152,5 @@ class TestIncrementalEquivalence:
         incremental.update_cell(relation.tids()[5], "city", "unknown")
         maintained = Counter(report_fingerprint(incremental.current_report()))
         full = Counter(report_fingerprint(
-            BatchCFDDetector(relation, incremental._merged).detect()))
+            CFDDetector(relation, incremental._merged).detect()))
         assert maintained == full

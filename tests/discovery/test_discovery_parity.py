@@ -1,12 +1,10 @@
-"""Randomized discovery checks: the definitions, then engine parity.
+"""Randomized discovery checks against the definitions.
 
 Discovery runs on dictionary codes and stripped array-backed partitions.
 On randomized relations with NULLs and duplicates, and after interleaved
 insert/delete/update streams, its FDs, keys, itemsets and constant and
 variable CFDs must equal what :mod:`oracle.definitions` derives by brute
-force; and the chunked serial/parallel engines, for every chunk size and
-worker count tried, must reproduce the in-process output lists exactly
-(names and order included).
+force.
 """
 
 import random
@@ -20,9 +18,6 @@ from repro.datagen.customer import CustomerGenerator
 from repro.discovery.cfd_discovery import CFDDiscovery
 from repro.discovery.fd_discovery import FDDiscovery
 from repro.discovery.itemsets import ItemsetMiner
-from repro.discovery.partitions import partition_of
-from repro.engine.discover import ChunkedPartitionEngine
-from repro.engine.executor import SerialPool
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import NULL
@@ -86,18 +81,6 @@ def assert_discovery_matches_definition(relation: Relation, min_support: int = 2
     assert set(variable) == oracle.variable_cfds(relation, min_support, max_lhs_size)
 
 
-def assert_engine_identical(relation: Relation, **engine) -> None:
-    """FDs, keys and CFDs on *engine* equal the in-process lists exactly."""
-    sequential_fd = FDDiscovery(relation, max_lhs_size=2, engine="sequential")
-    chunked_fd = FDDiscovery(relation, max_lhs_size=2, **engine)
-    assert chunked_fd.discover() == sequential_fd.discover()
-    assert chunked_fd.keys() == sequential_fd.keys()
-    sequential = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                              engine="sequential").discover()
-    chunked = CFDDiscovery(relation, min_support=2, max_lhs_size=2, **engine).discover()
-    assert [repr(c) for c in chunked] == [repr(c) for c in sequential]
-
-
 class TestDefinition:
     @pytest.mark.parametrize("seed", [1, 7, 23, 91])
     def test_randomized_relations(self, seed):
@@ -125,51 +108,3 @@ class TestDefinition:
             oracle.minimal_fds(relation, 3)
         assert set(discovery.keys()) == oracle.minimal_keys(relation, 3)
 
-
-class TestEngineParity:
-    @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
-    def test_chunked_engines(self, engine, workers):
-        relation = random_relation(41, size=80)
-        assert_engine_identical(relation, engine=engine, workers=workers)
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 1000])
-    def test_chunk_boundaries(self, chunk_size):
-        relation = random_relation(13, size=50)
-        mutate(relation, 14)
-        engine = ChunkedPartitionEngine(relation, SerialPool(chunk_size=chunk_size))
-        for attributes in (["a"], ["a", "c"], ["a", "b", "d"]):
-            merged = [g for g in engine.groups_of(attributes) if len(g) > 1]
-            direct = partition_of(relation, attributes)
-            assert merged == direct.groups  # same groups, same order, same tids
-
-    def test_parallel_engine_across_real_processes(self, monkeypatch):
-        # force the multiprocessing backend to actually cross process
-        # boundaries on a small workload
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        relation = random_relation(59, size=40)
-        reference = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                 engine="sequential").discover()
-        parallel = CFDDiscovery(relation, min_support=2, max_lhs_size=2,
-                                engine="parallel", workers=2).discover()
-        assert [repr(c) for c in parallel] == [repr(c) for c in reference]
-
-    def test_mutation_between_discoveries_rebroadcasts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        relation = random_relation(67, size=40)
-        discovery = FDDiscovery(relation, max_lhs_size=2,
-                                engine="parallel", workers=2)
-        first = discovery.discover()
-        assert {(f.lhs, f.rhs[0]) for f in first} == oracle.minimal_fds(relation, 2)
-        mutate(relation, 68, steps=15)
-        second = discovery.discover()
-        assert {(f.lhs, f.rhs[0]) for f in second} == oracle.minimal_fds(relation, 2)
-
-
-class TestRefineOffload:
-    """Only an engine setting puts discovery's base scans on a chunked engine."""
-
-    def test_sequential_discovery_has_no_chunked_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        relation = random_relation(23, size=20)
-        discovery = CFDDiscovery(relation, min_support=2, max_lhs_size=2)
-        assert discovery._provider.chunked is None

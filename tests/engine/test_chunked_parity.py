@@ -1,28 +1,32 @@
-"""Chunk-boundary parity: the engine must reproduce sequential reports.
+"""Chunk-boundary parity of SQL-generated CFD detection.
 
-The contract of :mod:`repro.engine` is that chunked detection — for
-*every* chunk size and worker count — produces a
-:class:`~repro.constraints.violations.ViolationReport` that is
-byte-identical to the sequential path (whose reports the oracle suites
-check against the definitions).  Chunk sizes 1, 2, a prime and "larger
-than the relation" force groups to straddle every possible boundary
-layout; the mutation tests re-run detection after interleaved inserts,
-deletes and updates so tombstoned tid ranges are covered too.
+Detection's generated statements run on the process-wide default SQL
+engine (``REPRO_ENGINE``).  Whatever that engine is — chunked serially at
+any chunk size, or fanned out over real worker processes — the report
+matched back from the statements' rows must be byte-identical to the one
+the sequential engine gives, order included, and hold the in-process
+detector's violations (whose reports the oracle suites check against the
+definitions).  Chunk sizes 1, 2, a prime and "larger than the relation"
+put the pooled scans' chunk boundaries everywhere; the mutation tests
+re-run a reused detector after interleaved inserts, deletes and updates,
+so tombstoned tid ranges and re-broadcasts to the workers are covered too.
 """
+
+from collections import Counter
+from functools import partialmethod
 
 import pytest
 
+from repro import config
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
-from repro.datagen.orders import OrdersGenerator
-from repro.detection.batch import BatchCFDDetector
-from repro.detection.cfd_detect import CFDDetector
-from repro.detection.cind_detect import CINDDetector
-from repro.detection.columnar import compile_tableau
-from repro.engine.detect import ChunkedCFDEngine, ChunkedCINDEngine
-from repro.engine.executor import MultiprocessingPool, SerialPool
+from repro.detection.cfd_detect import CFDDetector, SQLCFDDetector
+from repro.engine.executor import ExecutorPool, SerialPool
+from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
+from repro.semandaq.session import SemandaqSession
 
 CHUNK_SIZES = [1, 2, 7, 10_000]
 
@@ -32,10 +36,6 @@ def report_fingerprint(violations):
     return [(v.cfd, v.pattern, v.tids) for v in violations]
 
 
-def cind_fingerprint(violations):
-    return [(v.cind, v.tid) for v in violations]
-
-
 def noisy_customer(size, seed=101, rate=0.08):
     generator = CustomerGenerator(seed=seed)
     dirty = inject_noise(generator.generate(size), rate=rate,
@@ -43,93 +43,90 @@ def noisy_customer(size, seed=101, rate=0.08):
     return dirty, generator.canonical_cfds()
 
 
-def chunked_cfd_violations(relation, cfds, pool, kind="cfd", enumerate_pairs=False):
-    items = [(cfd, compile_tableau(cfd, relation)) for cfd in cfds]
-    engine = ChunkedCFDEngine(relation, items, pool, kind=kind,
-                              enumerate_pairs=enumerate_pairs)
-    return [violation for per_cfd in engine.detect() for violation in per_cfd]
+def sql_detector(relation, cfds):
+    database = Database()
+    database.add(relation)
+    return SQLCFDDetector(database, cfds)
+
+
+@pytest.fixture
+def default_engine(monkeypatch):
+    """Set the SQL engine that detectors built afterwards run on."""
+
+    def use(engine, chunk_size=None, num_chunks=None, workers=None):
+        monkeypatch.setenv(config.ENGINE_ENV, engine)
+        if engine == "serial" and (chunk_size or num_chunks):
+            monkeypatch.setattr(SerialPool, "__init__",
+                                partialmethod(ExecutorPool.__init__, chunk_size=chunk_size,
+                                              num_chunks=num_chunks))
+        if engine == "parallel":
+            # fork the pool even for these small relations
+            monkeypatch.setenv(config.THRESHOLD_ENV, "0")
+            monkeypatch.setenv(config.WORKERS_ENV, str(workers))
+
+    return use
+
+
+def sequential_report(relation, cfds, default_engine):
+    """The sequential engine's report, checked against the in-process detector."""
+    default_engine("sequential")
+    report = report_fingerprint(sql_detector(relation, cfds).detect())
+    assert Counter(report) == Counter(report_fingerprint(CFDDetector(relation, cfds).detect()))
+    return report
 
 
 class TestChunkBoundaryParity:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_cfd_detection_is_byte_identical_per_chunk_size(self, chunk_size):
+    def test_cfd_detection_is_byte_identical_per_chunk_size(self, chunk_size,
+                                                            default_engine):
         relation, cfds = noisy_customer(180)
-        sequential = CFDDetector(relation, cfds, engine="sequential").detect()
-        chunked = chunked_cfd_violations(relation, cfds,
-                                         SerialPool(chunk_size=chunk_size))
-        assert report_fingerprint(chunked) == report_fingerprint(sequential)
+        sequential = sequential_report(relation, cfds, default_engine)
+        default_engine("serial", chunk_size=chunk_size)
+        chunked = sql_detector(relation, cfds).detect()
+        assert report_fingerprint(chunked) == sequential
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_enumerate_pairs_is_byte_identical(self, chunk_size):
-        relation, cfds = noisy_customer(140)
-        sequential = CFDDetector(relation, cfds, enumerate_pairs=True).detect()
-        chunked = chunked_cfd_violations(relation, cfds,
-                                         SerialPool(chunk_size=chunk_size),
-                                         enumerate_pairs=True)
-        assert report_fingerprint(chunked) == report_fingerprint(sequential)
-
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_batch_detection_is_byte_identical(self, chunk_size):
+    def test_merged_detection_is_byte_identical(self, chunk_size, default_engine):
         relation, cfds = noisy_customer(200)
-        sequential = BatchCFDDetector(relation, cfds).detect()
-        chunked = BatchCFDDetector(relation, cfds, engine="serial").detect()
-        # also drive the engine with the explicit chunk size
-        merged = BatchCFDDetector(relation, cfds).merged_cfds
-        explicit = chunked_cfd_violations(relation, merged,
-                                          SerialPool(chunk_size=chunk_size),
-                                          kind="batch")
-        assert report_fingerprint(chunked) == report_fingerprint(sequential)
-        assert report_fingerprint(explicit) == report_fingerprint(sequential)
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 10_000])
-    def test_cind_detection_is_byte_identical(self, chunk_size):
-        database, expected = OrdersGenerator(seed=7).generate(150, violation_rate=0.12)
-        cind = OrdersGenerator.canonical_cind()
-        sequential = CINDDetector(database, [cind]).detect()
-        engine = ChunkedCINDEngine(database, [cind],
-                                   SerialPool(chunk_size=chunk_size))
-        chunked = [violation for per_cind in engine.detect() for violation in per_cind]
-        assert cind_fingerprint(chunked) == \
-            cind_fingerprint(sequential.cind_violations())
-        assert len(chunked) == expected
+        merged = merge_cfds(cfds)
+        sequential = sequential_report(relation, merged, default_engine)
+        default_engine("serial", chunk_size=chunk_size)
+        chunked = sql_detector(relation, merged).detect()
+        assert report_fingerprint(chunked) == sequential
 
 
 class TestMultiprocessingParity:
-    """Real worker processes (min_rows=0 forces the pool even on tiny data)."""
+    """Real worker processes (a zero threshold forces the pool on tiny data)."""
 
-    def test_cfd_reports_match_across_worker_counts(self):
+    def test_cfd_reports_match_across_worker_counts(self, default_engine):
         relation, cfds = noisy_customer(160)
-        sequential = CFDDetector(relation, cfds).detect()
+        sequential = sequential_report(relation, cfds, default_engine)
         for workers in (2, 3):
-            pool = MultiprocessingPool(workers=workers, min_rows=0)
-            chunked = chunked_cfd_violations(relation, cfds, pool)
-            assert report_fingerprint(chunked) == report_fingerprint(sequential)
+            default_engine("parallel", workers=workers)
+            pooled = sql_detector(relation, cfds).detect()
+            assert report_fingerprint(pooled) == sequential
 
-    def test_detector_knobs_reach_the_engine(self):
+    def test_session_detection_runs_on_the_default_engine(self, default_engine):
         relation, cfds = noisy_customer(120)
-        sequential = CFDDetector(relation, cfds).detect()
-        parallel = CFDDetector(relation, cfds, engine="parallel", workers=2).detect()
+        default_engine("sequential")
+        session = SemandaqSession(relation)
+        session.register_cfds(cfds)
+        sequential = session.detect()
+        default_engine("parallel", workers=2)
+        pooled = SemandaqSession(relation)
+        pooled.register_cfds(cfds)
+        parallel = pooled.detect()
         assert report_fingerprint(parallel) == report_fingerprint(sequential)
         assert parallel.summary() == sequential.summary()
 
-    def test_cind_parallel_parity(self):
-        database, _ = OrdersGenerator(seed=11).generate(120, violation_rate=0.1)
-        cind = OrdersGenerator.canonical_cind()
-        sequential = CINDDetector(database, [cind]).detect()
-        pool = MultiprocessingPool(workers=2, min_rows=0)
-        engine = ChunkedCINDEngine(database, [cind], pool)
-        chunked = [violation for per_cind in engine.detect() for violation in per_cind]
-        assert cind_fingerprint(chunked) == \
-            cind_fingerprint(sequential.cind_violations())
-
 
 class TestParityUnderMutation:
-    def test_interleaved_inserts_and_deletes_stay_in_parity(self):
+    def test_interleaved_inserts_and_deletes_stay_in_parity(self, default_engine):
         relation, cfds = noisy_customer(90)
-        detector = CFDDetector(relation, cfds, engine="serial")
-        baseline = CFDDetector(relation, cfds)
+        default_engine("serial")
+        detector = sql_detector(relation, cfds)
         assert report_fingerprint(detector.detect()) == \
-            report_fingerprint(baseline.detect())
+            sequential_report(relation, cfds, default_engine)
 
         tids = relation.tids()
         relation.delete(tids[5])
@@ -138,58 +135,44 @@ class TestParityUnderMutation:
         relation.update(tids[10], "city", "mos")
         relation.insert_dict({a: "yy" for a in relation.schema.attribute_names})
 
-        # both the reused plan and a fresh sequential detector see the changes
+        # the reused detector's engine sees the changes a fresh one does
         assert report_fingerprint(detector.detect()) == \
-            report_fingerprint(CFDDetector(relation, cfds).detect())
+            sequential_report(relation, cfds, default_engine)
 
-    def test_mutation_rebroadcasts_state_to_worker_processes(self):
+    def test_mutation_rebroadcasts_state_to_worker_processes(self, default_engine):
         relation, cfds = noisy_customer(80)
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2)
-        # force the multiprocessing path regardless of relation size
-        detector._pool.min_rows = 0
-        first = detector.detect()
-        assert report_fingerprint(first) == \
-            report_fingerprint(CFDDetector(relation, cfds).detect())
-        relation.update(relation.tids()[3], "city", "somewhere-new")
-        second = detector.detect()
-        assert report_fingerprint(second) == \
-            report_fingerprint(CFDDetector(relation, cfds).detect())
+        default_engine("parallel", workers=2)
+        detector = sql_detector(relation, cfds)
+        first = report_fingerprint(detector.detect())
+        assert first == sequential_report(relation, cfds, default_engine)
+        # a tuple the constant CFD (cc='01', ac='908') -> (city='mh') accepts;
+        # its single-tuple statement is a pooled scan
+        tid = next(t for t in relation.tids()
+                   if (relation.value(t, "cc"), relation.value(t, "ac"),
+                       relation.value(t, "city")) == ("01", "908", "mh"))
+        relation.update(tid, "city", "somewhere-new")
+        second = report_fingerprint(detector.detect())
+        # workers still holding the old arrays would miss the new violation
+        assert second != first
+        assert second == sequential_report(relation, cfds, default_engine)
 
 
 class TestEngineEdgeCases:
-    def test_empty_relation(self):
-        schema = RelationSchema("r", [Attribute("x"), Attribute("y")])
-        relation = Relation(schema)
-        from repro.constraints.cfd import CFD
-        cfds = [CFD.single("r", ["x"], ["y"])]
-        assert chunked_cfd_violations(relation, cfds, SerialPool()) == []
-        report = CFDDetector(relation, cfds, engine="serial").detect()
-        assert report.is_clean()
+    def test_empty_relation(self, default_engine):
+        relation = Relation(RelationSchema("r", [Attribute("x"), Attribute("y")]))
+        cfds = [CFD.single("r", ["x"], ["y"]), CFD.single("r", ["x"], ["y"], {"y": "a"})]
+        default_engine("serial")
+        assert sql_detector(relation, cfds).detect().is_clean()
 
-    def test_detect_one_with_registered_and_foreign_cfds(self):
-        relation, cfds = noisy_customer(100)
-        detector = CFDDetector(relation, cfds, engine="serial")
-        sequential = CFDDetector(relation, cfds)
-        for cfd in cfds:
-            assert report_fingerprint(detector.detect_one(cfd)) == \
-                report_fingerprint(sequential.detect_one(cfd))
-        # a CFD the detector was not constructed with takes the ephemeral path
-        from repro.constraints.cfd import CFD
-        foreign = CFD.single("customer", ["zip"], ["city"])
-        assert report_fingerprint(detector.detect_one(foreign)) == \
-            report_fingerprint(sequential.detect_one(foreign))
-
-    def test_single_chunk_equals_unchunked(self):
+    def test_single_chunk_equals_unchunked(self, default_engine):
         relation, cfds = noisy_customer(60)
-        one_chunk = chunked_cfd_violations(relation, cfds, SerialPool(num_chunks=1))
-        sequential = CFDDetector(relation, cfds).detect()
-        assert report_fingerprint(one_chunk) == report_fingerprint(sequential)
+        sequential = sequential_report(relation, cfds, default_engine)
+        default_engine("serial", num_chunks=1)
+        one_chunk = sql_detector(relation, cfds).detect()
+        assert report_fingerprint(one_chunk) == sequential
 
-    def test_nulls_and_numeric_patterns_across_chunks(self):
-        from repro.constraints.cfd import CFD
-        schema = RelationSchema("r", [
-            Attribute("x"), Attribute("y"), Attribute("z"),
-        ])
+    def test_nulls_and_numeric_patterns_across_chunks(self, default_engine):
+        schema = RelationSchema("r", [Attribute("x"), Attribute("y"), Attribute("z")])
         relation = Relation.from_rows(schema, [
             ("1", "a", "p"), ("1", "a", "q"), ("1", "b", "p"),
             (None, "a", "p"), ("2", None, "p"), ("2", "c", "p"), ("2", "c", "q"),
@@ -199,8 +182,9 @@ class TestEngineEdgeCases:
             CFD.single("r", ["x"], ["z"], {"x": 1}),
             CFD.single("r", ["x"], ["y"], {"x": "2", "y": "c"}),
         ]
-        sequential = CFDDetector(relation, cfds).detect()
+        sequential = sequential_report(relation, cfds, default_engine)
+        assert sequential
         for chunk_size in (1, 2, 3):
-            chunked = chunked_cfd_violations(relation, cfds,
-                                             SerialPool(chunk_size=chunk_size))
-            assert report_fingerprint(chunked) == report_fingerprint(sequential)
+            default_engine("serial", chunk_size=chunk_size)
+            chunked = sql_detector(relation, cfds).detect()
+            assert report_fingerprint(chunked) == sequential

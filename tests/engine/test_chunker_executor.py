@@ -1,8 +1,8 @@
-"""Unit tests for the engine building blocks: chunker, pools, merger."""
+"""Unit tests for the engine building blocks: chunker, batches, pools."""
 
 import pytest
 
-from repro.engine.chunker import Chunk, Chunker
+from repro.engine.chunker import Chunk, Chunker, split_batches
 from repro.engine.executor import (
     ENGINE_ENV,
     MultiprocessingPool,
@@ -11,7 +11,6 @@ from repro.engine.executor import (
     WORKERS_ENV,
     resolve_pool,
 )
-from repro.engine.merge import GroupMerger, split_batches
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -20,6 +19,11 @@ SCHEMA = RelationSchema("r", [Attribute("x"), Attribute("y")])
 
 def relation_of(n):
     return Relation.from_rows(SCHEMA, [(str(i % 5), str(i % 3)) for i in range(n)])
+
+
+def scan(allowed):
+    """A plain ``sql_scan`` query keeping the tids whose column-0 code is allowed."""
+    return {"filters": [(0, allowed)], "group": None, "aggs": []}
 
 
 class TestChunker:
@@ -60,21 +64,6 @@ class TestChunker:
     def test_chunk_repr_mentions_bounds(self):
         chunk = Chunk(0, [3, 4, 9])
         assert "[3..9]" in repr(chunk)
-
-
-class TestGroupMerger:
-    def test_merge_preserves_first_occurrence_order_and_ascending_tids(self):
-        merger = GroupMerger()
-        merger.add_chunk({(1,): [0, 2], (2,): [1]})
-        merger.add_chunk({(3,): [4], (1,): [5]})
-        assert list(merger.groups) == [(1,), (2,), (3,)]
-        assert merger.groups[(1,)] == [0, 2, 5]
-
-    def test_checkable_groups_filters_singletons_and_null_keys(self):
-        from repro.relational.columns import NULL_CODE
-        merger = GroupMerger()
-        merger.add_chunk({(1,): [0, 1], (NULL_CODE,): [2, 3], (4,): [5]})
-        assert merger.checkable_groups() == [[0, 1]]
 
 
 class TestSplitBatches:
@@ -131,43 +120,26 @@ class TestPools:
 
     def test_serial_pool_runs_tasks_in_order(self):
         pool = SerialPool()
-        handle = StateHandle({"s": {"tests": [], "key_arrays": [[1, 2, 3]],
-                                    "key_bridges": [list(range(4))]}})
-        results = pool.run(handle, [("cind_rhs", ("s", [0])), ("cind_rhs", ("s", [2]))])
-        assert results == [{(1,)}, {(3,)}]
+        handle = StateHandle({"s": {"arrays": [[1, 2, 3]]}})
+        results = pool.run(handle, [("sql_scan", ("s", scan({1, 3}), [0])),
+                                    ("sql_scan", ("s", scan({1, 3}), [1, 2]))])
+        assert results == [[0], [2]]
 
     def test_multiprocessing_pool_small_input_falls_back_in_process(self):
         pool = MultiprocessingPool(workers=2, min_rows=10_000)
-        handle = StateHandle({"s": {"tests": [], "key_arrays": [[7, 8]],
-                                    "key_bridges": [list(range(9))]}})
-        results = pool.run(handle, [("cind_rhs", ("s", [0, 1]))], rows=2)
-        assert results == [{(7,), (8,)}]
+        handle = StateHandle({"s": {"arrays": [[7, 8]]}})
+        results = pool.run(handle, [("sql_scan", ("s", scan({8}), [0, 1]))], rows=2)
+        assert results == [[1]]
 
     def test_multiprocessing_pool_real_processes(self):
         pool = MultiprocessingPool(workers=2, min_rows=0)
-        handle = StateHandle({"s": {"tests": [], "key_arrays": [[5, 6, 7]],
-                                    "key_bridges": [list(range(8))]}})
-        results = pool.run(
-            handle, [("cind_rhs", ("s", [0])), ("cind_rhs", ("s", [1, 2]))], rows=3)
-        assert results == [{(5,)}, {(6,), (7,)}]
+        handle = StateHandle({"s": {"arrays": [[5, 6, 7]]}})
+        results = pool.run(handle, [("sql_scan", ("s", scan({5, 7}), [0])),
+                                    ("sql_scan", ("s", scan({5, 7}), [1, 2]))], rows=3)
+        assert results == [[0], [2]]
 
     def test_chunk_plan_prefers_explicit_chunk_size(self):
         assert SerialPool(chunk_size=7).chunk_plan(100) == {"chunk_size": 7}
         assert SerialPool().chunk_plan(100) == {"num_chunks": SerialPool.DEFAULT_CHUNKS}
         assert MultiprocessingPool(workers=3).chunk_plan(100) == {"num_chunks": 3}
 
-
-class TestColumnChunkViews:
-    def test_take_aligns_codes_with_tids(self):
-        from repro.relational.columns import take
-        relation = relation_of(6)
-        codes = relation.columns.column("x").codes
-        assert take(codes, [4, 0, 2]) == [codes[4], codes[0], codes[2]]
-
-    def test_take_on_a_gap_free_slice_matches_direct_indexing(self):
-        from repro.relational.columns import take
-        relation = relation_of(8)
-        relation.delete(2)
-        codes = relation.columns.column("y").codes
-        live = relation.tids()
-        assert take(codes, live) == [codes[tid] for tid in live]

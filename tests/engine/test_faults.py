@@ -5,11 +5,12 @@ clean in-worker exceptions, hard crashes (``os._exit``), hangs — slow a
 run down but never change its results: failed tasks are retried (on the
 live pool for clean errors, on a rebuilt pool after crashes and
 timeouts) and finally degrade to in-process execution, where injected
-faults never fire.  These tests drive every chunked engine family
-(detection, discovery, SQL scans/joins/multiway joins) through real
-process pools with seeded and scripted fault schedules and assert the
-output is byte-identical to the fault-free path, the supervision obs
-counters move, and no raw ``multiprocessing`` exception escapes.
+faults never fire.  These tests drive SQL statements (scans, joins and
+multiway joins, the only work the pool runs, and the statements CFD
+detection generates) through real process pools with seeded and scripted
+fault schedules and assert the output is byte-identical to the fault-free
+path, the supervision obs counters move, and no raw ``multiprocessing``
+exception escapes.
 """
 
 import random
@@ -20,10 +21,7 @@ import pytest
 from repro import config, obs
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
-from repro.datagen.orders import OrdersGenerator
-from repro.detection.cfd_detect import CFDDetector
-from repro.detection.cind_detect import CINDDetector
-from repro.discovery.cfd_discovery import CFDDiscovery
+from repro.detection.cfd_detect import CFDDetector, SQLCFDDetector
 from repro.engine.executor import (
     MultiprocessingPool,
     _close_pool,
@@ -67,17 +65,6 @@ def forced_parallel(monkeypatch):
     monkeypatch.setenv(config.THRESHOLD_ENV, "0")
 
 
-def noisy_customer(size, seed=101, rate=0.08):
-    generator = CustomerGenerator(seed=seed)
-    dirty = inject_noise(generator.generate(size), rate=rate,
-                         attributes=["street", "city"], seed=size).dirty
-    return dirty, generator.canonical_cfds()
-
-
-def report_fingerprint(report):
-    return [(v.cfd, v.pattern, v.tids) for v in report.violations]
-
-
 def counters():
     return obs.metrics()["counters"]
 
@@ -106,7 +93,9 @@ JOIN_QUERY = ("SELECT o.city, COUNT(*) AS n FROM orders o JOIN zips z "
               "ON o.zip = z.zip GROUP BY o.city ORDER BY city")
 MULTIWAY_QUERY = ("SELECT o.city, r.name FROM orders o, zips z, regions r "
                   "WHERE o.zip = z.zip AND z.region = r.region")
-SCAN_QUERY = ("SELECT zip, COUNT(*) AS n FROM orders "
+# the WHERE on a non-grouping column keeps the scan off the maintained
+# index, so it fans out over the pool
+SCAN_QUERY = ("SELECT zip, COUNT(*) AS n FROM orders WHERE city <> 'ldn' "
               "GROUP BY zip ORDER BY zip")
 
 
@@ -114,37 +103,12 @@ def rows(result):
     return [tuple(row.values) for row in result]
 
 
+def sequential_rows(query):
+    return rows(SQLEngine(join_database(), engine="sequential").query(query))
+
+
 class TestSeededFaultParity:
     """Seeded random fault schedules: results identical to the clean path."""
-
-    def test_cfd_detection_survives_raises_and_crashes(self, forced_parallel):
-        relation, cfds = noisy_customer(150)
-        expected = report_fingerprint(
-            CFDDetector(relation, cfds, engine="sequential").detect())
-        install_faults(FaultInjector({"raise": 0.15, "crash": 0.1}, seed=7))
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
-                               task_timeout=30.0, task_retries=4)
-        assert report_fingerprint(detector.detect()) == expected
-
-    def test_cind_detection_survives_raises(self, forced_parallel):
-        database, _ = OrdersGenerator(seed=9).generate(130, violation_rate=0.1)
-        cind = OrdersGenerator.canonical_cind()
-        expected = CINDDetector(database, [cind], engine="sequential").detect()
-        install_faults(FaultInjector({"raise": 0.3}, seed=11))
-        supervised = CINDDetector(database, [cind], engine="parallel",
-                                  workers=2, task_timeout=30.0,
-                                  task_retries=3).detect()
-        assert [(v.cind, v.tid) for v in supervised.cind_violations()] == \
-            [(v.cind, v.tid) for v in expected.cind_violations()]
-
-    def test_discovery_survives_raises_and_crashes(self, forced_parallel):
-        relation, _ = noisy_customer(120)
-        expected = CFDDiscovery(relation, engine="sequential").discover()
-        install_faults(FaultInjector({"raise": 0.2, "crash": 0.05}, seed=13))
-        supervised = CFDDiscovery(relation, engine="parallel", workers=2,
-                                  task_timeout=30.0, task_retries=4).discover()
-        assert [repr(cfd) for cfd in supervised] == \
-            [repr(cfd) for cfd in expected]
 
     @pytest.mark.parametrize("query", [SCAN_QUERY, JOIN_QUERY, MULTIWAY_QUERY])
     def test_sql_paths_survive_raises_and_crashes(self, forced_parallel, query):
@@ -155,17 +119,36 @@ class TestSeededFaultParity:
                                task_timeout=30.0, task_retries=4)
         assert rows(supervised.query(query)) == expected
 
+    def test_cfd_detection_survives_raises_and_crashes(self, forced_parallel,
+                                                       monkeypatch):
+        generator = CustomerGenerator(seed=101)
+        relation = inject_noise(generator.generate(150), rate=0.08,
+                                attributes=["street", "city"], seed=150).dirty
+        cfds = generator.canonical_cfds()
+        expected = [(v.cfd, v.pattern, v.tids)
+                    for v in CFDDetector(relation, cfds).detect()]
+        # detection's statements run on the default SQL engine
+        monkeypatch.setenv(config.ENGINE_ENV, "parallel")
+        monkeypatch.setenv(config.WORKERS_ENV, "2")
+        monkeypatch.setenv(config.TASK_TIMEOUT_ENV, "30")
+        monkeypatch.setenv(config.TASK_RETRIES_ENV, "4")
+        obs.enable()
+        install_faults(FaultInjector({"raise": 0.3, "crash": 0.2}, seed=10))
+        database = Database()
+        database.add(relation)
+        report = SQLCFDDetector(database, cfds).detect()
+        assert [(v.cfd, v.pattern, v.tids) for v in report] == expected
+        assert counters()["engine.pool.start"] >= 1
+
     def test_env_injected_faults_reach_the_workers(self, forced_parallel,
                                                    monkeypatch):
         monkeypatch.setenv(config.FAULTS_ENV, "raise:1.0")
         monkeypatch.setenv(config.FAULTS_SEED_ENV, "23")
         obs.enable()
-        relation, cfds = noisy_customer(100)
-        expected = report_fingerprint(
-            CFDDetector(relation, cfds, engine="sequential").detect())
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
-                               task_timeout=30.0, task_retries=1)
-        assert report_fingerprint(detector.detect()) == expected
+        expected = sequential_rows(SCAN_QUERY)
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_timeout=30.0, task_retries=1)
+        assert rows(engine.query(SCAN_QUERY)) == expected
         recorded = counters()
         # every pool dispatch raised, so the run degraded to in-process
         # execution (where env faults never fire) and stayed correct
@@ -178,14 +161,12 @@ class TestScriptedFaults:
 
     def test_clean_errors_retry_on_the_live_pool(self, forced_parallel):
         obs.enable()
-        relation, cfds = noisy_customer(110)
-        expected = report_fingerprint(
-            CFDDetector(relation, cfds, engine="sequential").detect())
+        expected = sequential_rows(SCAN_QUERY)
         # each forked worker raises on its first dispatch, then runs clean
         install_faults(ScriptedFaults(["raise"]))
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
-                               task_timeout=30.0, task_retries=3)
-        assert report_fingerprint(detector.detect()) == expected
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_timeout=30.0, task_retries=3)
+        assert rows(engine.query(SCAN_QUERY)) == expected
         recorded = counters()
         assert recorded["engine.task.failure.error"] >= 1
         assert recorded["engine.task.retry"] >= 1
@@ -194,15 +175,15 @@ class TestScriptedFaults:
 
     def test_worker_crash_rebuilds_pool_and_recovers(self, forced_parallel):
         obs.enable()
-        relation, cfds = noisy_customer(110)
-        expected = report_fingerprint(
-            CFDDetector(relation, cfds, engine="sequential").detect())
-        # each worker's second dispatch hard-exits (os._exit): with two
-        # workers and more than two tasks some worker always reaches it
+        expected = sequential_rows(SCAN_QUERY)
+        # each worker's second dispatch hard-exits (os._exit): a statement
+        # dispatches one task per worker, and the second run of it reuses
+        # the pool, so with four tasks on two workers some worker reaches it
         install_faults(ScriptedFaults([None, "crash"]))
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
-                               task_timeout=30.0, task_retries=4)
-        assert report_fingerprint(detector.detect()) == expected
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_timeout=30.0, task_retries=4)
+        assert rows(engine.query(SCAN_QUERY)) == expected
+        assert rows(engine.query(SCAN_QUERY)) == expected
         recorded = counters()
         assert recorded["engine.task.failure.crash"] >= 1
         assert recorded["engine.pool.rebuild"] >= 1
@@ -212,17 +193,14 @@ class TestScriptedFaults:
                                                monkeypatch):
         monkeypatch.setenv(config.TASK_TIMEOUT_ENV, "1")
         obs.enable()
-        relation, cfds = noisy_customer(90)
-        cfds = cfds[:1]  # one spec keeps the number of timed-out rounds small
-        expected = report_fingerprint(
-            CFDDetector(relation, cfds, engine="sequential").detect())
+        expected = sequential_rows(SCAN_QUERY)
         # every worker generation hangs on its first dispatch, so only the
         # serial fallback (no injection there) can finish the run
         install_faults(ScriptedFaults(["hang"]))
-        detector = CFDDetector(relation, cfds, engine="parallel", workers=2,
-                               task_retries=1)
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_retries=1)
         start = perf_counter()
-        assert report_fingerprint(detector.detect()) == expected
+        assert rows(engine.query(SCAN_QUERY)) == expected
         elapsed = perf_counter() - start
         assert elapsed < 30.0  # bounded by (retries + 1) x REPRO_TASK_TIMEOUT
         recorded = counters()
@@ -238,12 +216,11 @@ class TestStrictMode:
     def test_exhausted_errors_raise_worker_crash_error(self, forced_parallel,
                                                        monkeypatch):
         monkeypatch.setenv(config.TASK_FALLBACK_ENV, "0")
-        relation, cfds = noisy_customer(90)
         install_faults(ScriptedFaults(["raise"] * 64))
-        detector = CFDDetector(relation, cfds[:1], engine="parallel",
-                               workers=2, task_timeout=30.0, task_retries=1)
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_timeout=30.0, task_retries=1)
         with pytest.raises(WorkerCrashError) as excinfo:
-            detector.detect()
+            engine.query(SCAN_QUERY)
         error = excinfo.value
         assert error.task is not None
         assert error.attempts == 2  # the first round plus one retry
@@ -254,12 +231,11 @@ class TestStrictMode:
                                                       monkeypatch):
         monkeypatch.setenv(config.TASK_FALLBACK_ENV, "0")
         monkeypatch.setenv(config.TASK_TIMEOUT_ENV, "1")
-        relation, cfds = noisy_customer(90)
         install_faults(ScriptedFaults(["hang"] * 64))
-        detector = CFDDetector(relation, cfds[:1], engine="parallel",
-                               workers=2, task_retries=0)
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_retries=0)
         with pytest.raises(TaskTimeoutError) as excinfo:
-            detector.detect()
+            engine.query(SCAN_QUERY)
         assert excinfo.value.attempts == 1
         assert isinstance(excinfo.value, EngineError)
 
@@ -267,7 +243,7 @@ class TestStrictMode:
 class TestStrictMerges:
     """Task/result pairing never truncates silently."""
 
-    TASKS = [("cfd_scan", ("spec", [0, 1])), ("cfd_scan", ("spec", [2, 3]))]
+    TASKS = [("sql_scan", ("spec", [0, 1])), ("sql_scan", ("spec", [2, 3]))]
 
     def test_short_results_raise_naming_the_results_side(self):
         with pytest.raises(EngineError, match="results side is short"):
@@ -314,16 +290,15 @@ class TestTeardownHardening:
 
     def test_interrupted_round_retires_the_pool(self, forced_parallel,
                                                 monkeypatch):
-        relation, cfds = noisy_customer(90)
-        detector = CFDDetector(relation, cfds[:1], engine="parallel",
-                               workers=2, task_timeout=30.0)
+        engine = SQLEngine(join_database(), engine="parallel", workers=2,
+                           task_timeout=30.0)
 
         def interrupted(self, pool, tasks, indices):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(MultiprocessingPool, "_dispatch_round", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            detector.detect()
+            engine.query(SCAN_QUERY)
         assert not _pools  # the half-collected round's pool was terminated
 
 
@@ -331,10 +306,10 @@ class TestFailureRecords:
     def test_task_failure_is_picklable(self):
         import pickle
 
-        failure = TaskFailure("cfd_scan", "crash", "worker died")
+        failure = TaskFailure("sql_scan", "crash", "worker died")
         clone = pickle.loads(pickle.dumps(failure))
         assert (clone.task, clone.kind, clone.message) == \
-            ("cfd_scan", "crash", "worker died")
+            ("sql_scan", "crash", "worker died")
 
     def test_injector_streams_are_reproducible_per_seed(self):
         first = FaultInjector({"raise": 0.5}, seed=3)

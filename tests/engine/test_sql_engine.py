@@ -5,8 +5,10 @@ import pytest
 from repro.engine.executor import MultiprocessingPool, SerialPool
 from repro.engine.sql import AggregateMerger, ChunkedSQLEngine
 from repro.engine.worker import run_local
+from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
+from repro.relational.sql.engine import SQLEngine
 from repro.relational.types import NULL, AttributeType
 
 SCHEMA = RelationSchema("r", [
@@ -148,3 +150,21 @@ class TestChunkedSQLEngine:
         pool = MultiprocessingPool(workers=2, min_rows=0)
         engine = ChunkedSQLEngine(relation, pool)
         assert engine.scan_grouped(query) == self._reference(relation, query)
+
+    def test_write_rebroadcasts_state_to_worker_processes(self, relation, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
+        database = Database()
+        database.add(relation)
+        query = "SELECT k, COUNT(*) AS n FROM r WHERE v > 1 GROUP BY k ORDER BY k"
+        pooled = SQLEngine(database, engine="parallel", workers=2)
+
+        def expected():
+            return [row.values for row in SQLEngine(database, engine="sequential").query(query)]
+
+        before = expected()
+        assert [row.values for row in pooled.query(query)] == before
+        relation.update(relation.tids()[1], "v", 7)  # ("b", 1) now passes the filter
+        relation.insert(["c", 5])
+        # workers still holding the old arrays would return the old counts
+        assert expected() != before
+        assert [row.values for row in pooled.query(query)] == expected()

@@ -43,10 +43,8 @@ def fresh_database():
     return database
 
 
-def detection_outcome(engine=None, workers=None):
-    detector = CFDDetector(fresh_relation(), [CFD],
-                           engine=engine, workers=workers)
-    report = detector.detect()
+def detection_outcome():
+    report = CFDDetector(fresh_relation(), [CFD]).detect()
     return sorted(tuple(v.tids) for v in report.violations)
 
 
@@ -73,20 +71,6 @@ class TestParity:
         assert on == off
         counters = obs.metrics()["counters"]
         assert counters.get("detect.cfd.violations", 0) >= 1
-
-    def test_detection_identical_on_serial_engine(self, obs_state):
-        obs.disable()
-        off = detection_outcome(engine="serial")
-        obs.enable()
-        assert detection_outcome(engine="serial") == off
-        assert obs.counter("engine.detect.runs") >= 1
-
-    def test_detection_identical_on_process_pool(self, obs_state, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        obs.disable()
-        off = detection_outcome(engine="parallel", workers=2)
-        obs.enable()
-        assert detection_outcome(engine="parallel", workers=2) == off
 
     def test_sql_identical_on_and_off(self, obs_state):
         obs.disable()

@@ -1,4 +1,4 @@
-"""The engine configurations every oracle suite runs under."""
+"""The SQL engine configurations the oracle's SQL-backed properties run under."""
 
 from functools import partialmethod
 
@@ -12,19 +12,25 @@ ENGINES = ["sequential", "serial-1", "serial-2", "serial-7", "parallel-2"]
 
 @pytest.fixture(params=ENGINES)
 def engine(request, monkeypatch):
-    """``engine=``/``workers=`` keyword arguments for one configuration.
+    """One SQL engine configuration, made the process-wide default.
 
-    ``sequential`` runs in-process without chunking, whatever the
-    ``REPRO_ENGINE`` default; ``serial-N`` chunks every scan into runs
-    of N tuples, so groups straddle chunk boundaries; ``parallel-2``
-    forks two real worker processes even for these tiny relations.
+    Detection's generated statements run on the default SQL engine, so
+    the configuration is set through ``REPRO_ENGINE``/``REPRO_WORKERS``;
+    the returned ``engine=``/``workers=`` keyword arguments name the same
+    configuration for an explicit :class:`SQLEngine`.  ``sequential``
+    runs in-process without chunking, whatever the caller's environment
+    says; ``serial-N`` chunks every pooled scan into runs of N tuples, so
+    groups straddle chunk boundaries; ``parallel-2`` forks two real
+    worker processes even for these tiny relations.
     """
     kind, _, size = request.param.partition("-")
+    monkeypatch.setenv(config.ENGINE_ENV, kind)
     if kind == "sequential":
         return {"engine": kind}
     if kind == "serial":
         monkeypatch.setattr(SerialPool, "__init__",
                             partialmethod(ExecutorPool.__init__, chunk_size=int(size)))
-        return {"engine": "serial"}
+        return {"engine": kind}
     monkeypatch.setenv(config.THRESHOLD_ENV, "0")
-    return {"engine": "parallel", "workers": int(size)}
+    monkeypatch.setenv(config.WORKERS_ENV, size)
+    return {"engine": kind, "workers": int(size)}

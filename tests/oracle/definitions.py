@@ -132,15 +132,14 @@ def certain_answers(relation, key: Sequence[str], project: Sequence[str],
 # -- CFD and CIND violations ---------------------------------------------------
 
 
-def cfd_violations(relation, cfds, enumerate_pairs: bool = False) -> list[tuple]:
+def cfd_violations(relation, cfds) -> list[tuple]:
     """All violations of *cfds* on *relation* as ``(cfd, pattern, tids)``.
 
     * single-tuple: ``t ≍ tp[X]`` and ``t`` fails ``tp`` on a constant
       RHS attribute;
     * group: the tuples matching ``tp[X]`` with one NULL-free ``X`` value,
       when at least two of them exist and they carry at least two
-      distinct wildcard-RHS projections — the whole group, or with
-      *enumerate_pairs* every pair drawn from different projections.
+      distinct wildcard-RHS projections.
     """
     data = rows(relation)
     found: list[tuple] = []
@@ -160,16 +159,8 @@ def cfd_violations(relation, cfds, enumerate_pairs: bool = False) -> list[tuple]
             for group in groups(data, in_scope, lhs):
                 if len(group) < 2 or any(data[group[0]][a] is NULL for a in lhs):
                     continue
-                projections = groups(data, group, wildcard_rhs)
-                if len(projections) < 2:
-                    continue
-                if not enumerate_pairs:
+                if len(groups(data, group, wildcard_rhs)) > 1:
                     found.append((cfd, pattern, tuple(sorted(group))))
-                    continue
-                for i, first in enumerate(projections):
-                    for second in projections[i + 1:]:
-                        found.extend((cfd, pattern, tuple(sorted((a, b))))
-                                     for a in first for b in second)
     return found
 
 
@@ -505,7 +496,10 @@ def select(database, sql: str) -> tuple[list[str], list[AttributeType], list[tup
     def side_of(ref: ColumnRef) -> int:
         name = ref.name.lower()
         if ref.qualifier is None:
-            return next(side for side, names in enumerate(schemas) if name in names)
+            sides = [side for side, names in enumerate(schemas) if name in names]
+            if not sides:
+                raise KeyError(ref.name)
+            return sides[0]
         side = bindings.index(ref.qualifier.lower())
         if name not in schemas[side]:
             raise KeyError(f"{ref.qualifier}.{ref.name}")

@@ -11,6 +11,8 @@ compare across types.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -40,8 +42,59 @@ CELL_PATTERNS = st.one_of(st.just(UNDERSCORE), st.just(UNDERSCORE),
                           st.sampled_from(CONSTANTS))
 
 
+#: (column type, the tuple's cell, pattern constant, does the cell ≍ it)
+TYPED_CELLS = [
+    (AttributeType.INTEGER, 1, 1, True),
+    (AttributeType.INTEGER, 1, "1", True),
+    (AttributeType.INTEGER, 1, 1.0, True),
+    (AttributeType.FLOAT, 1.0, 1, True),
+    (AttributeType.FLOAT, 1.0, "1", False),
+    (AttributeType.FLOAT, 1.0, 1.0, True),
+    (AttributeType.STRING, "1", 1, True),
+    (AttributeType.STRING, "1", "1", True),
+    (AttributeType.STRING, "1", 1.0, False),
+    (AttributeType.BOOLEAN, True, 1, True),
+    (AttributeType.BOOLEAN, True, "1", False),
+    (AttributeType.BOOLEAN, True, "True", True),
+    # values float order cannot tell apart, and the infinities
+    (AttributeType.INTEGER, 2 ** 53, 2 ** 53 + 1, False),
+    (AttributeType.INTEGER, 2 ** 53 + 1, 2 ** 53, False),
+    (AttributeType.INTEGER, 2 ** 53 + 1, str(2 ** 53 + 1), True),
+    (AttributeType.INTEGER, 1, 10 ** 400, False),
+    (AttributeType.FLOAT, 0.0, "-0.0", False),
+    (AttributeType.FLOAT, -0.0, "0.0", True),  # a FLOAT -0.0 is stored as 0.0
+    (AttributeType.FLOAT, 0.0, -0.0, True),
+    (AttributeType.FLOAT, math.inf, "inf", True),
+    (AttributeType.FLOAT, -math.inf, -math.inf, True),
+    (AttributeType.FLOAT, math.inf, "-inf", False),
+    (AttributeType.FLOAT, 1.0, math.inf, False),
+]
+
+#: pytest ids for :data:`TYPED_CELLS`
+TYPED_IDS = [f"{kind.value}-{cell!r:.20}-{constant!r:.20}"
+             for kind, cell, constant, _ in TYPED_CELLS]
+
+
+def typed_case(side: str, kind: AttributeType, cell, constant) -> tuple[Relation, list[CFD]]:
+    """One tuple and the CFD ``a -> b`` whose *side* column is typed *kind*.
+
+    The pattern pairs *constant* on that column with ``"x"`` on the other
+    one; the tuple holds *cell* there and ``"y"`` (LHS case) or ``"x"``
+    (RHS case) on the other, so it violates the pattern exactly when
+    *cell* ≍ *constant* (LHS) or when it does not (RHS).
+    """
+    if side == "lhs":
+        attributes, row = [Attribute("a", kind), Attribute("b")], (cell, "y")
+        pattern = {"a": constant, "b": "x"}
+    else:
+        attributes, row = [Attribute("a"), Attribute("b", kind)], ("x", cell)
+        pattern = {"a": "x", "b": constant}
+    relation = Relation.from_rows(RelationSchema("r", attributes), [row])
+    return relation, [CFD("r", ["a"], ["b"], [PatternTuple(pattern)])]
+
+
 def oracle_settings(max_examples: int):
-    """Settings for an oracle suite (the engine fixture is constant across examples)."""
+    """Settings for an oracle suite (a function-scoped fixture is constant across examples)."""
     return settings(max_examples=max_examples, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture,
                                            HealthCheck.too_slow])

@@ -1,8 +1,10 @@
-"""CFD and CIND detection against the definitions, on every engine.
+"""CFD and CIND detection against the definitions.
 
 The reports are compared as multisets of ``(constraint, pattern, tids)``
 fingerprints with what :mod:`oracle.definitions` derives from the rows
-directly; report order is pinned separately by the engine parity suites.
+directly; report order is pinned separately (the repair's working-copy
+detector against a fresh one, below).  SQL-generated detection runs
+under every SQL engine configuration of the ``engine`` fixture.
 """
 
 from collections import Counter
@@ -14,20 +16,23 @@ from hypothesis import strategies as st
 from oracle import definitions as oracle
 from oracle.strategies import (
     CELLS,
+    TYPED_CELLS,
+    TYPED_IDS,
     databases_with_cinds,
     mutate,
     oracle_settings,
     relations,
     relations_with_cfds,
+    typed_case,
 )
 from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.fd import FunctionalDependency
 from repro.constraints.tableau import UNDERSCORE
-from repro.detection.batch import BatchCFDDetector
-from repro.detection.cfd_detect import CFDDetector
+from repro.detection.cfd_detect import CFDDetector, SQLCFDDetector
 from repro.detection.cind_detect import CINDDetector
 from repro.detection.incremental import IncrementalCFDDetector
 from repro.errors import TypeMismatchError
+from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.types import AttributeType, coerce_value
@@ -62,30 +67,64 @@ def definition_by_embedded_fd(relation, cfds):
 
 
 class TestCFDDetection:
-    @given(relations_with_cfds(), st.booleans())
-    @oracle_settings(20)
-    def test_detector_matches_definition(self, engine, case, enumerate_pairs):
-        relation, cfds = case
-        report = CFDDetector(relation, cfds, enumerate_pairs=enumerate_pairs,
-                             **engine).detect()
-        assert cfd_fingerprint(report) == \
-            Counter(oracle.cfd_violations(relation, cfds, enumerate_pairs))
-
     @given(relations_with_cfds())
-    @oracle_settings(12)
-    def test_detect_one_matches_definition(self, engine, case):
+    @oracle_settings(20)
+    def test_detector_matches_definition(self, case):
         relation, cfds = case
-        detector = CFDDetector(relation, cfds[:1], **engine)
-        for cfd in cfds:  # the first is registered, the others take the ephemeral path
-            assert cfd_fingerprint(detector.detect_one(cfd)) == \
-                Counter(oracle.cfd_violations(relation, [cfd]))
+        report = CFDDetector(relation, cfds).detect()
+        assert cfd_fingerprint(report) == Counter(oracle.cfd_violations(relation, cfds))
 
     @given(relations_with_cfds())
     @example(case=TYPE_COLLISION)
     @oracle_settings(12)
-    def test_batch_detector_matches_definition(self, engine, case):
+    def test_merged_tableaux_match_definition(self, case):
         relation, cfds = case
-        report = BatchCFDDetector(relation, cfds, **engine).detect()
+        report = CFDDetector(relation, merge_cfds(cfds)).detect()
+        assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
+
+    @given(relations_with_cfds(), st.data())
+    @oracle_settings(10)
+    def test_reused_detector_follows_mutations(self, case, data):
+        relation, cfds = case
+        relation.columns  # the store exists before the mutations, so hooks maintain it
+        detector = CFDDetector(relation, cfds)
+        detector.detect()
+        mutate(relation, data)
+        assert cfd_fingerprint(detector.detect()) == \
+            Counter(oracle.cfd_violations(relation, cfds))
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("kind, cell, constant, matches", TYPED_CELLS, ids=TYPED_IDS)
+    def test_typed_constant_matches_like_the_definition(self, side, kind, cell, constant,
+                                                        matches):
+        relation, cfds = typed_case(side, kind, cell, constant)
+        expected = Counter(oracle.cfd_violations(relation, cfds))
+        assert bool(expected) == (matches if side == "lhs" else not matches)
+        assert cfd_fingerprint(CFDDetector(relation, cfds).detect()) == expected
+
+
+def sql_detector(relation, cfds):
+    database = Database()
+    database.add(relation)
+    return SQLCFDDetector(database, cfds)
+
+
+class TestSQLCFDDetection:
+    """The generated statements, matched back to tids, on each SQL engine."""
+
+    @given(relations_with_cfds())
+    @oracle_settings(20)
+    def test_detector_matches_definition(self, engine, case):
+        relation, cfds = case
+        report = sql_detector(relation, cfds).detect()
+        assert cfd_fingerprint(report) == Counter(oracle.cfd_violations(relation, cfds))
+
+    @given(relations_with_cfds())
+    @example(case=TYPE_COLLISION)
+    @oracle_settings(12)
+    def test_merged_tableaux_match_definition(self, engine, case):
+        relation, cfds = case
+        report = sql_detector(relation, merge_cfds(cfds)).detect()
         assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
 
     @given(relations_with_cfds(), st.data())
@@ -93,8 +132,8 @@ class TestCFDDetection:
     def test_reused_detector_follows_mutations(self, engine, case, data):
         relation, cfds = case
         relation.columns  # the store exists before the mutations, so hooks maintain it
-        detector = CFDDetector(relation, cfds, **engine)
-        detector.detect()
+        detector = sql_detector(relation, cfds)
+        detector.detect()  # a pooled engine has broadcast the relation by now
         mutate(relation, data)
         assert cfd_fingerprint(detector.detect()) == \
             Counter(oracle.cfd_violations(relation, cfds))
@@ -144,15 +183,16 @@ class TestWorkingCopyDetection:
 
     @given(relations_with_cfds(), st.data())
     @oracle_settings(40)
-    def test_detection_after_writes_equals_fresh_detection(self, engine, case, data):
+    def test_detection_after_writes_equals_fresh_detection(self, case, data):
         relation, cfds = case
         assume(len(relation))
-        detector = _WorkingCopyDetector(relation, cfds, **engine)
+        merged = merge_cfds(cfds)
+        detector = _WorkingCopyDetector(relation, merged)
         detector.detect()
         for _ in range(data.draw(st.integers(2, 3))):
             repair_writes(relation, cfds, data)
             report = detector.detect()
-            fresh = BatchCFDDetector(relation, cfds).detect()
+            fresh = CFDDetector(relation, merged).detect()
             assert [(v.cfd, v.pattern, v.tids) for v in report] == \
                 [(v.cfd, v.pattern, v.tids) for v in fresh]
             assert merged_fingerprint(report) == definition_by_embedded_fd(relation, cfds)
@@ -167,6 +207,24 @@ class TestIncrementalDetection:
         mutate(relation, data, steps=12, incremental=incremental)
         assert merged_fingerprint(incremental.current_report()) == \
             definition_by_embedded_fd(relation, cfds)
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    @pytest.mark.parametrize("kind, cell, constant, matches", TYPED_CELLS, ids=TYPED_IDS)
+    def test_typed_constant_matches_like_the_definition(self, side, kind, cell, constant,
+                                                        matches):
+        relation, cfds = typed_case(side, kind, cell, constant)
+        expected = definition_by_embedded_fd(relation, cfds)
+        # built over the stored tuple: the column-at-a-time single check
+        built = IncrementalCFDDetector(relation, cfds)
+        assert merged_fingerprint(built.current_report()) == expected
+        # inserted into an empty relation: the per-tuple check of a write
+        empty = Relation(relation.schema)
+        inserted = IncrementalCFDDetector(empty, cfds)
+        tid = relation.tids()[0]
+        returned = inserted.insert_tuple({name: relation.value(tid, name)
+                                          for name in relation.schema.attribute_names})
+        assert merged_fingerprint(returned) == expected
+        assert oracle.rows(empty) == oracle.rows(relation)
 
 
 class TestIncrementalWriteDeltas:
@@ -219,13 +277,12 @@ class TestSharedIndexes:
     LHS indexes, in update-stream's order: insert through ``Relation``,
     ``repair_delta``, ``notify_inserted``, ``update_cell``, ``delete_tuple``."""
 
-    @pytest.mark.parametrize("engine", ["sequential", "serial-2"], indirect=True)
     @given(relations_with_cfds(typed=False), st.data())
     @oracle_settings(15)
-    def test_update_stream_batches(self, engine, case, data):
+    def test_update_stream_batches(self, case, data):
         relation, cfds = case
         detector = IncrementalCFDDetector(relation, cfds)
-        repair = IncRepair(relation, cfds, **engine)
+        repair = IncRepair(relation, cfds)
         names = [a.lower() for a in relation.schema.attribute_names]
         cells = st.sampled_from(CELLS[AttributeType.STRING])
         for _ in range(data.draw(st.integers(1, 4))):
@@ -234,7 +291,7 @@ class TestSharedIndexes:
             # a copy has no index: its repair probes one built at first use
             twin = relation.copy()
             assert repair_summary(repair.repair_delta(delta)) == \
-                repair_summary(IncRepair(twin, cfds, **engine).repair_delta(delta))
+                repair_summary(IncRepair(twin, cfds).repair_delta(delta))
             assert oracle.rows(relation) == oracle.rows(twin)
             for tid in delta:
                 detector.notify_inserted(tid)
@@ -252,19 +309,19 @@ class TestSharedIndexes:
 class TestCINDDetection:
     @given(databases_with_cinds())
     @oracle_settings(15)
-    def test_detector_matches_definition(self, engine, case):
+    def test_detector_matches_definition(self, case):
         database, cinds = case
-        report = CINDDetector(database, cinds, **engine).detect()
+        report = CINDDetector(database, cinds).detect()
         assert cind_fingerprint(report.violations) == \
             Counter(oracle.cind_violations(database, cinds))
 
     @given(databases_with_cinds(), st.data())
     @oracle_settings(8)
-    def test_reused_detector_follows_mutations(self, engine, case, data):
+    def test_reused_detector_follows_mutations(self, case, data):
         database, cinds = case
         for relation in database:
             relation.columns
-        detector = CINDDetector(database, cinds, **engine)
+        detector = CINDDetector(database, cinds)
         detector.detect()
         mutate(database.relation(data.draw(st.sampled_from(["r", "s"]))), data)
         assert cind_fingerprint(detector.detect().violations) == \

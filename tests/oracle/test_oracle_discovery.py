@@ -1,4 +1,4 @@
-"""Discovery against the definitions, on every engine.
+"""Discovery against the definitions.
 
 FDs and keys are checked against an exhaustive lattice search with
 minimality, stripped partitions against grouping on values, itemsets,
@@ -29,8 +29,8 @@ def attribute_sets(relation):
 class TestFDDiscovery:
     @given(nonempty_relations, st.integers(1, 3))
     @oracle_settings(15)
-    def test_minimal_fds_and_keys(self, engine, relation, max_lhs_size):
-        discovery = FDDiscovery(relation, max_lhs_size=max_lhs_size, **engine)
+    def test_minimal_fds_and_keys(self, relation, max_lhs_size):
+        discovery = FDDiscovery(relation, max_lhs_size=max_lhs_size)
         fds = discovery.discover()
         assert len(fds) == len({(fd.lhs, fd.rhs) for fd in fds})
         assert {(fd.lhs, fd.rhs[0]) for fd in fds} == \
@@ -41,9 +41,9 @@ class TestFDDiscovery:
 
     @given(nonempty_relations, st.integers(1, 3), st.sampled_from([0.1, 0.2, 0.34]))
     @oracle_settings(15)
-    def test_minimal_approximate_fds(self, engine, relation, max_lhs_size, error):
+    def test_minimal_approximate_fds(self, relation, max_lhs_size, error):
         fds = FDDiscovery(relation, max_lhs_size=max_lhs_size,
-                          approximate_error=error, **engine).discover()
+                          approximate_error=error).discover()
         assert {(fd.lhs, fd.rhs[0]) for fd in fds} == \
             oracle.minimal_fds(relation, max_lhs_size, approximate_error=error)
 
@@ -60,8 +60,8 @@ class TestPartitions:
 
     @given(relations())
     @oracle_settings(8)
-    def test_provider_partitions_group_on_values(self, engine, relation):
-        provider = PartitionProvider(relation, **engine)
+    def test_provider_partitions_group_on_values(self, relation):
+        provider = PartitionProvider(relation)
         for attributes in attribute_sets(relation):  # levelwise: products beyond level 1
             assert sorted(map(tuple, provider.partition(attributes).groups)) == \
                 oracle.stripped_partition(relation, attributes)
@@ -87,10 +87,10 @@ class TestItemsets:
 class TestCFDDiscovery:
     @given(nonempty_relations, st.integers(1, 3), st.integers(1, 2))
     @oracle_settings(12)
-    def test_constant_and_variable_cfds(self, engine, relation, min_support,
+    def test_constant_and_variable_cfds(self, relation, min_support,
                                         max_lhs_size):
         discovery = CFDDiscovery(relation, min_support=min_support,
-                                 max_lhs_size=max_lhs_size, **engine)
+                                 max_lhs_size=max_lhs_size)
         constant = [oracle.discovered_cfd_key(c) for c in discovery.discover_constant_cfds()]
         assert len(constant) == len(set(constant))
         assert set(constant) == oracle.constant_cfds(relation, min_support, max_lhs_size)

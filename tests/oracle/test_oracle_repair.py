@@ -1,4 +1,4 @@
-"""BatchRepair and IncRepair against the repair postconditions, on every engine.
+"""BatchRepair and IncRepair against the repair postconditions.
 
 Repairs may oscillate between interacting CFDs (the repair module
 documents this), so convergence is not asserted: a run that stops at
@@ -37,12 +37,12 @@ class TestBatchRepair:
     @given(relations_with_cfds(typed=False), st.sampled_from(BatchRepair.ORDERINGS),
            st.data())
     @oracle_settings(15)
-    def test_postconditions(self, engine, case, ordering, data):
+    def test_postconditions(self, case, ordering, data):
         relation, cfds = case
         model = cost_model(data, relation)
         before = oracle.rows(relation)
         result = BatchRepair(relation, cfds, cost_model=model, ordering=ordering,
-                             max_passes=MAX_PASSES, **engine).repair()
+                             max_passes=MAX_PASSES).repair()
         oracle.assert_repair_postconditions(before, relation, cfds, result, model,
                                             MAX_PASSES)
 
@@ -50,7 +50,7 @@ class TestBatchRepair:
 class TestIncRepair:
     @given(relations_with_cfds(typed=False), st.data())
     @oracle_settings(15)
-    def test_postconditions_on_a_clean_base(self, engine, case, data):
+    def test_postconditions_on_a_clean_base(self, case, data):
         dirty, cfds = case
         base = BatchRepair(dirty, cfds, max_passes=MAX_PASSES).repair()
         assume(base.converged)
@@ -60,7 +60,7 @@ class TestIncRepair:
                  for _ in range(data.draw(st.integers(1, 4)))]
         before = oracle.rows(relation)
         model = CostModel()
-        result = IncRepair(relation, cfds, cost_model=model, **engine).repair_delta(delta)
+        result = IncRepair(relation, cfds, cost_model=model).repair_delta(delta)
         oracle.assert_inc_repair_postconditions(before, relation, cfds, delta, result,
                                                 model)
 

@@ -9,7 +9,8 @@ as it is, so MIN, range filters, ORDER BY and equality never merge
 while numbers were keyed by ``float(value)``; the randomized suite draws
 integers on both sides of 2**53 and tests an INTEGER and a FLOAT column
 against integer and float constants alike, with writes between
-statements.
+statements.  A BOOLEAN is no number: ``=``, ``<>`` and ``IN`` never equate
+``TRUE`` with 1 or ``FALSE`` with 0, as the oracle's ``=`` does not.
 """
 
 import random
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from oracle import definitions as oracle
+from repro.errors import SQLExecutionError
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -60,6 +62,41 @@ def test_integers_past_two_to_the_53_keep_their_order(sql, rows):
     expected = oracle.select(database, sql)
     assert [tuple(row) for row in expected[2]] == rows
     assert fingerprint(SQLEngine(database).query(sql)) == fingerprint(expected)
+
+
+FLAGS = RelationSchema("f", [
+    Attribute("k", AttributeType.STRING),
+    Attribute("flag", AttributeType.BOOLEAN),
+    Attribute("n", AttributeType.INTEGER),
+])
+
+
+def flags() -> Database:
+    database = Database()
+    database.add(Relation.from_rows(FLAGS, [("t", True, 1), ("f", False, 0)]))
+    return database
+
+
+@pytest.mark.parametrize("sql, rows", [
+    ("SELECT k FROM f WHERE flag = 1", []),
+    ("SELECT k FROM f WHERE flag IN (1)", []),
+    ("SELECT k FROM f WHERE flag <> 0", [("t",), ("f",)]),
+])
+def test_a_boolean_never_equals_a_number(sql, rows):
+    # Python has True == 1 and False == 0; SQL's = does not
+    database = flags()
+    expected = oracle.select(database, sql)
+    assert [tuple(row) for row in expected[2]] == rows
+    assert fingerprint(SQLEngine(database).query(sql)) == fingerprint(expected)
+
+
+def test_true_is_a_column_name_not_a_literal():
+    database = flags()
+    sql = "SELECT k FROM f WHERE n = TRUE"
+    with pytest.raises(SQLExecutionError, match="TRUE"):
+        SQLEngine(database).query(sql)
+    with pytest.raises(KeyError, match="TRUE"):
+        oracle.select(database, sql)
 
 
 #: INTEGER cells on both sides of 2**53 and of zero

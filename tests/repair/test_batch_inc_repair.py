@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constraints.cfd import CFD
+from repro.constraints.cfd import CFD, merge_cfds
 from repro.constraints.parse import parse_cfd
 from repro.datagen.customer import CustomerGenerator
 from repro.datagen.noise import inject_noise
-from repro.detection.batch import BatchCFDDetector
-from repro.detection.cfd_detect import detect_cfd_violations
+from repro.detection.cfd_detect import CFDDetector, detect_cfd_violations
 from repro.errors import RepairError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -227,6 +226,6 @@ class TestIncRepair:
         combined, cfds, _ = self._workload()
         delta_tids = combined.tids()[200:]
         result = IncRepair(combined, cfds).repair_delta(delta_tids)
-        report = BatchCFDDetector(combined, cfds).detect()
+        report = CFDDetector(combined, merge_cfds(cfds)).detect()
         assert not (report.violating_tids() & set(delta_tids))
         assert result.converged

@@ -1,16 +1,13 @@
-"""Repairs checked against the repair postconditions and across engines.
+"""Repairs checked against the repair postconditions.
 
 ``BatchRepair``/``IncRepair`` results must satisfy the postconditions of
 :mod:`oracle.definitions` — input untouched, ``changes`` equal to an
 independent diff, ``cost`` the sum of the change costs, only RHS (or
 fresh-marker LHS) cells edited, and a converged result free of
 violations — across E1-style dirty workloads, interacting CFDs and
-weighted cost models.  Every chunked engine must reproduce the
-in-process :class:`Repair` exactly: same ``CellChange`` list (values and
-order included), cost, pass count and convergence flag.
+weighted cost models.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +22,6 @@ from repro.repair.cost import CostModel
 from repro.repair.inc_repair import IncRepair
 
 MAX_PASSES = 25  # BatchRepair's default
-
-
-def assert_repairs_identical(chunked: Repair, sequential: Repair) -> None:
-    assert chunked.changes == sequential.changes
-    assert chunked.cost == sequential.cost
-    assert chunked.passes == sequential.passes
-    assert chunked.converged == sequential.converged
 
 
 def checked_repair(relation, cfds, cost_model=None, **kwargs) -> Repair:
@@ -69,22 +59,6 @@ class TestBatchRepair:
         model.set_weights({(tid, "street"): 8.0 for tid in list(dirty.tids())[::3]})
         assert checked_repair(dirty, cfds, cost_model=model).converged
 
-    @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
-    def test_chunked_engines(self, engine, workers):
-        dirty, cfds = _customer_workload(250, seed=31)
-        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
-        chunked = BatchRepair(dirty, cfds, engine=engine, workers=workers).repair()
-        assert_repairs_identical(chunked, sequential)
-
-    def test_parallel_engine_across_real_processes(self, monkeypatch):
-        # force the multiprocessing backend to actually cross process
-        # boundaries on a small workload (every pass re-broadcasts state)
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "0")
-        dirty, cfds = _customer_workload(120, seed=43)
-        sequential = BatchRepair(dirty, cfds, engine="sequential").repair()
-        chunked = BatchRepair(dirty, cfds, engine="parallel", workers=2).repair()
-        assert_repairs_identical(chunked, sequential)
-
     def test_conflicting_constants_break_lhs(self):
         schema = RelationSchema("r", [Attribute("a"), Attribute("b")])
         relation = Relation.from_dicts(schema, [{"a": "k", "b": "x"},
@@ -114,17 +88,6 @@ class TestBatchRepair:
                 CFD.single("r", ["x"], ["z"], {"x": "a", "z": "c"})]
         checked_repair(relation, cfds)
 
-    @given(rows)
-    @settings(max_examples=15, deadline=None)
-    def test_randomized_with_serial_engine(self, data):
-        schema = RelationSchema("r", [Attribute("x"), Attribute("y"), Attribute("z")])
-        relation = Relation.from_rows(schema, data)
-        cfds = [CFD.single("r", ["x"], ["y"]),
-                CFD.single("r", ["x"], ["z"], {"x": "a", "z": "c"})]
-        chunked = BatchRepair(relation, cfds, engine="serial").repair()
-        sequential = BatchRepair(relation, cfds, engine="sequential").repair()
-        assert_repairs_identical(chunked, sequential)
-
 
 class TestIncRepair:
     def _delta_workload(self, base_size=150, delta_size=25, seed=9):
@@ -143,13 +106,13 @@ class TestIncRepair:
         return combined, cfds, delta_tids
 
     @staticmethod
-    def checked_delta_repair(relation, cfds, delta_tids, **engine) -> Repair:
+    def checked_delta_repair(relation, cfds, delta_tids) -> Repair:
         """Run IncRepair on a clean base and assert its postconditions."""
         assert oracle.cfd_violations(relation.filter(lambda t: t.tid not in delta_tids,
                                                      name=relation.name), cfds) == []
         model = CostModel()
         before = oracle.rows(relation)
-        result = IncRepair(relation, cfds, cost_model=model, **engine).repair_delta(delta_tids)
+        result = IncRepair(relation, cfds, cost_model=model).repair_delta(delta_tids)
         oracle.assert_inc_repair_postconditions(before, relation, cfds, delta_tids,
                                                 result, model)
         return result
@@ -172,12 +135,3 @@ class TestIncRepair:
         assert [(c.tid, c.attribute, c.new_value) for c in result.changes] == \
             [(delta_tids[2], "street", "high st")]
 
-    @pytest.mark.parametrize("engine,workers", [("serial", None), ("parallel", 2)])
-    def test_engines_identical(self, engine, workers):
-        combined, cfds, delta_tids = self._delta_workload(seed=29)
-        chunked_relation = combined.copy(name=combined.name)
-        sequential = IncRepair(combined, cfds, engine="sequential").repair_delta(delta_tids)
-        chunked = IncRepair(chunked_relation, cfds, engine=engine,
-                            workers=workers).repair_delta(delta_tids)
-        assert_repairs_identical(chunked, sequential)
-        assert chunked_relation.to_dicts() == combined.to_dicts()

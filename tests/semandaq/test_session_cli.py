@@ -133,22 +133,6 @@ class TestSemandaqSession:
         assert detect_cfd_violations(
             session.database.relation("customer"), generator.canonical_cfds()).is_clean()
 
-    def test_engine_knob_reaches_repair(self):
-        # a session created with engine= routes repair passes through the
-        # chunked engine; the proposed repair is identical to the default
-        generator = CustomerGenerator(seed=19)
-        clean = generator.generate(150)
-        dirty = inject_noise(clean, rate=0.05, attributes=["street", "city"], seed=3).dirty
-        baseline = SemandaqSession(dirty.copy(name="customer"))
-        chunked = SemandaqSession(dirty.copy(name="customer"), engine="serial")
-        for session in (baseline, chunked):
-            session.register_cfds(generator.canonical_cfds())
-        expected = baseline.propose_repair("customer")
-        proposed = chunked.propose_repair("customer")
-        assert proposed.changes == expected.changes
-        assert proposed.cost == expected.cost
-        assert proposed.passes == expected.passes
-
 
 class TestSessionDiscovery:
     def test_discover_cfds(self):
@@ -166,12 +150,6 @@ class TestSessionDiscovery:
         assert [repr(c) for c in session.cfds] == [repr(c) for c in discovered]
         report = session.detect()  # everything discovered holds on the data
         assert report.is_clean()
-
-    def test_session_engine_matches_sequential_discovery(self):
-        relation = CustomerGenerator(seed=3).generate(120)
-        sequential = SemandaqSession(relation).discover_cfds(min_support=5)
-        chunked = SemandaqSession(relation, engine="serial").discover_cfds(min_support=5)
-        assert [repr(c) for c in chunked] == [repr(c) for c in sequential]
 
 
 class TestSemandaqCLI:
