@@ -9,7 +9,9 @@ aggregate states) and once factorised (per-table partial aggregates per
 join-variable binding, combined by semiring multiplication — the tuple
 product is never enumerated).  Results are asserted identical at every
 size; the measured speedups land in the benchmark JSON ``extra_info``
-with a >= 3x floor asserted at the largest size.
+with a >= 3x floor asserted at the largest size.  A deep-bound self join
+(a filtered table joined to itself through one variable and to a third
+table through another) and the two-table fold are timed as series.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ FACT_QUERY = ("SELECT r.country, COUNT(*) AS n, COUNT(DISTINCT o.city) AS d, "
               "WHERE o.zip = z.zip AND z.region = r.region "
               "AND o.amount >= 100 AND o.amount < 900 "
               "GROUP BY r.country ORDER BY country")
+
+#: the deep-bound shape: a filtered orders joined to itself through city
+#: and to zips through zip, with MIN on zips, like perfbench's grouped
+#: three-way report; a table first bound below the first variable is
+#: grouped once per query and each bound group folds once
+DEEP_QUERY = ("SELECT o1.city, COUNT(*) AS n, MIN(z.region) AS first "
+              "FROM orders o1, orders o2, zips z "
+              "WHERE o1.city = o2.city AND o2.zip = z.zip AND o1.amount < 40 "
+              "GROUP BY o1.city ORDER BY city")
 
 PAIR_QUERY = ("SELECT z.region, COUNT(*) AS n, SUM(o.amount) AS s, "
               "MAX(o.amount) AS hi FROM orders o JOIN zips z "
@@ -114,12 +125,13 @@ def test_e18_factorised_scaling(benchmark, size):
 
 
 def test_e18_factorised_parity_smoke(benchmark):
-    """Smoke: factorised == enumerated == serial chunked, 2- and 3-table plans."""
+    """Smoke: factorised == enumerated == serial chunked, 2- and 3-table plans,
+    the deep-bound self join included."""
     def compute():
         database = _database(1000)
         code = SQLEngine(database)
         serial = SQLEngine(database, engine="serial")
-        plans = {FACT_QUERY: "multiway", PAIR_QUERY: "join"}
+        plans = {FACT_QUERY: "multiway", DEEP_QUERY: "multiway", PAIR_QUERY: "join"}
         for sql, enumerated_plan in plans.items():
             expected = _fingerprint(code.query(sql))
             assert code.last_plan == "factorised"
@@ -130,7 +142,7 @@ def test_e18_factorised_parity_smoke(benchmark):
             assert serial.last_plan == "factorised"
         return len(plans)
 
-    assert benchmark.pedantic(compute, rounds=1, iterations=1) == 2
+    assert benchmark.pedantic(compute, rounds=1, iterations=1) == 3
 
 
 def test_e18_enumerated_vs_factorised_speedup(benchmark):
@@ -160,6 +172,35 @@ def test_e18_enumerated_vs_factorised_speedup(benchmark):
     benchmark.extra_info["speedups"] = {str(r[0]): round(r[4], 2) for r in rows}
     benchmark.extra_info["speedup_largest"] = round(rows[-1][4], 2)
     assert rows[-1][4] >= 3.0
+
+
+def test_e18_deep_bound_fold(benchmark):
+    """The deep-bound self join: enumerated tuples vs. factorised folds."""
+    def compute():
+        rows = []
+        for size in SIZES:
+            database = _database(size)
+            engine = SQLEngine(database)
+            engine.query(DEEP_QUERY)  # steady state
+            enumerated, enum_seconds = _enumerated(engine, DEEP_QUERY)
+            engine.query(DEEP_QUERY, explain=True)
+            started = time.perf_counter()
+            factorised = engine.query(DEEP_QUERY)
+            fact_seconds = time.perf_counter() - started
+            assert engine.last_plan == "factorised"
+            assert _fingerprint(factorised) == _fingerprint(enumerated)
+            tuples = engine.last_explain["factorised"]["tuples"]
+            rows.append([size, tuples, enum_seconds, fact_seconds,
+                         enum_seconds / fact_seconds])
+        return rows
+
+    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    print_series("E18: deep-bound self join, enumerated tuples vs. "
+                 "factorised folds",
+                 ["rows", "tuples", "enum_s", "fact_s", "speedup"], rows)
+    # recorded as a series only
+    benchmark.extra_info["deep_speedups"] = {str(r[0]): round(r[4], 2)
+                                             for r in rows}
 
 
 def test_e18_two_table_fold(benchmark):

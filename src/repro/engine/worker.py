@@ -32,13 +32,13 @@ from __future__ import annotations
 import os
 import random
 import time
-from bisect import bisect_left
 from itertools import product
+from math import prod
 from operator import itemgetter
 from time import perf_counter
-from typing import Any
+from typing import Any, Iterator
 
-from repro.relational.columns import NULL_CODE, passing
+from repro.relational.columns import NO_PARTNER, NULL_CODE, passing
 
 #: broadcast state of the current pool generation (set by the initializer).
 _STATE: dict[str, Any] | None = None
@@ -486,49 +486,6 @@ def _join_probe(state: dict[str, Any],
 # -- SQL multiway-join phase --------------------------------------------------
 
 
-def _gallop(values: list[int], target: int, lo: int, hi: int) -> int:
-    """First index in ``values[lo:hi]`` (ascending) holding ``>= target``.
-
-    Exponential probe then bisect — the standard leapfrog seek, sub-linear
-    when the next match is near and ``O(log n)`` when it is far.
-    """
-    if lo >= hi or values[lo] >= target:
-        return lo
-    step = 1
-    while lo + step < hi and values[lo + step] < target:
-        step <<= 1
-    return bisect_left(values, target, lo + (step >> 1) + 1, min(lo + step, hi))
-
-
-def gallop_intersect(lists: list[list[int]]) -> list[int]:
-    """Sorted intersection of ascending integer lists (leapfrog style).
-
-    Starts from the shortest list and seeks into each other list with
-    galloping search, so the cost tracks the smallest participant — the
-    intersection step of the multiway join, shared by the parent (first
-    variable, over whole relations) and the workers (deeper levels, over
-    already-bound tid groups).
-    """
-    if not lists:
-        return []
-    ordered = sorted(lists, key=len)
-    result = ordered[0]
-    for other in ordered[1:]:
-        if not result:
-            break
-        kept: list[int] = []
-        lo, hi = 0, len(other)
-        for value in result:
-            lo = _gallop(other, value, lo, hi)
-            if lo >= hi:
-                break
-            if other[lo] == value:
-                kept.append(value)
-                lo += 1
-        result = kept
-    return result
-
-
 def multiway_group(arrays: list[list[int]], tids: list[int],
                    members: list[tuple[int, Any]]) -> dict[int, list[int]]:
     """Group *tids* by their shared-space code over one variable's members.
@@ -541,35 +498,101 @@ def multiway_group(arrays: list[list[int]], tids: list[int],
     :data:`~repro.relational.columns.NO_PARTNER` (-1) marks values the
     representative dictionary lacks, so both drop out here, exactly as
     NULL keys drop out of hash-join buckets.  Tid lists stay ascending
-    (scan order), which is what :func:`gallop_intersect` and the product
-    emission rely on.
+    (scan order), which is what the product emission relies on.
     """
-    position, translation = members[0]
-    codes = arrays[position]
-    rest = members[1:]
+    streams = []
+    for position, translation in members:
+        stream = map(arrays[position].__getitem__, tids)
+        streams.append(stream if translation is None
+                       else map(translation.__getitem__, stream))
+    keys = streams[0] if len(streams) == 1 else map(_agreed, zip(*streams))
     groups: dict[int, list[int]] = {}
-    for tid in tids:
-        code = codes[tid]
-        if translation is not None:
-            code = translation[code]
-        if code < 1:
-            continue
-        agreed = True
-        for other_position, other_translation in rest:
-            other = arrays[other_position][tid]
-            if other_translation is not None:
-                other = other_translation[other]
-            if other != code:
-                agreed = False
-                break
-        if not agreed:
-            continue
-        bucket = groups.get(code)
-        if bucket is None:
+    for code, tid in zip(keys, tids):
+        group = groups.get(code)
+        if group is None:
             groups[code] = [tid]
         else:
-            bucket.append(tid)
+            group.append(tid)
+    groups.pop(NULL_CODE, None)
+    groups.pop(NO_PARTNER, None)
     return groups
+
+
+def _agreed(codes: tuple[int, ...]) -> int:
+    """The code all of a table's members agree on, or NO_PARTNER."""
+    return codes[0] if codes.count(codes[0]) == len(codes) else NO_PARTNER
+
+
+def leapfrog_blocks(tables: tuple, query: dict[str, Any], candidates: list[int],
+                    counts: list[int]) -> Iterator[list[list[int]]]:
+    """Every fully bound block of a multiway join, depth first.
+
+    The one descent of :func:`_multiway_probe` and
+    :func:`_factorised_multi_fold`.  ``query`` carries ``levels`` (the
+    variable order: per level, the participating tables with their member
+    ``(position, translation)`` pairs), ``base`` (the filtered live tids
+    per table, ``None`` for the tables level 0 binds) and ``level_one``
+    (the first variable's ``code -> tids`` groups).  Each candidate code
+    binds the first variable; every deeper level groups each
+    participating table's tids by the level's variable
+    (:func:`multiway_group`), intersects the codes all groupings hold
+    (``sorted()`` of the intersection of their keys) and descends per
+    code, adding one to ``counts[level]`` for each.  A block is the bound
+    tid list of every table, in FROM order, and consecutive blocks share
+    a table's list object for as long as that table's binding holds.
+
+    A table that no earlier level binds is still on its base tids, the
+    same under every candidate above it, so its grouping at its first
+    level is built once per call and reused; a table an earlier level
+    bound regroups its bound group.  The memo lives in this generator's
+    frame, so the call's grouping state is freed when it is exhausted.
+    """
+    levels = query["levels"]
+    base = query["base"]
+    level_one = query["level_one"]
+    # per level: (table, members, grouped once) for each participant
+    steps: list[list[tuple[int, Any, bool]]] = []
+    bound = {table for table, _ in levels[0]}
+    for level in levels[1:]:
+        steps.append([(table, members, table not in bound) for table, members in level])
+        bound.update(table for table, _ in level)
+    shared: dict[tuple[int, int], dict[int, list[int]]] = {}
+    for code in candidates:
+        counts[0] += 1
+        per_table = list(base)
+        for table, groups in level_one.items():
+            per_table[table] = groups[code]
+        yield from _descend(tables, steps, 0, per_table, shared, counts)
+
+
+def _descend(tables: tuple, steps: list, step: int, per_table: list[list[int]],
+             shared: dict, counts: list[int]) -> Iterator[list[list[int]]]:
+    """Bind level ``step + 1`` of :func:`leapfrog_blocks` under *per_table*."""
+    if step == len(steps):
+        yield per_table
+        return
+    maps: list[tuple[int, dict[int, list[int]]]] = []
+    for table, members, once in steps[step]:
+        if once:
+            groups = shared.get((step, table))
+            if groups is None:
+                groups = shared[step, table] = multiway_group(
+                    tables[table], per_table[table], members)
+        else:
+            groups = multiway_group(tables[table], per_table[table], members)
+        if not groups:
+            return
+        maps.append((table, groups))
+    present: Any = maps[0][1].keys()
+    for _, groups in maps[1:]:
+        present = present & groups.keys()
+    level = step + 1
+    for code in sorted(present):
+        counts[level] += 1
+        bound = list(per_table)
+        for table, groups in maps:
+            bound[table] = groups[code]
+        yield from _descend(tables, steps, level, bound, shared, counts)
 
 
 def _multiway_probe(state: dict[str, Any],
@@ -577,59 +600,21 @@ def _multiway_probe(state: dict[str, Any],
     """Enumerate the join tuples of one chunk of first-variable candidates.
 
     The broadcast state holds every relation's code arrays (``tables``,
-    FROM order); the query payload carries the compiled shape: ``levels``
-    is the chosen variable order (per level: the participating tables with
-    their member ``(position, translation)`` pairs), ``base`` the filtered
-    live tids per table (``None`` for tables already grouped at level 0),
-    and ``level_one`` the parent-built ``code -> tids`` groups of the
-    first variable's participants.
-
-    For each candidate code the worker binds the first variable, then
-    recurses the remaining levels generic-join style: re-group each
-    participating table's *currently bound* tids by the level's variable
-    (:func:`multiway_group`), leapfrog-intersect the present codes
-    (:func:`gallop_intersect`), and descend per candidate.  A fully bound
-    assignment emits the cartesian product of the per-table tid lists in
-    FROM order.  The tuples are sorted before returning, so the parent's
-    merge of all chunks is exactly the ascending ``(tid_1, .., tid_N)``
-    enumeration the row path produces.
+    FROM order); the query payload carries the compiled shape that
+    :func:`leapfrog_blocks` descends.  A fully bound block emits the
+    cartesian product of its per-table tid lists in FROM order.  The
+    tuples are sorted before returning, so the parent's merge of all
+    chunks is exactly the ascending ``(tid_1, .., tid_N)`` enumeration
+    the row path produces.
 
     Returns ``(sorted tid tuples, per-level candidate counts)`` — the
     counts feed the obs histogram and EXPLAIN's per-level report.
     """
     spec_id, query, candidates = payload
-    tables = state[spec_id]["tables"]
-    levels = query["levels"]
-    base = query["base"]
-    level_one = query["level_one"]
-    depth = len(levels)
-    counts = [0] * depth
+    counts = [0] * len(query["levels"])
     results: list[tuple[int, ...]] = []
-
-    def descend(level: int, per_table: list[list[int]]) -> None:
-        if level == depth:
-            results.extend(product(*per_table))
-            return
-        maps: list[tuple[int, dict[int, list[int]]]] = []
-        for table, members in levels[level]:
-            groups = multiway_group(tables[table], per_table[table], members)
-            if not groups:
-                return
-            maps.append((table, groups))
-        for code in gallop_intersect([sorted(groups) for _, groups in maps]):
-            counts[level] += 1
-            bound = list(per_table)
-            for table, groups in maps:
-                bound[table] = groups[code]
-            descend(level + 1, bound)
-
-    first_tables = [table for table, _ in levels[0]]
-    for code in candidates:
-        counts[0] += 1
-        per_table = list(base)
-        for table in first_tables:
-            per_table[table] = level_one[table][code]
-        descend(1, per_table)
+    for block in leapfrog_blocks(state[spec_id]["tables"], query, candidates, counts):
+        results.extend(product(*block))
     results.sort()
     return results, counts
 
@@ -710,24 +695,15 @@ def _factorised_join_fold(sides: tuple, query: dict[str, Any],
     first-pair representative match the enumerated probe exactly.
     """
     arrays = sides[0]  # factorised probes always walk the left side
-    keys = [(arrays[position], translation)
-            for position, translation in query["keys"]]
-    buckets = query["buckets"]
-    single = len(keys) == 1
     survivors = passing(tids, [(arrays[position], allowed)
                                for position, allowed in query["filters"]])
-
-    def bucket_of(tid: int) -> list | None:
-        if single:
-            codes, translation = keys[0]
-            return buckets.get(translation[codes[tid]])
-        key = []
-        for codes, translation in keys:
-            partner = translation[codes[tid]]
-            if partner < 1:  # NULL or NO_PARTNER: no bucket can match
-                return None
-            key.append(partner)
-        return buckets.get(tuple(key))
+    # each survivor's bucket: its key codes translated through the bridges.
+    # NULL (0) and NO_PARTNER (-1) are never bucket keys (buckets key codes
+    # >= 1), so a tid with either in its key simply misses.
+    partners = [map(translation.__getitem__, map(arrays[position].__getitem__, survivors))
+                for position, translation in query["keys"]]
+    hits = map(query["buckets"].get,
+               partners[0] if len(partners) == 1 else zip(*partners))
 
     # op codes per spec: probe-side folds read the tid's code, build-side
     # folds combine the block's pre-aggregated partial.
@@ -773,8 +749,7 @@ def _factorised_join_fold(sides: tuple, query: dict[str, Any],
     groups: dict[Any, list] = {}
     partials = 0
     tuples = 0
-    for tid in survivors:
-        blocks = bucket_of(tid)
+    for tid, blocks in zip(survivors, hits):
         if not blocks:
             continue
         for slot, codes in left_keys:
@@ -841,29 +816,28 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
     """Descend one chunk of first-variable candidates, folding — not
     enumerating — every fully bound block.
 
-    The descent is :func:`_multiway_probe` move for move (same grouping,
-    same leapfrog intersection, same per-level counts); only the full
-    depth differs.  There each side holds a bound tid list and the block
-    contributes its cartesian product; here each side's list is
-    partitioned by its group-key codes, per-part partial aggregates are
-    folded once, and every cross-side part combination contributes by
-    semiring multiplication: COUNT(*) adds the product of part sizes,
-    per-side folds scale by the co-sides' multiplicity (an exact
-    integer), code sets union, MIN/MAX compare ranks.  The group
-    representative is the combination's per-side minimum tids — exactly
-    the lexicographically first tuple of its cartesian product, i.e. the
-    enumerated path's first occurrence — min-merged per group so the
-    parent can re-sort groups into the sorted enumeration's
-    first-occurrence order.
+    The descent is :func:`leapfrog_blocks`, as for :func:`_multiway_probe`
+    (same grouping, same intersection, same per-level counts); only what
+    happens to a block differs.  There each side holds a bound tid list
+    and the block contributes its cartesian product; here each side's
+    list is partitioned by its group-key codes, with per-part partial
+    aggregates (:func:`_side_parts`), and every cross-side part
+    combination contributes by semiring multiplication: COUNT(*) adds the
+    product of part sizes, per-side folds scale by the co-sides'
+    multiplicity (an exact integer), code sets union, MIN/MAX compare
+    ranks.  A side's parts are computed once per bound tid group and
+    reused for every block while that group stays bound: the descent is
+    depth first, so those blocks arrive one after another, and only the
+    current group per side is kept.  The group representative is the
+    combination's per-side minimum tids — exactly the lexicographically
+    first tuple of its cartesian product, i.e. the enumerated path's
+    first occurrence — min-merged per group so the parent can re-sort
+    groups into the sorted enumeration's first-occurrence order.
     """
-    levels = query["levels"]
-    base = query["base"]
-    level_one = query["level_one"]
-    depth = len(levels)
-    counts = [0] * depth
     aggs = query["aggs"]
     group = query["group"]
     table_count = len(tables)
+    counts = [0] * len(query["levels"])
 
     # group-key code arrays per side; key_slots maps each output key slot
     # to (side, offset into that side's part-key tuple).
@@ -874,9 +848,10 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
         side_key_arrays[side].append(tables[side][position])
     single_key = len(group) == 1
 
-    # per-side fold steps: (spec slot, mode, codes, ranks-or-values);
-    # combine modes per spec: how a part's stat enters the group entry.
-    side_steps: list[list[tuple[int, int, Any, Any]]] = \
+    # per-side fold steps: (spec slot, fold_codes kind, codes,
+    # ranks-or-values); combine modes per spec: how a part's stat enters
+    # the group entry.
+    side_steps: list[list[tuple[int, str, Any, Any]]] = \
         [[] for _ in range(table_count)]
     combines: list[tuple[int, int]] = []  # (mode, side) per spec
     for index, spec in enumerate(aggs):
@@ -887,103 +862,43 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
         side = spec[1]
         codes = tables[side][spec[2]]
         if kind == "count":
-            side_steps[side].append((index, 0, codes, None))
+            side_steps[side].append((index, "count", codes, None))
             combines.append((1, side))
         elif kind == "count_distinct" or (kind in ("sum", "avg") and spec[3]):
-            side_steps[side].append((index, 1, codes, None))
+            side_steps[side].append((index, "count_distinct", codes, None))
             combines.append((2, side))
         elif kind in ("sum", "avg"):
-            side_steps[side].append((index, 2, codes, spec[4]))
+            side_steps[side].append((index, "sum", codes, spec[4]))
             combines.append((3, side))
         else:
-            side_steps[side].append((index, 3 if kind == "min" else 4,
-                                     codes, spec[3]))
+            side_steps[side].append((index, kind, codes, spec[3]))
             combines.append((4 if kind == "min" else 5, side))
 
     groups: dict[Any, list] = {}
     partials = 0
     tuples = 0
-
-    def fold_block(per_table: list[list[int]]) -> None:
-        nonlocal partials, tuples
-        # partition each side by its group-key codes (insertion order =
-        # that side's first-occurrence order); sides without group keys
-        # stay one part.  Tid lists are ascending, so part[1][0] is the
-        # part's minimum tid.
-        parts_per_side: list[list[tuple[tuple, list[int]]]] = []
-        stats_per_side: list[list[dict[int, Any]]] = []
-        for side in range(table_count):
-            tids = per_table[side]
-            key_arrays = side_key_arrays[side]
-            if key_arrays:
-                parts: dict[tuple, list[int]] = {}
-                for tid in tids:
-                    part_key = tuple(codes[tid] for codes in key_arrays)
-                    bucket = parts.get(part_key)
-                    if bucket is None:
-                        parts[part_key] = [tid]
-                    else:
-                        bucket.append(tid)
-                part_list = list(parts.items())
-            else:
-                part_list = [((), tids)] if tids else []
-            steps = side_steps[side]
-            side_stats: list[dict[int, Any]] = []
-            for _, part_tids in part_list:
-                stats: dict[int, Any] = {}
-                for index, mode, codes, aux in steps:
-                    if mode == 0:    # COUNT: non-NULLs in the part
-                        stat: Any = 0
-                        for tid in part_tids:
-                            if codes[tid] != NULL_CODE:
-                                stat += 1
-                    elif mode == 1:  # code set
-                        stat = set()
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code != NULL_CODE:
-                                stat.add(code)
-                    elif mode == 2:  # exact [total, count]
-                        stat = [0, 0]
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code != NULL_CODE:
-                                stat[0] += aux[code]
-                                stat[1] += 1
-                    else:            # 3 min | 4 max
-                        stat = None
-                        for tid in part_tids:
-                            code = codes[tid]
-                            if code == NULL_CODE:
-                                continue
-                            rank = aux[code]
-                            if stat is None or (rank < stat[0] if mode == 3
-                                                else rank > stat[0]):
-                                stat = (rank, code)
-                    stats[index] = stat
-                side_stats.append(stats)
-            parts_per_side.append(part_list)
-            stats_per_side.append(side_stats)
-
-        for choice in product(*(range(len(part_list))
-                                for part_list in parts_per_side)):
-            sizes = [len(parts_per_side[side][pick][1])
-                     for side, pick in enumerate(choice)]
-            multiplier = 1
-            for size in sizes:
-                multiplier *= size
+    # the bound tid group of each side and its parts, kept while it holds
+    current: list[Any] = [None] * table_count
+    parts: list[Any] = [None] * table_count
+    for block in leapfrog_blocks(tables, query, candidates, counts):
+        for side, tids in enumerate(block):
+            if tids is not current[side]:
+                current[side] = tids
+                parts[side] = _side_parts(tids, side_key_arrays[side],
+                                          side_steps[side])
+        for choice in product(*parts):
+            sizes = [len(part[1]) for part in choice]
+            multiplier = prod(sizes)
             partials += 1
             tuples += multiplier
             if single_key:
                 side, offset = key_slots[0]
-                key: Any = parts_per_side[side][choice[side]][0][offset]
+                key: Any = choice[side][0][offset]
             elif key_slots:
-                key = tuple(parts_per_side[side][choice[side]][0][offset]
-                            for side, offset in key_slots)
+                key = tuple(choice[side][0][offset] for side, offset in key_slots)
             else:
                 key = ()
-            representative = tuple(parts_per_side[side][pick][1][0]
-                                   for side, pick in enumerate(choice))
+            representative = tuple(part[1][0] for part in choice)
             entry = groups.get(key)
             if entry is None:
                 entry = [representative] + [initial_factorised_state(spec)
@@ -995,7 +910,7 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
                 if mode == 0:        # COUNT(*): the whole block
                     entry[index] += multiplier
                     continue
-                stat = stats_per_side[side][choice[side]][index - 1]
+                stat = choice[side][2][index - 1]
                 if mode == 1:        # COUNT: scale by co-sides' multiplicity
                     entry[index] += stat * (multiplier // sizes[side])
                 elif mode == 2:      # code set: union
@@ -1010,32 +925,41 @@ def _factorised_multi_fold(tables: tuple, query: dict[str, Any],
                     if best is None or (stat[0] < best[0] if mode == 4
                                         else stat[0] > best[0]):
                         entry[index] = stat
-
-    def descend(level: int, per_table: list[list[int]]) -> None:
-        if level == depth:
-            fold_block(per_table)
-            return
-        maps: list[tuple[int, dict[int, list[int]]]] = []
-        for table, members in levels[level]:
-            bound = multiway_group(tables[table], per_table[table], members)
-            if not bound:
-                return
-            maps.append((table, bound))
-        for code in gallop_intersect([sorted(bound) for _, bound in maps]):
-            counts[level] += 1
-            next_tids = list(per_table)
-            for table, bound in maps:
-                next_tids[table] = bound[code]
-            descend(level + 1, next_tids)
-
-    first_tables = [table for table, _ in levels[0]]
-    for code in candidates:
-        counts[0] += 1
-        per_table = list(base)
-        for table in first_tables:
-            per_table[table] = level_one[table][code]
-        descend(1, per_table)
     return groups, partials, tuples, counts
+
+
+def _side_parts(tids: list[int], key_arrays: list[list[int]],
+                steps: list[tuple[int, str, Any, Any]]) -> list[tuple]:
+    """One side's bound tids as ``(part key, part tids, stats)`` parts.
+
+    Parts are the tids' group-key code tuples in first-occurrence order
+    (one part ``()`` when the side has no group keys), tids ascending, so
+    a part's first tid is its minimum.  ``stats`` maps each of the side's
+    spec slots to its partial over the part, folded by :func:`fold_codes`
+    (a ``sum`` step keeps the exact ``[total, count]`` of the values).
+    """
+    if key_arrays:
+        split: dict[tuple, list[int]] = {}
+        for key, tid in zip(zip(*[map(codes.__getitem__, tids) for codes in key_arrays]),
+                            tids):
+            part = split.get(key)
+            if part is None:
+                split[key] = [tid]
+            else:
+                part.append(tid)
+        items: Any = split.items()
+    else:
+        items = [((), tids)] if tids else []
+    parts = [(key, part_tids, {}) for key, part_tids in items]
+    for index, kind, codes, aux in steps:
+        states = fold_codes(kind, [list(map(codes.__getitem__, part[1])) for part in parts],
+                            aux if kind in ("min", "max") else None)
+        if kind == "sum":  # exact [total, count] of the non-NULL values
+            states = [[sum(map(aux.__getitem__, present)), len(present)]
+                      for present in states]
+        for part, state in zip(parts, states):
+            part[2][index] = state
+    return parts
 
 
 _HANDLERS = {

@@ -171,8 +171,10 @@ class DictionaryBridge:
     Two match semantics exist, mirroring the two cross-relation equalities
     in the system:
 
-    * ``"value"`` — Python ``==`` via the target's value→code table, the
-      equality SQL hash joins key their buckets with.  Target codes are
+    * ``"value"`` — SQL ``=`` via the target's value→code table, the
+      equality SQL hash joins key their buckets with: Python ``==``,
+      except that a BOOLEAN partners only a BOOLEAN
+      (:func:`~repro.relational.expressions.sql_equal`).  Target codes are
       already canonical under this equality (interning collapses
       ``==``-equal values to one code), so the translation composes
       directly with code-keyed buckets.
@@ -231,11 +233,15 @@ class DictionaryBridge:
         translation = [NO_PARTNER] * len(source.values)
         translation[NULL_CODE] = NULL_CODE
         if self.mode == "value":
+            # SQL's =: Python's ==, but a BOOLEAN equals only a BOOLEAN
             lookup = target._code_by_value
             values = source.values
+            target_values = target.values
             for code in range(1, len(values)):
-                partner = lookup.get(values[code])
-                if partner is not None:
+                value = values[code]
+                partner = lookup.get(value)
+                if partner is not None and \
+                        isinstance(value, bool) == isinstance(target_values[partner], bool):
                     translation[code] = partner
         else:
             target_strings = target.strings

@@ -61,27 +61,40 @@ class AggregateExpr(Expression):
         return str(self.call)
 
 
-def collect_aggregates(expression: Expression | None) -> list[AggregateCall]:
-    """Every aggregate call embedded in *expression*, in walk order."""
-    if expression is None:
-        return []
-    found: list[AggregateCall] = []
+#: the attributes an expression node keeps its sub-expressions under.
+_CHILDREN = ("operands", "operand", "left", "right", "arguments", "values")
 
-    def walk(node: Expression) -> None:
-        if isinstance(node, AggregateExpr):
-            found.append(node.call)
-            return
-        for attribute in ("operands", "operand", "left", "right", "arguments", "values"):
+
+def embedded(expression: Expression | None, kind: type) -> list:
+    """Every node of *kind* in *expression*, in walk order.
+
+    The walk is depth first, children in attribute order, and does not
+    descend into a node of *kind*.  It keeps an explicit stack instead of
+    recursing through a nested function, so a call leaves nothing for the
+    cycle collector.
+    """
+    found: list = []
+    stack = [] if expression is None else [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            found.append(node)
+            continue
+        children: list[Expression] = []
+        for attribute in _CHILDREN:
             child = getattr(node, attribute, None)
             if isinstance(child, Expression):
-                walk(child)
+                children.append(child)
             elif isinstance(child, tuple):
-                for element in child:
-                    if isinstance(element, Expression):
-                        walk(element)
-
-    walk(expression)
+                children.extend(element for element in child
+                                if isinstance(element, Expression))
+        stack.extend(reversed(children))
     return found
+
+
+def collect_aggregates(expression: Expression | None) -> list[AggregateCall]:
+    """Every aggregate call embedded in *expression*, in walk order."""
+    return [node.call for node in embedded(expression, AggregateExpr)]
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ parent-side halves of that contract.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -80,6 +81,7 @@ from repro.relational.sql.ast import (
     SelectStatement,
     TableRef,
     collect_aggregates,
+    embedded,
 )
 from repro.relational.types import NULL, AttributeType
 
@@ -576,27 +578,6 @@ def _join_position(ref: ColumnRef, sides: tuple) -> tuple[int, int] | None:
     return None
 
 
-def _column_refs(expression: Expression) -> list[ColumnRef]:
-    """Every column reference embedded in *expression*, in walk order."""
-    found: list[ColumnRef] = []
-
-    def walk(node: Expression) -> None:
-        if isinstance(node, ColumnRef):
-            found.append(node)
-            return
-        for attribute in ("operands", "operand", "left", "right", "arguments", "values"):
-            child = getattr(node, attribute, None)
-            if isinstance(child, Expression):
-                walk(child)
-            elif isinstance(child, tuple):
-                for element in child:
-                    if isinstance(element, Expression):
-                        walk(element)
-
-    walk(expression)
-    return found
-
-
 def _as_join_key(conjunct: Expression, sides: tuple) -> tuple[int, int] | None:
     """``(left position, right position)`` of a hash-joinable equality.
 
@@ -628,7 +609,7 @@ def _compile_join_filter(conjunct: Expression,
     a conjunct that fails to compile on its owner never silently filters
     the other side.
     """
-    refs = _column_refs(conjunct)
+    refs = embedded(conjunct, ColumnRef)
     if not refs:
         return None
     owner_sides: set[int] = set()
@@ -1356,26 +1337,33 @@ def multiway_query_payload(plan: MultiJoinPlan
     a value an intermediate member never saw has no live tuple there, so
     the intersection would drop it regardless.
 
+    A member whose column *is* the representative column (a self-join)
+    needs no translation.
+
     The first variable's groups are built here (parent side) so their
-    sorted-code intersection — the candidate list the engine chunks — is
+    code intersection — the sorted candidate list the engine chunks — is
     computed once, not per worker.  The participant with the fewest base
-    tids seeds it: every later one first drops the tids whose code is not
-    present yet, which leaves the candidates and their tid groups as
-    they were.
+    tids seeds it: every later one first keeps only the tids whose code
+    the participants before it all hold, one code-set membership pass
+    (:func:`passing`), which leaves the candidates and their tid groups
+    as they were.  The last participant's codes are then the
+    intersection.
     """
-    from repro.engine.worker import gallop_intersect, multiway_group
+    from repro.engine.worker import multiway_group
 
     stores = [relation.columns for relation in plan.relations]
     arrays = [store.code_arrays(range(relation.schema.arity))
               for store, relation in zip(stores, plan.relations)]
     levels: list[list[tuple[int, list[tuple[int, Any]]]]] = []
     for members, _, _ in plan.var_order:
+        representative = stores[members[0][0]].column_at(members[0][1])
         chain = None  # translation of the previous member into the rep space
-        previous_column = None
+        previous_column = representative
         translations: list[Any] = []
         for side, position in members:
             column = stores[side].column_at(position)
-            if previous_column is None:
+            if column is representative:
+                chain = None
                 translations.append(None)
             else:
                 hop = column.bridge_to(previous_column)
@@ -1389,27 +1377,24 @@ def multiway_query_payload(plan: MultiJoinPlan
 
     base = multiway_base_tids(plan)
     level_one: dict[int, dict[int, list[int]]] = {}
-    code_lists: list[list[int]] = []
     present: Any = None  # the codes every participant grouped so far holds
     for side, member_list in sorted(levels[0], key=lambda item: len(base[item[0]])):
         tids = base[side]
         if present is not None:
             position, translation = member_list[0]
-            codes = arrays[side][position]
-            tids = [tid for tid in tids if (codes[tid] if translation is None
-                                            else translation[codes[tid]]) in present]
+            allowed = present if translation is None else \
+                {code for code, partner in enumerate(translation) if partner in present}
+            tids = passing(tids, [(arrays[side][position], allowed)])
         groups = multiway_group(arrays[side], tids, member_list)
         level_one[side] = groups
         present = groups.keys()
-        code_lists.append(sorted(groups))
-    candidates = gallop_intersect(code_lists)
     query = {
         "levels": levels,
         "base": [None if side in level_one else tids
                  for side, tids in enumerate(base)],
         "level_one": level_one,
     }
-    return query, candidates
+    return query, sorted(present)
 
 
 def multiway_fold_payload(plan: MultiJoinPlan) -> dict[str, Any]:
@@ -1529,9 +1514,15 @@ def build_factorised_buckets(plan: "JoinPlan",
     """
     relation = plan.relations[1]
     store = relation.columns
-    key_arrays = [store.column_at(pair[1]).codes for pair in plan.key_pairs]
+    tids = passing(relation.tids(), side_filters(plan, 1))
+    key_streams = [map(store.column_at(pair[1]).codes.__getitem__, tids)
+                   for pair in plan.key_pairs]
+    single = len(key_streams) == 1
+    keys: Any = key_streams[0] if single else zip(*key_streams)
     part_arrays = [store.column_at(position).codes
                    for side, position in plan.group_keys if side == 1]
+    parts: Any = zip(*[map(codes.__getitem__, tids) for codes in part_arrays]) \
+        if part_arrays else repeat(())
     # build-side fold steps: (spec slot, op, codes, ranks-or-values)
     steps: list[tuple[int, int, Any, Any]] = []
     for index, spec in enumerate(aggs):
@@ -1547,19 +1538,8 @@ def build_factorised_buckets(plan: "JoinPlan",
             steps.append((index, 2, codes, spec[4]))
         else:  # min | max
             steps.append((index, 3 if kind == "min" else 4, codes, spec[3]))
-    single = len(key_arrays) == 1
     buckets: dict[Any, dict[Any, list]] = {}
-    for tid in passing(relation.tids(), side_filters(plan, 1)):
-        if single:
-            key: Any = key_arrays[0][tid]
-            if key == NULL_CODE:
-                continue
-        else:
-            key_codes = [codes[tid] for codes in key_arrays]
-            if NULL_CODE in key_codes:
-                continue
-            key = tuple(key_codes)
-        part = tuple(codes[tid] for codes in part_arrays)
+    for key, part, tid in zip(keys, parts, tids):
         blocks = buckets.get(key)
         if blocks is None:
             blocks = buckets[key] = {}
@@ -1589,7 +1569,9 @@ def build_factorised_buckets(plan: "JoinPlan",
                 best = partials[index]
                 if best is None or (rank < best[0] if op == 3 else rank > best[0]):
                     partials[index] = (rank, code)
-    return {key: list(blocks.values()) for key, blocks in buckets.items()}
+    # NULL join keys never match
+    return {key: list(blocks.values()) for key, blocks in buckets.items()
+            if not (key == NULL_CODE if single else NULL_CODE in key)}
 
 
 def factorised_join_payload(plan: "JoinPlan", aggs: list[tuple],

@@ -376,18 +376,28 @@ class _FromPlanner:
         right_keys = [pair[1] for pair in equi]
         buckets: dict[tuple[Any, ...], list[_ExecRow]] = defaultdict(list)
         for row in right_rows:
-            key = tuple(row.bindings.get(k, NULL) for k in right_keys)
-            if any(is_null(v) for v in key):
-                continue
-            buckets[key].append(row)
+            key = _join_key(row, right_keys)
+            if key is not None:
+                buckets[key].append(row)
         joined: list[_ExecRow] = []
         for row in left_rows:
-            key = tuple(row.bindings.get(k, NULL) for k in left_keys)
-            if any(is_null(v) for v in key):
-                continue
-            for right in buckets.get(key, ()):
-                joined.append(row.merged(right))
+            key = _join_key(row, left_keys)
+            if key is not None:
+                for right in buckets.get(key, ()):
+                    joined.append(row.merged(right))
         return joined
+
+
+def _join_key(row: _ExecRow, names: list[str]) -> tuple[Any, ...] | None:
+    """*row*'s hash-join key on *names*, or ``None`` when a part is NULL.
+
+    The values are followed by one BOOLEAN flag each: SQL's ``=`` never
+    equates a BOOLEAN with a number, as Python's ``==`` does.
+    """
+    values = tuple(row.bindings.get(name, NULL) for name in names)
+    if any(is_null(value) for value in values):
+        return None
+    return values + tuple(isinstance(value, bool) for value in values)
 
 
 def _infer_output_type(values: Iterable[Any]) -> AttributeType:

@@ -9,8 +9,9 @@ as it is, so MIN, range filters, ORDER BY and equality never merge
 while numbers were keyed by ``float(value)``; the randomized suite draws
 integers on both sides of 2**53 and tests an INTEGER and a FLOAT column
 against integer and float constants alike, with writes between
-statements.  A BOOLEAN is no number: ``=``, ``<>`` and ``IN`` never equate
-``TRUE`` with 1 or ``FALSE`` with 0, as the oracle's ``=`` does not.
+statements.  A BOOLEAN is no number: ``=``, ``<>``, ``IN`` and join keys
+never equate ``TRUE`` with 1 or ``FALSE`` with 0, as the oracle's ``=``
+does not.
 """
 
 import random
@@ -88,6 +89,28 @@ def test_a_boolean_never_equals_a_number(sql, rows):
     expected = oracle.select(database, sql)
     assert [tuple(row) for row in expected[2]] == rows
     assert fingerprint(SQLEngine(database).query(sql)) == fingerprint(expected)
+
+
+@pytest.mark.parametrize("sql, plan", [
+    ("SELECT a.k, b.k FROM f a JOIN f b ON a.flag = b.n", "join"),
+    ("SELECT a.k, b.k FROM f a, f b WHERE a.flag = b.n", "join"),
+    ("SELECT a.k, COUNT(*) AS n FROM f a JOIN f b ON a.flag = b.n GROUP BY a.k",
+     "factorised"),
+    ("SELECT a.k, b.k, c.k FROM f a, f b, f c WHERE a.flag = b.n AND b.k = c.k",
+     "multiway"),
+    ("SELECT a.k, b.k FROM f a JOIN f b ON a.flag = b.n "
+     "WHERE a.k = 't' OR b.k = 'f'", "row"),
+])
+def test_a_join_never_pairs_a_boolean_with_a_number(sql, plan):
+    # every plan kind: the code plans bridge the two dictionaries by
+    # value, the row path hashes binding values; TRUE must meet neither 1
+    # nor FALSE 0
+    database = flags()
+    expected = oracle.select(database, sql)
+    assert expected[2] == []
+    engine = SQLEngine(database)
+    assert fingerprint(engine.query(sql)) == fingerprint(expected)
+    assert engine.last_plan == plan
 
 
 def test_true_is_a_column_name_not_a_literal():

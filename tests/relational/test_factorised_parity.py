@@ -7,7 +7,8 @@ per-table partial aggregates per join-variable binding and combine them
 by semiring multiplication (``factorise_plan`` in
 ``repro.relational.sql.columnar``).  These tests generate random
 databases and random *factorisable* grouped queries over two-table hash
-joins and chain / star / triangle multiway shapes — NULL join keys,
+joins and chain / star / triangle / self-join multiway shapes, with
+aggregates on every table — NULL join keys,
 ``NO_PARTNER`` bridge entries, WHERE push-down, HAVING, ORDER BY,
 LIMIT — and assert the factorised results and the enumerated plans
 (forced via ``columnar.FACTORISE = False``) are both identical to
@@ -131,6 +132,13 @@ def mutate(database: Database, rng: random.Random, steps: int = 8) -> None:
             relation.update(rng.choice(tids), attribute, value)
 
 
+def _aliased(alias: str, texts: list[str]) -> list[str]:
+    """*texts* written for alias ``o``, re-aliased for ``o1`` (the self join)."""
+    if alias == "o" or alias[0] != "o":
+        return texts
+    return [text.replace("o.", f"{alias}.") for text in texts]
+
+
 def random_where(rng, aliases) -> str:
     choices = {
         "o": [lambda: f"o.amount {rng.choice(['<', '<=', '>', '>='])} "
@@ -147,21 +155,29 @@ def random_where(rng, aliases) -> str:
         "c": [lambda: f"c.size {rng.choice(['<', '>'])} {rng.randrange(500)}",
               lambda: f"c.mayor != '{rng.choice(MAYOR_POOL)}'"],
     }
-    pool = [make for alias in aliases for make in choices[alias]]
-    return " AND ".join(rng.choice(pool)() for _ in range(rng.randrange(1, 3)))
+    pool = [(alias, make) for alias in aliases for make in choices[alias[0]]]
+    return " AND ".join(_aliased(alias, [make()])[0]
+                        for alias, make in (rng.choice(pool)
+                                            for _ in range(rng.randrange(1, 3))))
 
 
-#: join shape -> (FROM tables, equi conjuncts, participating aliases);
-#: "pair" exercises the two-table hash-join plan, the rest the multiway one
+#: join shape -> (FROM tables, equi conjuncts, aliases the WHERE, GROUP BY
+#: and aggregates draw on); "pair" exercises the two-table hash-join plan,
+#: the rest the multiway one.  "self" joins a filtered orders to itself
+#: through city and to zips through zip, like perfbench's grouped
+#: three-way report: whichever variable binds first, one table is first
+#: bound below the first level.
 SHAPES = {
-    "pair": ("orders o, zips z", ["o.zip = z.zip"], "oz"),
+    "pair": ("orders o, zips z", ["o.zip = z.zip"], ("o", "z")),
     "chain": ("orders o, zips z, regions r",
-              ["o.zip = z.zip", "z.region = r.region"], "ozr"),
+              ["o.zip = z.zip", "z.region = r.region"], ("o", "z", "r")),
     "star": ("orders o, zips z, cities c",
-             ["o.zip = z.zip", "o.city = c.city"], "ozc"),
+             ["o.zip = z.zip", "o.city = c.city"], ("o", "z", "c")),
     "triangle": ("orders o, zips z, regions r",
                  ["o.zip = z.zip", "z.region = r.region",
-                  "r.country = o.country"], "ozr"),
+                  "r.country = o.country"], ("o", "z", "r")),
+    "self": ("orders o1, orders o2, zips z",
+             ["o1.city = o2.city", "o2.zip = z.zip", "o1.amount < 70"], ("o1", "z")),
 }
 
 #: group-key columns per alias, all with distinct output names
@@ -174,14 +190,19 @@ GROUP_KEYS = {
 
 #: every aggregate here folds exactly through the semiring: COUNT /
 #: COUNT DISTINCT / MIN / MAX over anything, SUM / AVG over integers
-#: only (float folds stay on the enumerated plans)
-FOLDABLE_AGGREGATES = [
-    "COUNT(*) AS n", "COUNT(o.amount) AS cnt", "COUNT(z.pop) AS zcnt",
-    "COUNT(DISTINCT o.city) AS d", "MIN(o.amount) AS lo",
-    "MAX(o.amount) AS olhi", "MAX(z.pop) AS hi", "MIN(o.city) AS first_city",
-    "SUM(z.pop) AS s", "SUM(o.amount) AS os", "SUM(DISTINCT o.amount) AS ds",
-    "AVG(o.amount) AS oa", "AVG(z.pop) AS za",
-]
+#: only (float folds stay on the enumerated plans).  ``r`` and ``c`` are
+#: the tables a chain or star order binds last.
+FOLDABLE_AGGREGATES = {
+    "o": ["COUNT(*) AS n", "COUNT(o.amount) AS cnt", "COUNT(DISTINCT o.city) AS d",
+          "MIN(o.amount) AS lo", "MAX(o.amount) AS olhi", "MIN(o.city) AS first_city",
+          "SUM(o.amount) AS os", "SUM(DISTINCT o.amount) AS ds", "AVG(o.amount) AS oa"],
+    "z": ["COUNT(z.pop) AS zcnt", "MAX(z.pop) AS hi", "SUM(z.pop) AS s",
+          "AVG(z.pop) AS za", "MIN(z.region) AS zfirst"],
+    "r": ["MIN(r.gdp) AS rlo", "MAX(r.gdp) AS rhi", "COUNT(r.gdp) AS rn",
+          "MIN(r.country) AS rfirst", "MAX(r.country) AS rlast",
+          "COUNT(r.country) AS rcn"],
+    "c": ["COUNT(c.size) AS cn", "SUM(c.size) AS cs", "MIN(c.size) AS clo"],
+}
 
 
 def random_factorised_query(rng, shape=None) -> str:
@@ -190,10 +211,13 @@ def random_factorised_query(rng, shape=None) -> str:
     where = list(conjuncts)
     if rng.random() < 0.7:
         where.append(random_where(rng, aliases))
-    keys = rng.sample([key for alias in aliases for key in GROUP_KEYS[alias]],
+    keys = rng.sample([key for alias in aliases
+                       for key in _aliased(alias, GROUP_KEYS[alias[0]])],
                       rng.randrange(1, 3))
     names = [ref.split(".")[1] for ref in keys]
-    aggregates = rng.sample(FOLDABLE_AGGREGATES, rng.randrange(1, 5))
+    aggregates = rng.sample([aggregate for alias in aliases for aggregate
+                             in _aliased(alias, FOLDABLE_AGGREGATES[alias[0]])],
+                            rng.randrange(1, 5))
     having = " HAVING COUNT(*) > 1" if rng.random() < 0.3 else ""
     order = f" ORDER BY {names[0]}" if rng.random() < 0.5 else ""
     limit = f" LIMIT {rng.randrange(1, 8)}" if rng.random() < 0.3 else ""
@@ -354,3 +378,67 @@ class TestFactorisationGate:
         assert block["kind"] == "multiway"
         assert block["partials"] >= block["groups"] >= 1
         assert block["tuples"] >= block["groups"]
+
+
+class TestOneGroupingPerTable:
+    """The multiway descent groups a table's base tids once per query."""
+
+    @staticmethod
+    def chain() -> Database:
+        # few zips, many regions: the zip variable binds first, so regions
+        # is first bound at level 1, under every zip candidate
+        rng = random.Random(28)
+        database = Database()
+        database.add(Relation.from_rows(ORDERS, [
+            (rng.choice(CITY_POOL), rng.choice(ZIP_POOL[:4]), "UK", rng.randrange(100), 1.0)
+            for _ in range(40)]))
+        database.add(Relation.from_rows(ZIPS, [
+            (rng.choice(ZIP_POOL[:4]), f"region{rng.randrange(12)}", rng.randrange(1000))
+            for _ in range(30)]))
+        database.add(Relation.from_rows(REGIONS, [
+            (f"region{rng.randrange(12)}", rng.choice(COUNTRY_POOL), 1.0)
+            for _ in range(20)]))
+        return database
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT o.city, z.pop, r.country FROM orders o, zips z, regions r "
+        "WHERE o.zip = z.zip AND z.region = r.region AND r.country <> 'CN'",
+        "SELECT o.city, COUNT(*) AS n, MIN(r.country) AS c FROM orders o, zips z, "
+        "regions r WHERE o.zip = z.zip AND z.region = r.region "
+        "AND r.country <> 'CN' GROUP BY o.city",
+    ])
+    def test_a_table_first_bound_at_level_one_is_grouped_once(self, sql, monkeypatch):
+        from repro.engine import worker
+
+        database = self.chain()
+        region_codes = database.relation("regions").columns.column_at(0).codes
+        calls = []
+
+        def counting_group(arrays, tids, members):
+            calls.append(arrays[members[0][0]] is region_codes)
+            return grouped(arrays, tids, members)
+
+        grouped = worker.multiway_group
+        monkeypatch.setattr(worker, "multiway_group", counting_group)
+        engine = SQLEngine(database, engine="sequential")
+        assert fingerprint(engine.query(sql, explain=True)) == \
+            fingerprint(oracle.select(database, sql))
+        order = engine.last_explain["multiway"]["order"]
+        assert [level["members"] for level in order] == \
+            [["o.zip", "z.zip"], ["z.region", "r.region"]]
+        assert order[0]["candidates"] > 1
+        assert calls.count(True) == 1
+
+        # per-level candidates, counted from the definition: the zips both
+        # sides hold, then per zip the regions its zips rows and the
+        # surviving regions rows share
+        def live(name):
+            relation = database.relation(name)
+            return [relation.tuple(tid).values for tid in relation.tids()]
+
+        orders, zips = live("orders"), live("zips")
+        regions = {row[0] for row in live("regions") if row[1] != "CN"}
+        shared = {row[1] for row in orders} & {row[0] for row in zips}
+        deeper = sum(len({row[1] for row in zips if row[0] == code} & regions)
+                     for code in shared)
+        assert [level["candidates"] for level in order] == [len(shared), deeper]

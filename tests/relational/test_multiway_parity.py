@@ -5,7 +5,7 @@ sorted-intersection joins over per-column rank arrays
 (``compile_multi_join_plan`` in ``repro.relational.sql.columnar``): the
 equi-join graph resolves into join variables, participating columns are
 translated into a shared code space via chained dictionary bridges, and
-variables are bound one at a time by galloping intersection.  These
+variables are bound one at a time by sorted code-set intersection.  These
 tests generate random 3- and 4-table databases and random join queries —
 chain, star and triangle shapes, WHERE push-down on every table, grouped
 aggregates drawing from all sides, HAVING, ORDER BY, DISTINCT, LIMIT —
